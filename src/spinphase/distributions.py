@@ -15,6 +15,8 @@ The stored F coefficient absorbs a sqrt(4 pi) relative to the raw
 characteristic-function normalization so that c_0 = 1 for every kind and the
 three expansions take the uniform prefactor; divide by sqrt(4 pi) to recover
 the raw value.  P and Q coefficients are exact inverses of each other.
+Tables are built by the ratio recurrence c_k = c_(k-1) sqrt(r_k), with r_k
+rational in 2s, so F's c_1 is exactly 1.
 
 Bipartite distributions take the squared prefactor 1/(4 pi) and one
 (c, sigma) factor per subsystem.  Evaluation is O((2s+1)^2) per point via a
@@ -35,7 +37,6 @@ from .angular import (
     HalfInteger,
     harmonic_table,
     legendre_sequence,
-    log_factorial,
     require_spin,
 )
 from .errors import BandLimitError, ConsistencyError, DomainError
@@ -45,7 +46,6 @@ from .tensor_ops import operator_components
 
 __all__ = [
     "DistributionKind",
-    "CoefficientTable",
     "SpinCoherentState",
     "DirectionVector",
     "coefficient",
@@ -86,49 +86,37 @@ class DistributionKind(Enum):
 def coefficient(kind: DistributionKind, s, k: int) -> float:
     """Expansion coefficient c_k for the given kind and spin.
 
-    Evaluated in log-factorial space; c_0 = 1 for every kind and all
-    coefficients are positive.  Every kind tends to 1 as s grows at fixed k.
+    Read from coefficient_table; c_0 = 1 for every kind and all coefficients
+    are positive.  Every kind tends to 1 as s grows at fixed k.
     """
     ts = require_spin(s)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise DomainError(f"rank k must be an integer, got {k!r}")
     if k < 0 or k > ts:
         raise DomainError(f"rank k={k} outside 0..2s={ts}")
-    lf = log_factorial
-    if kind is DistributionKind.P:
-        return math.exp(0.5 * (lf(ts - k) + lf(ts + k + 1) - math.log(ts + 1.0)) - lf(ts))
-    if kind is DistributionKind.Q:
-        return math.exp(lf(ts) + 0.5 * (math.log(ts + 1.0) - lf(ts - k) - lf(ts + k + 1)))
-    # F: radius constrained to sqrt(s(s+1)); s(s+1) = ts(ts+2)/4 exactly.
-    # the radius power is 1 at k = 0, so s = 0 never reaches the log
-    radius_term = k * math.log(ts * (ts + 2) / 4.0) if k else 0.0
-    return math.exp(
-        0.5 * (lf(ts + k + 1) - lf(ts - k) - math.log(ts + 1.0) - radius_term)
-        - k * math.log(2.0)
-    )
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Cached coefficients c_k, k = 0..2s, for one (kind, spin) pair."""
-
-    s: HalfInteger
-    kind: DistributionKind
-    values: tuple
-
-    @classmethod
-    def build(cls, kind: DistributionKind, s) -> "CoefficientTable":
-        ts = require_spin(s)
-        vals = tuple(coefficient(kind, s, k) for k in range(ts + 1))
-        return cls(HalfInteger(ts), kind, vals)
+    return float(_table_cached(kind, ts)[k])
 
 
 @lru_cache(maxsize=4096)
-def _table_cached(kind: DistributionKind, ts: int) -> CoefficientTable:
-    return CoefficientTable.build(kind, HalfInteger(ts))
+def _table_cached(kind: DistributionKind, ts: int) -> np.ndarray:
+    # exact ratios r_k = (c_k / c_{k-1})^2, rational in 2s; the product of
+    # square roots keeps c^2 from overflowing
+    k = np.arange(1, ts + 1)
+    up, down = ts + k + 1, ts - k + 1
+    if kind is DistributionKind.P:
+        ratio = up / down
+    elif kind is DistributionKind.Q:
+        ratio = down / up
+    else:
+        # s(s+1) = 2s(2s+2)/4, so r_1 = 1 exactly
+        ratio = (up * down) / (ts * (ts + 2))
+    table = np.concatenate(([1.0], np.cumprod(np.sqrt(ratio))))
+    table.setflags(write=False)
+    return table
 
 
-def coefficient_table(kind: DistributionKind, s) -> CoefficientTable:
+def coefficient_table(kind: DistributionKind, s) -> np.ndarray:
+    """Read-only coefficients c_k, k = 0..2s, for one (kind, spin) pair."""
     return _table_cached(kind, require_spin(s))
 
 
@@ -236,7 +224,7 @@ def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
 
 
 def _weighted_label_array(kind: DistributionKind, t_array: np.ndarray, ts: int) -> np.ndarray:
-    table = np.asarray(_table_cached(kind, ts).values)
+    table = _table_cached(kind, ts)
     return t_array * _sign_matrix(kind, ts) * table[:, None]
 
 
@@ -280,8 +268,8 @@ def evaluate_bipartite_many(
     y1 = harmonic_table(ts1, np.atleast_1d(theta1), np.atleast_1d(phi1))
     y2 = harmonic_table(ts2, np.atleast_1d(theta2), np.atleast_1d(phi2))
     t4 = t12.as_array()
-    c1 = np.asarray(_table_cached(kind, ts1).values)
-    c2 = np.asarray(_table_cached(kind, ts2).values)
+    c1 = _table_cached(kind, ts1)
+    c2 = _table_cached(kind, ts2)
     w1 = _sign_matrix(kind, ts1) * c1[:, None]
     w2 = _sign_matrix(kind, ts2) * c2[:, None]
     t4w = t4 * w1[:, :, None, None] * w2[None, None, :, :]
@@ -351,14 +339,10 @@ def expectation(
         raise DomainError(
             f"operator shape {a.shape} does not match the spin-{ts}/2 space"
         )
-    comps = operator_components(a)
-    amat = np.zeros((ts + 1, 2 * ts + 1), dtype=complex)
-    for (k, q), v in comps.items():
-        amat[k, ts + q] = v
-    table = np.asarray(_table_cached(kind, ts).values)
+    table = _table_cached(kind, ts)
     # the operator resolution carries 1/(2s+1); its classical image inherits it
     inverse_weight = _SQRT4PI / (table * (ts + 1.0))
-    weighted = amat * _sign_matrix(kind, ts) * inverse_weight[:, None]
+    weighted = operator_components(a) * _sign_matrix(kind, ts) * inverse_weight[:, None]
     y = harmonic_table(ts, grid.node_thetas, grid.node_phis)
     a_classical = np.einsum("ab,abn->n", weighted, np.conj(y))
     w_vals = evaluate_many(kind, t, grid.node_thetas, grid.node_phis)
@@ -389,7 +373,7 @@ def singlet_profile(kind: DistributionKind, s, theta12):
     scalar = theta12.ndim == 0
     x = np.cos(np.atleast_1d(theta12))
     p = legendre_sequence(ts, x)
-    c = np.asarray(_table_cached(kind, ts).values)
+    c = _table_cached(kind, ts)
     k = np.arange(ts + 1)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     coeffs = signs * (2 * k + 1) * c**2

@@ -6,21 +6,25 @@ t^{k1 k2}_{q1 q2} = Tr(rho12 tau^{k1}_{q1} x tau^{k2}_{q2}).  The product
 basis orders the row index (m1, m2) lexicographically with both projections
 descending (m1 outer), matching the single-system convention.
 
+A tensor set holds one read-only dense array: [k, 2s + q] for one spin and
+[k1, 2s1 + q1, k2, 2s2 + q2] for two, zero where |q| > k.  decompose and
+reconstruct, single and bipartite, all go through the one trace/resolution
+pair of tensor_ops; the bipartite forms apply it along each factor's axes.
+
 All containers are immutable after construction and validate their
-invariants on ingestion, naming the violated invariant in the error.
+invariants on ingestion.  An error names the violated invariant, the first
+offending label, the measured defect and the tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
 from .angular import HalfInteger, require_spin, wigner_D_matrix
 from .errors import DomainError, ValidationError
-from .tensor_ops import tau_matrix
+from .tensor_ops import operator_components, operator_from_components
 
 __all__ = [
     "DensityMatrix",
@@ -124,178 +128,151 @@ class BipartiteDensityMatrix:
         return self.s2.twice_value + 1
 
 
-def _labels(ts: int):
-    for k in range(ts + 1):
-        for q in range(k, -k - 1, -1):
-            yield k, q
+def _q_reversed(ndim: int) -> tuple:
+    """Index that reverses every q axis of a tensor-set array (q -> -q)."""
+    return tuple(slice(None, None, -1 if ax % 2 else 1) for ax in range(ndim))
+
+
+def _first_label(bad: np.ndarray, spins: tuple[int, ...]) -> str:
+    """Label of the first True entry, in label order (k ascending, q descending)."""
+    index = np.argwhere(bad[_q_reversed(bad.ndim)])[0]
+    names = ("k", "q") if len(spins) == 1 else ("k1", "q1", "k2", "q2")
+    ints = [int(i) if ax % 2 == 0 else spins[ax // 2] - int(i) for ax, i in enumerate(index)]
+    return "(" + ", ".join(f"{n}={v}" for n, v in zip(names, ints)) + ")"
+
+
+def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
+    """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return a
+    read-only copy.  The comparisons are written so that NaN fails them."""
+    a = np.array(values, dtype=complex)
+    expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
+    if a.shape != expected:
+        raise ValidationError(
+            f"{what} incomplete, missing or extra labels: shape {a.shape}, expected {expected}"
+        )
+    axes = np.ogrid[tuple(slice(0, d) for d in expected)]
+    qs = [col - ts for col, ts in zip(axes[1::2], spins)]
+    nonzero_outside = (sum(abs(q) > k for k, q in zip(axes[0::2], qs)) > 0) & (a != 0)
+    if np.any(nonzero_outside):
+        raise ValidationError(
+            f"{what} has out-of-range labels: {_first_label(nonzero_outside, spins)} "
+            "is nonzero, expected exactly 0"
+        )
+    origin = sum(((0, ts) for ts in spins), ())
+    norm_defect = abs(a[origin] - 1.0)
+    if not norm_defect <= TENSOR_TOL:
+        raise ValidationError(
+            f"{what}: normalization violated: rank-0 coefficient = {a[origin]:.15g}, "
+            f"expected 1 (defect {norm_defect:.3e}, tolerance {TENSOR_TOL:g})"
+        )
+    defect = np.abs(np.conj(a) - (1 - 2 * (sum(qs) % 2)) * a[_q_reversed(a.ndim)])
+    bad = ~(defect <= TENSOR_TOL)
+    if np.any(bad):
+        raise ValidationError(
+            f"{what}: hermiticity (conjugation symmetry) violated, first at "
+            f"{_first_label(bad, spins)}: largest |conj(t) - (-1)^q t_(-q)| = "
+            f"{np.max(defect[bad]):.3e} exceeds tolerance {TENSOR_TOL:g}"
+        )
+    a.setflags(write=False)
+    return a
+
+
+def _column(ts: int, k: int, q: int) -> int:
+    if not 0 <= k <= ts or abs(q) > k:
+        raise KeyError(f"label (k={k}, q={q}) outside the spin-{ts}/2 tensor set")
+    return ts + q
 
 
 @dataclass(frozen=True)
 class FanoTensorSet:
     """Complete multipole coefficients t^k_q of a single spin-s state.
 
-    Invariants: t^0_0 = 1 and conj(t^k_q) = (-1)^q t^k_{-q}, both to 1e-12.
+    `values` is a read-only complex array [k, 2s + q].  Invariants: entries
+    with |q| > k are exactly zero, t^0_0 = 1 and conj(t^k_q) =
+    (-1)^q t^k_{-q}, the last two to 1e-12.
     """
 
     s: HalfInteger
-    values: dict = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         s = HalfInteger.from_value(self.s)
-        ts = require_spin(s)
         object.__setattr__(self, "s", s)
-        vals = {}
-        for key, v in dict(self.values).items():
-            k, q = key
-            vals[(int(k), int(q))] = complex(v)
-        expected = set(_labels(ts))
-        missing = sorted(expected - set(vals))
-        if missing:
-            raise ValidationError(f"tensor set incomplete, missing labels {missing}")
-        extra = sorted(set(vals) - expected)
-        if extra:
-            raise ValidationError(f"tensor set has out-of-range labels {extra}")
-        if abs(vals[(0, 0)] - 1.0) > TENSOR_TOL:
-            raise ValidationError(
-                f"normalization violated: t^0_0 = {vals[(0, 0)]:.15g}, expected 1"
-            )
-        for (k, q), v in vals.items():
-            mirror = vals[(k, -q)]
-            defect = abs(np.conj(v) - (-1.0) ** q * mirror)
-            if defect > TENSOR_TOL:
-                raise ValidationError(
-                    f"hermiticity violated at (k={k}, q={q}): "
-                    f"|conj(t) - (-1)^q t_(-q)| = {defect:.3e}"
-                )
-        object.__setattr__(self, "values", MappingProxyType(vals))
+        object.__setattr__(
+            self, "values", _validate_set(self.values, (require_spin(s),), "tensor set")
+        )
 
     def value(self, k: int, q: int) -> complex:
-        return self.values[(k, q)]
+        return complex(self.values[k, _column(self.s.twice_value, k, q)])
 
     def as_array(self) -> np.ndarray:
-        """Dense layout [k, 2s + q], zero where |q| > k."""
-        ts = self.s.twice_value
-        out = np.zeros((ts + 1, 2 * ts + 1), dtype=complex)
-        for (k, q), v in self.values.items():
-            out[k, ts + q] = v
-        return out
-
-
-def _coupled_labels(ts1: int, ts2: int):
-    for k1, q1 in _labels(ts1):
-        for k2, q2 in _labels(ts2):
-            yield k1, q1, k2, q2
+        """Dense layout [k, 2s + q], zero where |q| > k (read-only)."""
+        return self.values
 
 
 @dataclass(frozen=True)
 class CoupledFanoTensorSet:
-    """Complete coupled coefficients t^{k1 k2}_{q1 q2} of a two-spin state."""
+    """Complete coupled coefficients t^{k1 k2}_{q1 q2} of a two-spin state.
+
+    `values` is a read-only complex array [k1, 2s1 + q1, k2, 2s2 + q2].
+    Invariants as for FanoTensorSet, with (-1)^(q1 + q2) for (-1)^q.
+    """
 
     s1: HalfInteger
     s2: HalfInteger
-    values: dict = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         s1 = HalfInteger.from_value(self.s1)
         s2 = HalfInteger.from_value(self.s2)
-        ts1 = require_spin(s1)
-        ts2 = require_spin(s2)
+        spins = (require_spin(s1), require_spin(s2))
         object.__setattr__(self, "s1", s1)
         object.__setattr__(self, "s2", s2)
-        vals = {}
-        for key, v in dict(self.values).items():
-            k1, q1, k2, q2 = key
-            vals[(int(k1), int(q1), int(k2), int(q2))] = complex(v)
-        expected = set(_coupled_labels(ts1, ts2))
-        missing = sorted(expected - set(vals))
-        if missing:
-            raise ValidationError(
-                f"coupled tensor set incomplete, missing {len(missing)} labels, "
-                f"first {missing[:4]}"
-            )
-        extra = sorted(set(vals) - expected)
-        if extra:
-            raise ValidationError(f"coupled tensor set has out-of-range labels {extra[:4]}")
-        if abs(vals[(0, 0, 0, 0)] - 1.0) > TENSOR_TOL:
-            raise ValidationError(
-                f"normalization violated: t^00_00 = {vals[(0, 0, 0, 0)]:.15g}, expected 1"
-            )
-        for (k1, q1, k2, q2), v in vals.items():
-            mirror = vals[(k1, -q1, k2, -q2)]
-            defect = abs(np.conj(v) - (-1.0) ** (q1 + q2) * mirror)
-            if defect > TENSOR_TOL:
-                raise ValidationError(
-                    f"conjugation symmetry violated at (k1={k1}, q1={q1}, "
-                    f"k2={k2}, q2={q2}): defect {defect:.3e}"
-                )
-        object.__setattr__(self, "values", MappingProxyType(vals))
+        object.__setattr__(
+            self, "values", _validate_set(self.values, spins, "coupled tensor set")
+        )
 
     def value(self, k1: int, q1: int, k2: int, q2: int) -> complex:
-        return self.values[(k1, q1, k2, q2)]
+        col1 = _column(self.s1.twice_value, k1, q1)
+        col2 = _column(self.s2.twice_value, k2, q2)
+        return complex(self.values[k1, col1, k2, col2])
 
     def as_array(self) -> np.ndarray:
-        """Dense layout [k1, 2s1 + q1, k2, 2s2 + q2]."""
-        ts1 = self.s1.twice_value
-        ts2 = self.s2.twice_value
-        out = np.zeros((ts1 + 1, 2 * ts1 + 1, ts2 + 1, 2 * ts2 + 1), dtype=complex)
-        for (k1, q1, k2, q2), v in self.values.items():
-            out[k1, ts1 + q1, k2, ts2 + q2] = v
-        return out
+        """Dense layout [k1, 2s1 + q1, k2, 2s2 + q2] (read-only)."""
+        return self.values
 
 
 def decompose(rho: DensityMatrix) -> FanoTensorSet:
     """Multipole coefficients t^k_q = Tr(rho tau^k_q)."""
-    ts = rho.s.twice_value
-    s = rho.s
-    vals = {}
-    for k, q in _labels(ts):
-        tau = tau_matrix(s, k, q)
-        vals[(k, q)] = complex(np.einsum("ab,ba->", rho.matrix, tau))
-    return FanoTensorSet(s, vals)
+    return FanoTensorSet(rho.s, operator_components(rho.matrix))
 
 
 def reconstruct(t: FanoTensorSet) -> DensityMatrix:
     """Invert decompose: rho = (1/(2s+1)) sum_kq tau^k_q^dag t^k_q."""
-    ts = t.s.twice_value
-    n = ts + 1
-    out = np.zeros((n, n), dtype=complex)
-    for (k, q), v in t.values.items():
-        out += tau_matrix(t.s, k, q).conj().T * v
-    return DensityMatrix(t.s, out / n)
+    return DensityMatrix(t.s, operator_from_components(t.s, t.values))
 
 
 def decompose_bipartite(rho12: BipartiteDensityMatrix) -> CoupledFanoTensorSet:
     """Coupled coefficients Tr(rho12 tau^{k1}_{q1} x tau^{k2}_{q2})."""
-    ts1 = rho12.s1.twice_value
-    ts2 = rho12.s2.twice_value
-    n1, n2 = ts1 + 1, ts2 + 1
-    mat4 = rho12.matrix.reshape(n1, n2, n1, n2)
-    vals = {}
-    for k1, q1 in _labels(ts1):
-        a = tau_matrix(rho12.s1, k1, q1)
-        partial = np.einsum("ijkl,ki->jl", mat4, a)
-        for k2, q2 in _labels(ts2):
-            b = tau_matrix(rho12.s2, k2, q2)
-            vals[(k1, q1, k2, q2)] = complex(np.einsum("jl,lj->", partial, b))
-    return CoupledFanoTensorSet(rho12.s1, rho12.s2, vals)
+    n1, n2 = rho12.dim1, rho12.dim2
+    # (m1, m2, m1', m2') -> (m1, m1', m2, m2'), trace factor 2, then factor 1
+    mat4 = rho12.matrix.reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3)
+    partial = operator_components(mat4).transpose(2, 3, 0, 1)
+    t4 = operator_components(partial).transpose(2, 3, 0, 1)
+    return CoupledFanoTensorSet(rho12.s1, rho12.s2, t4)
 
 
 def reconstruct_bipartite(t12: CoupledFanoTensorSet) -> BipartiteDensityMatrix:
     """Invert decompose_bipartite:
 
-    rho12 = (1/((2s1+1)(2s2+1))) sum conj(t^{k1 k2}_{q1 q2})
-            (tau^{k1}_{q1} x tau^{k2}_{q2}).
+    rho12 = (1/((2s1+1)(2s2+1))) sum t^{k1 k2}_{q1 q2}
+            (tau^{k1}_{q1} x tau^{k2}_{q2})^dag.
     """
-    ts1 = t12.s1.twice_value
-    ts2 = t12.s2.twice_value
-    n1, n2 = ts1 + 1, ts2 + 1
-    out = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-    for k1, q1 in _labels(ts1):
-        block = np.zeros((n2, n2), dtype=complex)
-        for k2, q2 in _labels(ts2):
-            block += np.conj(t12.values[(k1, q1, k2, q2)]) * tau_matrix(t12.s2, k2, q2)
-        out += np.kron(tau_matrix(t12.s1, k1, q1), block)
-    return BipartiteDensityMatrix(t12.s1, t12.s2, out / (n1 * n2))
+    n1, n2 = t12.s1.twice_value + 1, t12.s2.twice_value + 1
+    # [k1, q1, k2, q2] -> (k1, q1, m2, m2') -> (m2, m2', m1, m1')
+    partial = operator_from_components(t12.s2, t12.values).transpose(2, 3, 0, 1)
+    mat4 = operator_from_components(t12.s1, partial).transpose(2, 0, 3, 1)
+    return BipartiteDensityMatrix(t12.s1, t12.s2, mat4.reshape(n1 * n2, n1 * n2))
 
 
 def reduce(rho12: BipartiteDensityMatrix, which: int) -> DensityMatrix:
@@ -316,12 +293,11 @@ def is_product(t12: CoupledFanoTensorSet, tol: float) -> bool:
     True certifies an uncorrelated product state; this is not a general
     separability test.
     """
-    tol = float(tol)
-    worst = 0.0
-    for (k1, q1, k2, q2), v in t12.values.items():
-        prod = t12.values[(k1, q1, 0, 0)] * t12.values[(0, 0, k2, q2)]
-        worst = max(worst, abs(v - prod))
-    return worst <= tol
+    t4 = t12.values
+    ts1, ts2 = t12.s1.twice_value, t12.s2.twice_value
+    # marginals t^{k1 0}_{q1 0} and t^{0 k2}_{0 q2}, broadcast to [k1, q1, k2, q2]
+    product = t4[:, :, :1, ts2 : ts2 + 1] * t4[:1, ts1 : ts1 + 1, :, :]
+    return float(np.max(np.abs(t4 - product))) <= float(tol)
 
 
 def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) -> FanoTensorSet:
@@ -332,14 +308,13 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
     t^k_{q'}.  Matches decompose(R rho R^dag) to roundoff.
     """
     ts = t.s.twice_value
-    vals = {(0, 0): complex(t.values[(0, 0)])}
+    out = t.values.copy()
     for k in range(1, ts + 1):
+        cols = slice(ts - k, ts + k + 1)
+        # wigner_D_matrix orders q = k..-k, the reverse of the array columns
         d = wigner_D_matrix(k, alpha, beta, gamma)
-        vec = np.array([t.values[(k, k - i)] for i in range(2 * k + 1)])
-        rotated = np.conj(d) @ vec
-        for j in range(2 * k + 1):
-            vals[(k, k - j)] = complex(rotated[j])
-    return FanoTensorSet(t.s, vals)
+        out[k, cols] = (np.conj(d) @ t.values[k, cols][::-1])[::-1]
+    return FanoTensorSet(t.s, out)
 
 
 def singlet_density(s) -> BipartiteDensityMatrix:
@@ -367,10 +342,9 @@ def singlet_tensors(s) -> CoupledFanoTensorSet:
     t^{k1 k2}_{q1 q2} = (-1)^(k1 + q1) delta_{k1 k2} delta_{q1, -q2}.
     """
     ts = require_spin(s)
-    vals = {}
-    for k1, q1, k2, q2 in _coupled_labels(ts, ts):
-        if k1 == k2 and q1 == -q2:
-            vals[(k1, q1, k2, q2)] = complex(-1.0 if (k1 + q1) % 2 else 1.0)
-        else:
-            vals[(k1, q1, k2, q2)] = 0.0j
-    return CoupledFanoTensorSet(HalfInteger(ts), HalfInteger(ts), vals)
+    n = ts + 1
+    k, col = np.nonzero(np.abs(np.arange(-ts, ts + 1)) <= np.arange(n)[:, None])
+    t4 = np.zeros((n, 2 * ts + 1, n, 2 * ts + 1), dtype=complex)
+    # column 2s + q pairs with column 2s - q
+    t4[k, col, k, 2 * ts - col] = np.where((k + col - ts) % 2, -1.0, 1.0)
+    return CoupledFanoTensorSet(HalfInteger(ts), HalfInteger(ts), t4)

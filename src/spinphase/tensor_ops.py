@@ -1,10 +1,14 @@
-"""Irreducible spherical tensor operator matrices and operator expansions.
+"""Irreducible spherical tensor operators, stored as bands, and the one
+trace/resolution route behind every operator and state expansion.
 
 All operator matrices live in the |s m> basis with rows/columns ordered by
 descending projection, m = s, s-1, ..., -s.  Every module in this package
 shares that ordering.  The rank-k component-q tensor has matrix elements
-sqrt(2k+1) * <s m; k q | s m'> on the single band m' = m + q, so tau^0_0 is
-the identity and every higher rank is traceless.
+sqrt(2k+1) * <s m; k q | s m'> on the single band m' = m + q (the diagonal
+at offset q), so tau^0_0 is the identity and every higher rank is traceless.
+Only those bands are stored.  Component arrays use the layout
+[..., k, 2s + q], zero where |q| > k; both routines broadcast over the
+leading axes.
 """
 
 from __future__ import annotations
@@ -25,28 +29,39 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=50_000)
-def _tau_cached(ts: int, k: int, q: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _bands(ts: int) -> tuple[np.ndarray, ...]:
+    """Band matrices indexed by 2s + q; row k - |q| is the offset-q
+    diagonal of tau^k_q (entry j at row j + max(-q, 0))."""
     n = ts + 1
-    out = np.zeros((n, n), dtype=complex)
-    scale = math.sqrt(2.0 * k + 1.0)
     s = ts / 2.0
-    for i in range(n):
-        tm = ts - 2 * i  # column index i holds m = s - i
-        tmp = tm + 2 * q
-        if abs(tmp) > ts:
-            continue
-        ip = (ts - tmp) // 2
-        out[ip, i] = scale * clebsch_gordan(s, k, s, tm / 2.0, q, tmp / 2.0)
-    out.setflags(write=False)
-    return out
+    out = []
+    for q in range(-ts, ts + 1):
+        size = n - abs(q)
+        band = np.zeros((size, size))
+        for k in range(abs(q), n):
+            scale = math.sqrt(2.0 * k + 1.0)
+            for j in range(size):
+                tm = ts - 2 * (j + max(q, 0))  # column holds m = s - col
+                band[k - abs(q), j] = scale * clebsch_gordan(
+                    s, k, s, tm / 2.0, q, tm / 2.0 + q
+                )
+        band.setflags(write=False)
+        out.append(band)
+    return tuple(out)
+
+
+def _band_index(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the diagonal at the given offset."""
+    j = np.arange(n - abs(offset))
+    return j + max(-offset, 0), j + max(offset, 0)
 
 
 def tau_matrix(s, k: int, q: int) -> np.ndarray:
     """Matrix of the rank-k, component-q tensor operator on the spin-s space.
 
     Returns a read-only (2s+1) x (2s+1) complex array (entries are real in
-    this phase convention).
+    this phase convention), built from the stored band on each call.
     """
     ts = require_spin(s)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -57,38 +72,45 @@ def tau_matrix(s, k: int, q: int) -> np.ndarray:
         raise DomainError(f"rank k={k} outside 0..2s={ts}")
     if abs(q) > k:
         raise DomainError(f"component q={q} outside -k..k for k={k}")
-    return _tau_cached(ts, int(k), int(q))
+    out = np.zeros((ts + 1, ts + 1), dtype=complex)
+    out[_band_index(ts + 1, int(q))] = _bands(ts)[ts + q][k - abs(q)]
+    out.setflags(write=False)
+    return out
 
 
-def operator_components(a: np.ndarray) -> dict[tuple[int, int], complex]:
-    """Spherical components a^k_q = Tr(A tau^k_q) of a square operator.
+def operator_components(a: np.ndarray) -> np.ndarray:
+    """Spherical components a^k_q = Tr(A tau^k_q) of square operators.
 
-    The spin is inferred from the dimension (2s+1).  Together with
-    operator_from_components this is an exact resolution of A.
+    Maps [..., n, n] to the [..., k, 2s + q] layout, with the spin inferred
+    from n = 2s+1.  Together with operator_from_components this is an exact
+    resolution of A.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"operator must be a square matrix, got shape {a.shape}")
-    ts = a.shape[0] - 1
-    s = ts / 2.0
-    comps: dict[tuple[int, int], complex] = {}
-    for k in range(ts + 1):
-        for q in range(k, -k - 1, -1):
-            tau = tau_matrix(s, k, q)
-            comps[(k, q)] = complex(np.einsum("ab,ba->", a, tau))
-    return comps
+    ts = a.shape[-1] - 1
+    out = np.zeros(a.shape[:-2] + (ts + 1, 2 * ts + 1), dtype=complex)
+    for q, band in enumerate(_bands(ts), start=-ts):
+        # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one
+        out[..., abs(q):, ts + q] = np.diagonal(a, -q, -2, -1) @ band.T
+    return out
 
 
-def operator_from_components(s, comps: dict[tuple[int, int], complex]) -> np.ndarray:
+def operator_from_components(s, comps: np.ndarray) -> np.ndarray:
     """Reassemble A = (1/(2s+1)) sum_kq tau^k_q^dag a^k_q from its components.
 
-    The 1/(2s+1) matches the tensor orthonormality Tr(tau tau^dag) = 2s+1.
+    Maps [..., k, 2s + q] back to [..., n, n].  The 1/(2s+1) matches the
+    tensor orthonormality Tr(tau tau^dag) = 2s+1.
     """
     ts = require_spin(s)
     n = ts + 1
-    out = np.zeros((n, n), dtype=complex)
-    for (k, q), value in comps.items():
-        out += tau_matrix(s, k, q).conj().T * value
+    comps = np.asarray(comps, dtype=complex)
+    if comps.shape[-2:] != (n, 2 * ts + 1):
+        raise DomainError(f"components of shape {comps.shape} do not end in ({n}, {2 * ts + 1})")
+    out = np.zeros(comps.shape[:-2] + (n, n), dtype=complex)
+    for q, band in enumerate(_bands(ts), start=-ts):
+        rows, cols = _band_index(n, -q)
+        out[..., rows, cols] = comps[..., abs(q):, ts + q] @ band
     return out / n
 
 

@@ -146,8 +146,8 @@ def test_criterion_05_singlet_tensor_closed_form():
     for ts in (1, 2, 3, 4):
         closed = singlet_tensors(ts / 2)
         brute = decompose_bipartite(singlet_density(ts / 2))
-        for lab, v in brute.values.items():
-            assert abs(closed.values[lab] - v) <= 1e-12, (ts, lab)
+        defect = np.abs(closed.values - brute.values)
+        assert np.all(defect <= 1e-12), (ts, np.argwhere(defect > 1e-12))
     _report(5, "singlet coupled coefficients match brute-force decomposition")
 
 

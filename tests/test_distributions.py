@@ -101,9 +101,14 @@ def test_coefficient_p_q_are_inverses():
 def test_coefficient_positivity_and_table():
     for kind in DistributionKind:
         table = coefficient_table(kind, 2.0)
-        assert len(table.values) == 5
-        assert all(c > 0 for c in table.values)
-        assert table.values[0] == pytest.approx(1.0, abs=1e-12)
+        assert len(table) == 5
+        assert all(c > 0 for c in table)
+        assert table[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_f_rank_one_coefficient_is_exactly_one():
+    for ts in range(1, 201):
+        assert coefficient(F, ts / 2, 1) == 1.0, ts
 
 
 def test_coefficient_domain():

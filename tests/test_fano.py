@@ -25,6 +25,7 @@ from spinphase import (
     wigner_D_matrix,
 )
 from conftest import random_bipartite_density, random_density
+from test_tensor_ops import all_labels
 
 # ---------------------------------------------------------------- oracles
 
@@ -89,19 +90,30 @@ def test_density_rejects_dimension_mismatch():
         DensityMatrix(0.5, np.eye(3) / 3)
 
 
+# tensor-set arrays are [k, 2s + q]: for s = 1/2 the columns are q = -1, 0, 1
+
+
 def test_tensor_set_rejects_incomplete():
     with pytest.raises(ValidationError, match="missing"):
-        FanoTensorSet(0.5, {(0, 0): 1.0})
+        FanoTensorSet(0.5, np.array([[0.0, 1.0, 0.0]]))  # only label (0, 0)
 
 
 def test_tensor_set_rejects_broken_hermiticity():
-    vals = {(0, 0): 1.0, (1, 0): 0.2, (1, 1): 0.1 + 0.1j, (1, -1): 0.1 + 0.1j}
+    vals = np.array([[0.0, 1.0, 0.0], [0.1 + 0.1j, 0.2, 0.1 + 0.1j]])
     with pytest.raises(ValidationError, match="hermiticity"):
         FanoTensorSet(0.5, vals)
 
 
+def test_tensor_set_error_names_label_defect_and_tolerance():
+    vals = np.array([[0.0, 1.0, 0.0], [0.1 + 0.1j, 0.2, 0.1 + 0.1j]])
+    with pytest.raises(
+        ValidationError, match=r"\(k=1, q=1\): .* = 2\.000e-01 exceeds tolerance 1e-12"
+    ):
+        FanoTensorSet(0.5, vals)
+
+
 def test_tensor_set_rejects_bad_normalization():
-    vals = {(0, 0): 0.9, (1, 0): 0.0, (1, 1): 0.0, (1, -1): 0.0}
+    vals = np.array([[0.0, 0.9, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValidationError, match="normalization"):
         FanoTensorSet(0.5, vals)
 
@@ -113,9 +125,9 @@ def test_tensor_set_rejects_bad_normalization():
 def test_decompose_maximally_mixed(ts):
     rho = DensityMatrix(ts / 2, np.eye(ts + 1) / (ts + 1))
     t = decompose(rho)
-    for (k, q), v in t.values.items():
-        expected = 1.0 if (k, q) == (0, 0) else 0.0
-        assert v == pytest.approx(expected, abs=1e-13)
+    expected = np.zeros((ts + 1, 2 * ts + 1))
+    expected[0, ts] = 1.0  # label (0, 0)
+    assert t.values == pytest.approx(expected, abs=1e-13)
 
 
 def test_decompose_stretched_state():
@@ -138,17 +150,18 @@ def test_decompose_satisfies_invariants(rng):
     for ts in (1, 2, 3, 4):
         t = decompose(random_density(rng, ts))
         assert t.value(0, 0) == pytest.approx(1.0, abs=1e-12)
-        for (k, q), v in t.values.items():
-            assert np.conj(v) == pytest.approx(
-                (-1.0) ** q * t.value(k, -q), abs=1e-12
-            )
+        q = np.arange(-ts, ts + 1)
+        # reversing the columns maps q to -q
+        assert np.conj(t.values) == pytest.approx(
+            (-1.0) ** q * t.values[:, ::-1], abs=1e-12
+        )
 
 
 # ------------------------------------------------------------ reconstruct
 
 
 def test_reconstruct_trivial_set():
-    vals = {(0, 0): 1.0, (1, 0): 0.0, (1, 1): 0.0, (1, -1): 0.0}
+    vals = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     rho = reconstruct(FanoTensorSet(0.5, vals))
     assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-14)
 
@@ -171,18 +184,20 @@ def test_bipartite_product_state_factorizes(rng):
     t12 = decompose_bipartite(rho12)
     ta = decompose(rho_a)
     tb = decompose(rho_b)
-    for (k1, q1, k2, q2), v in t12.values.items():
-        assert v == pytest.approx(ta.value(k1, q1) * tb.value(k2, q2), abs=1e-12)
+    product = np.multiply.outer(ta.values, tb.values)
+    assert t12.values == pytest.approx(product, abs=1e-12)
 
 
-def test_bipartite_matches_kron_trace_oracle(rng):
-    rho12 = random_bipartite_density(rng, 1, 1)
+@pytest.mark.parametrize("ts1,ts2", [(1, 1), (1, 2), (3, 2)])
+def test_bipartite_matches_kron_trace_oracle(ts1, ts2, rng):
+    rho12 = random_bipartite_density(rng, ts1, ts2)
     t12 = decompose_bipartite(rho12)
-    for (k1, q1, k2, q2), v in t12.values.items():
-        expected = kron_trace_oracle(
-            rho12.matrix, tau_matrix(0.5, k1, q1), tau_matrix(0.5, k2, q2)
-        )
-        assert v == pytest.approx(expected, abs=1e-12)
+    for k1, q1 in all_labels(ts1):
+        for k2, q2 in all_labels(ts2):
+            expected = kron_trace_oracle(
+                rho12.matrix, tau_matrix(ts1 / 2, k1, q1), tau_matrix(ts2 / 2, k2, q2)
+            )
+            assert t12.value(k1, q1, k2, q2) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("ts1,ts2", [(1, 1), (1, 2), (2, 2)])
@@ -226,10 +241,9 @@ def test_reduce_consistent_with_coupled_restriction(rng):
     t12 = decompose_bipartite(rho12)
     t1 = decompose(reduce(rho12, 1))
     t2 = decompose(reduce(rho12, 2))
-    for (k, q), v in t1.values.items():
-        assert v == pytest.approx(t12.value(k, q, 0, 0), abs=1e-12)
-    for (k, q), v in t2.values.items():
-        assert v == pytest.approx(t12.value(0, 0, k, q), abs=1e-12)
+    # labels (k, q, 0, 0) and (0, 0, k, q)
+    assert t1.values == pytest.approx(t12.values[:, :, 0, 1], abs=1e-12)
+    assert t2.values == pytest.approx(t12.values[0, 2, :, :], abs=1e-12)
 
 
 # ------------------------------------------------------------- is_product
@@ -265,12 +279,11 @@ def test_is_product_weakly_mixed_singlet():
 def test_rotate_identity_is_noop(rng):
     t = decompose(random_density(rng, 3))
     t_rot = rotate_tensors(t, 0.0, 0.0, 0.0)
-    for lab, v in t.values.items():
-        assert t_rot.values[lab] == pytest.approx(v, abs=1e-13)
+    assert t_rot.values == pytest.approx(t.values, abs=1e-13)
 
 
 def test_rotate_flips_axial_dipole():
-    vals = {(0, 0): 1.0, (1, 0): 0.4, (1, 1): 0.0, (1, -1): 0.0}
+    vals = np.array([[0.0, 1.0, 0.0], [0.0, 0.4, 0.0]])
     t = FanoTensorSet(0.5, vals)
     t_rot = rotate_tensors(t, 0.0, math.pi, 0.0)
     assert t_rot.value(1, 0) == pytest.approx(-0.4, abs=1e-13)
@@ -290,8 +303,7 @@ def test_rotate_matches_conjugation_oracle(ts, rng):
         rotated_rho = DensityMatrix(ts / 2, rot @ rho.matrix @ rot.conj().T)
         expected = decompose(rotated_rho)
         got = rotate_tensors(t, *angles)
-        for lab, v in expected.values.items():
-            assert got.values[lab] == pytest.approx(v, abs=1e-9)
+        assert got.values == pytest.approx(expected.values, abs=1e-9)
 
 
 # ---------------------------------------------------------------- singlet
@@ -342,17 +354,17 @@ def test_singlet_tensors_closed_form_values():
     assert t12.value(0, 0, 0, 0) == pytest.approx(1.0)
     assert t12.value(1, 1, 1, -1) == pytest.approx(1.0)
     assert t12.value(1, 0, 1, 0) == pytest.approx(-1.0)
-    for (k1, q1, k2, q2), v in t12.values.items():
-        if k1 != k2 or q1 != -q2:
-            assert v == 0.0
+    k1, c1, k2, c2 = np.indices(t12.values.shape)
+    # q1 = c1 - 1 and q2 = c2 - 1, so q1 != -q2 is c1 + c2 != 2
+    off_pattern = (k1 != k2) | (c1 + c2 != 2)
+    assert np.all(t12.values[off_pattern] == 0.0)
 
 
 @pytest.mark.parametrize("ts", [1, 2])
 def test_singlet_tensors_match_decomposition(ts):
     closed = singlet_tensors(ts / 2)
     brute = decompose_bipartite(singlet_density(ts / 2))
-    for lab, v in brute.values.items():
-        assert closed.values[lab] == pytest.approx(v, abs=1e-12)
+    assert closed.values == pytest.approx(brute.values, abs=1e-12)
 
 
 @pytest.mark.parametrize("ts", [1, 2, 3])
@@ -380,9 +392,19 @@ def test_singlet_tensors_invariant_under_joint_rotation(ts, rng):
 
 def test_coupled_tensor_set_validation():
     good = singlet_tensors(0.5)
-    vals = dict(good.values)
-    vals.pop((1, 1, 1, -1))
+    # drop the q2 = -1 column, which holds label (1, 1, 1, -1)
+    vals = np.delete(good.values, 0, axis=3)
     with pytest.raises(ValidationError, match="incomplete"):
+        CoupledFanoTensorSet(0.5, 0.5, vals)
+
+
+def test_coupled_tensor_set_error_names_label_defect_and_tolerance():
+    vals = singlet_tensors(0.5).values.copy()
+    vals[1, 2, 1, 0] += 1e-6  # label (1, 1, 1, -1); its mirror is (1, -1, 1, 1)
+    with pytest.raises(
+        ValidationError,
+        match=r"\(k1=1, q1=1, k2=1, q2=-1\): .* = 1\.000e-06 exceeds tolerance 1e-12",
+    ):
         CoupledFanoTensorSet(0.5, 0.5, vals)
 
 
@@ -393,5 +415,6 @@ def test_decompose_bullets_hold_for_any_state(seed):
     ts = int(rng.integers(1, 5))
     t = decompose(random_density(rng, ts))
     assert abs(t.value(0, 0) - 1.0) < 1e-12
-    for (k, q), v in t.values.items():
-        assert abs(np.conj(v) - (-1.0) ** q * t.value(k, -q)) < 1e-12
+    q = np.arange(-ts, ts + 1)
+    # reversing the columns maps q to -q
+    assert np.all(np.abs(np.conj(t.values) - (-1.0) ** q * t.values[:, ::-1]) < 1e-12)

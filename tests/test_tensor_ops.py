@@ -109,30 +109,30 @@ def test_tau_domain_errors():
 @pytest.mark.parametrize("ts", [1, 2, 3])
 def test_components_of_identity(ts):
     comps = operator_components(np.eye(ts + 1))
-    for (k, q), v in comps.items():
-        expected = ts + 1.0 if (k, q) == (0, 0) else 0.0
-        assert v == pytest.approx(expected, abs=1e-12)
+    expected = np.zeros((ts + 1, 2 * ts + 1))
+    expected[0, ts] = ts + 1.0  # label (0, 0)
+    assert comps == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("ts", [1, 2, 3])
 def test_components_of_tensor_basis_element(ts):
     comps = operator_components(tau_matrix(ts / 2, 1, 0))
-    for (k, q), v in comps.items():
-        expected = ts + 1.0 if (k, q) == (1, 0) else 0.0
-        assert v == pytest.approx(expected, abs=1e-12)
+    expected = np.zeros((ts + 1, 2 * ts + 1))
+    expected[1, ts] = ts + 1.0  # label (1, 0)
+    assert comps == pytest.approx(expected, abs=1e-12)
 
 
 def test_components_hermitian_symmetry(rng):
     # for Hermitian A the components obey conj(a^k_q) = (-1)^q a^k_{-q}
     a = random_matrix(rng, 3)
     a = a + a.conj().T
-    direct = {
-        (k, q): np.einsum("ab,ba->", a, tau_matrix(1, k, q)) for k, q in all_labels(2)
-    }
-    comps = operator_components(a)
-    for (k, q), v in comps.items():
-        assert v == pytest.approx(direct[(k, q)], abs=1e-12)
-        assert np.conj(v) == pytest.approx((-1.0) ** q * comps[(k, -q)], abs=1e-12)
+    comps = operator_components(a)  # layout [k, 2 + q]
+    for k, q in all_labels(2):
+        direct = np.einsum("ab,ba->", a, tau_matrix(1, k, q))
+        assert comps[k, 2 + q] == pytest.approx(direct, abs=1e-12)
+        assert np.conj(comps[k, 2 + q]) == pytest.approx(
+            (-1.0) ** q * comps[k, 2 - q], abs=1e-12
+        )
 
 
 @pytest.mark.parametrize("ts", [1, 2, 3, 4, 5, 6])
