@@ -22,6 +22,13 @@ Bipartite distributions take the squared prefactor 1/(4 pi) and one
 (c, sigma) factor per subsystem.  Evaluation is O((2s+1)^2) per point via a
 precomputed harmonic table; coefficient tables are cached per (kind, s) and
 immutable, so everything here is safe for concurrent use.
+
+The singlet correlation never forms the joint distribution on the grid: it
+projects each side's classical vector onto harmonics ring by ring
+(quadrature.project) and contracts the two [k, 2s + q] arrays with the
+singlet's coefficients, O(K^3) for a grid of band K.  Its roundoff bound
+travels with it, and a result the bound cannot certify to 1e-9 s(s+1)/3
+raises ConsistencyError (P from 2s = 26 on, on band-2s grids).
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from .angular import (
     require_spin,
 )
 from .errors import BandLimitError, ConsistencyError, DomainError
-from .fano import CoupledFanoTensorSet, DensityMatrix, FanoTensorSet, singlet_tensors
-from .quadrature import SphereGrid
+from .fano import CoupledFanoTensorSet, DensityMatrix, FanoTensorSet, _singlet_coefficients
+from .quadrature import SphereGrid, project
 from .tensor_ops import operator_components
 
 __all__ = [
@@ -66,6 +73,8 @@ __all__ = [
 
 _SQRT4PI = math.sqrt(4.0 * math.pi)
 _IMAG_TOL = 1e-9
+# correlation's roundoff bound, relative to the closed form's scale s(s+1)/3
+_CORRELATION_RTOL = 1e-9
 
 
 class DistributionKind(Enum):
@@ -213,14 +222,12 @@ def q_direct(rho: DensityMatrix, theta: float, phi: float) -> float:
 
 
 def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
-    out = np.ones((ts + 1, 2 * ts + 1))
+    """sigma(k, q) as a [k, 2s + q] array; 1 where |q| > k."""
     if kind is DistributionKind.F:
-        return out
-    for k in range(ts + 1):
-        for q in range(-k, k + 1):
-            if (k + q) % 2:
-                out[k, ts + q] = -1.0
-    return out
+        return np.ones((ts + 1, 2 * ts + 1))
+    k = np.arange(ts + 1)[:, None]
+    q = np.arange(-ts, ts + 1)
+    return np.where((np.abs(q) <= k) & ((k + q) % 2 == 1), -1.0, 1.0)
 
 
 def _weighted_label_array(kind: DistributionKind, t_array: np.ndarray, ts: int) -> np.ndarray:
@@ -398,6 +405,16 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     reading directions as n(pi-theta, phi).  Exact (to roundoff) whenever
     the grid integrates products of band 2s and band 1 harmonics, i.e. for
     2 * band_limit + 1 >= 2s + 1.
+
+    Each side's classical component along a (b) is projected onto harmonics
+    (quadrature.project), and the two [k, 2s + q] arrays are contracted with
+    the singlet's coefficients t^{kk}_{q,-q} and the kind's weights.  This
+    is the quadrature sum left @ W12 @ right with the products grouped
+    differently, equal on every grid, in O(K^3) time and O(K^2 n_theta)
+    memory; the N x N joint matrix is never formed.  The projections' roundoff
+    bounds are carried through the contraction; ConsistencyError is raised
+    when the result's bound exceeds 1e-9 s(s+1)/3.  P reaches it from
+    2s = 26 on band-2s grids, because its c_k^2 grow like 16^s.
     """
     ts = require_spin(s)
     if ts < 1:
@@ -417,17 +434,28 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
         prefactor = s_val * (s_val + 1.0)
     flip = kind is not DistributionKind.F
     nodes = _bloch_vector(grid.node_thetas, grid.node_phis, flip_z=flip)
-    w12 = evaluate_bipartite_many(
-        kind,
-        singlet_tensors(s),
-        grid.node_thetas,
-        grid.node_phis,
-        grid.node_thetas,
-        grid.node_phis,
+    (left, right), (left_err, right_err) = project(
+        grid, np.stack([nodes @ av, nodes @ bv]), ts
     )
-    left = grid.weights * (nodes @ av)
-    right = grid.weights * (nodes @ bv)
-    return float(prefactor * (left @ w12 @ right))
+    # side 1's column 2s + q meets side 2's column 2s - q
+    right, right_err = right[:, ::-1], right_err[:, ::-1]
+    # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
+    c_squared = _table_cached(kind, ts)[:, None] ** 2
+    coupling = prefactor / (4.0 * math.pi) * _singlet_coefficients(ts) * c_squared
+    terms = coupling * left * right
+    # per term |LR - L'R'| <= |L'| dR + dL |R'| + dL dR, plus the sum's rounding
+    pair_err = np.abs(left) * right_err + left_err * np.abs(right) + left_err * right_err
+    bound = float(
+        np.sum(np.abs(coupling) * pair_err)
+        + terms.size * np.finfo(float).eps * np.sum(np.abs(terms))
+    )
+    tolerance = _CORRELATION_RTOL * s_val * (s_val + 1.0) / 3.0
+    if not bound <= tolerance:
+        raise ConsistencyError(
+            f"correlation({kind.value}): roundoff bound {bound:.3e} exceeds "
+            f"tolerance {tolerance:.3e} ({_CORRELATION_RTOL:g} s(s+1)/3)"
+        )
+    return float(_require_real(np.sum(terms), f"correlation({kind.value})"))
 
 
 def classical_limit_table(kind: DistributionKind, k: int, s_list) -> list[float]:

@@ -336,6 +336,14 @@ def singlet_density(s) -> BipartiteDensityMatrix:
     return BipartiteDensityMatrix(HalfInteger(ts), HalfInteger(ts), out)
 
 
+def _singlet_coefficients(ts: int) -> np.ndarray:
+    """The singlet's nonzero coupled coefficients t^{kk}_{q,-q} = (-1)^(k+q)
+    as a [k, 2s + q] array, zero where |q| > k."""
+    k = np.arange(ts + 1)[:, None]
+    q = np.arange(-ts, ts + 1)
+    return np.where(np.abs(q) > k, 0.0, np.where((k + q) % 2, -1.0, 1.0))
+
+
 def singlet_tensors(s) -> CoupledFanoTensorSet:
     """Closed-form coupled coefficients of the spin-s singlet:
 
@@ -343,8 +351,9 @@ def singlet_tensors(s) -> CoupledFanoTensorSet:
     """
     ts = require_spin(s)
     n = ts + 1
-    k, col = np.nonzero(np.abs(np.arange(-ts, ts + 1)) <= np.arange(n)[:, None])
+    diagonal = _singlet_coefficients(ts)
+    k, col = np.nonzero(diagonal)
     t4 = np.zeros((n, 2 * ts + 1, n, 2 * ts + 1), dtype=complex)
     # column 2s + q pairs with column 2s - q
-    t4[k, col, k, 2 * ts - col] = np.where((k + col - ts) % 2, -1.0, 1.0)
+    t4[k, col, k, 2 * ts - col] = diagonal[k, col]
     return CoupledFanoTensorSet(HalfInteger(ts), HalfInteger(ts), t4)

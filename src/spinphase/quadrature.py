@@ -4,6 +4,11 @@ Gauss-Legendre nodes in cos(theta) crossed with a uniform azimuthal grid.
 With band limit L the grid has L+1 polar and 2L+2 azimuthal nodes (one above
 the minimum, guarding the |q| = L aliasing edge), which integrates any
 spherical-harmonic polynomial of degree <= 2L+1 to roundoff.
+
+project analyses node values into spherical-harmonic coefficients ring by
+ring: one FFT in phi per ring, then a Legendre sum over the rings (the
+Driscoll-Healy / SHTns structure), so the harmonic table over all nodes is
+never built.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .angular import _norm_legendre_table
 from .errors import DomainError
 
-__all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product"]
+__all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product", "project"]
 
 
 @dataclass(frozen=True)
@@ -146,3 +152,47 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
             math.fsum(grid1.weights * partial.imag),
         )
     return math.fsum(grid1.weights * partial)
+
+
+def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic coefficients of node values under the grid's quadrature,
+
+        a_kq = sum_n w_n f_n conj(Y_kq(n)),   k = 0..k_max,
+
+    with a roundoff bound for each, N eps sum_n w_n |f_n| |Y_kq(n)| (N nodes).
+
+    values holds node values in grid order along its last axis; leading axes
+    are batched.  Both results have shape [..., k, k_max + q], zero where
+    |q| > k.  Each ring takes one FFT in phi and column q is read at index
+    q mod n_phi, so this is the same discrete sum as the direct one on any
+    grid, aliasing included.  The theta sum contracts with the normalized
+    Legendre table on the n_theta ring angles: O(k_max^2 n_theta) work and
+    memory instead of the O(k_max^2 N) of a full harmonic table.
+    """
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    vals = np.asarray(values)
+    if vals.ndim == 0 or vals.shape[-1] != grid.n_nodes:
+        raise DomainError(
+            f"expected {grid.n_nodes} node values along the last axis, got array "
+            f"of shape {vals.shape}"
+        )
+    for row in vals.reshape(-1, grid.n_nodes):
+        _node_values(grid, row)
+    rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
+    ring_weights = grid.theta_weights * grid.phi_weight
+    q = np.arange(-k_max, k_max + 1)
+    # conj(Y_kq) = Pbar[k, |q|] exp(-i q phi), times (-1)^q for q < 0
+    sign = np.where((q < 0) & (q % 2 == 1), -1.0, 1.0)
+    spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * (ring_weights[:, None] * sign)
+    pbar = _norm_legendre_table(k_max, np.cos(grid.thetas))  # [k, |q|, ring]
+    coefficients = np.concatenate(
+        [
+            np.einsum("kpr,...rp->...kp", pbar[:, :0:-1], spectra[..., :k_max]),
+            np.einsum("kpr,...rp->...kp", pbar, spectra[..., k_max:]),
+        ],
+        axis=-1,
+    )
+    abs_rings = np.abs(rings).sum(axis=-1) * ring_weights
+    bound = np.einsum("kpr,...r->...kp", np.abs(pbar), abs_rings)[..., np.abs(q)]
+    return coefficients, grid.n_nodes * np.finfo(float).eps * bound

@@ -224,6 +224,14 @@ def test_correlation_accepts_unnormalized_input(capsys):
     assert values["p"][1] == pytest.approx(-0.25, abs=1e-12)
 
 
+def test_correlation_spin_seven(capsys):
+    # P's coefficients reach about 1e4 at this spin and amplify any roundoff
+    assert main(["correlation", "--twice-spin", "14", "--a", "0", "0", "1",
+                 "--b", "0", "1", "1"]) == 0
+    _, worst = parse_correlation(capsys.readouterr().out)
+    assert worst < 1e-9
+
+
 def test_correlation_zero_vector_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["correlation", "--twice-spin", "1", "--a", "0", "0", "0",

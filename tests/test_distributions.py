@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from spinphase import (
     BandLimitError,
+    ConsistencyError,
     DensityMatrix,
     DirectionVector,
     DistributionKind,
@@ -35,6 +37,7 @@ from spinphase import (
     tau_matrix,
 )
 from conftest import random_bipartite_density, random_density, random_direction
+from spinphase.distributions import _bloch_vector, _sign_matrix
 
 P, Q, F = DistributionKind.P, DistributionKind.Q, DistributionKind.F
 FOUR_PI = 4.0 * math.pi
@@ -519,3 +522,96 @@ def test_correlation_requires_unit_vectors():
     grid = build_grid(2)
     with pytest.raises(DomainError):
         correlation(P, 0.5, [0, 0, 2.0], [0, 0, 1.0], grid)
+
+
+def joint_matrix_correlation(kind, ts, a, b, grid):
+    """prefactor * left @ W12 @ right with the full N x N joint distribution."""
+    s = ts / 2
+    prefactor = {P: s * s, Q: (s + 1) ** 2, F: s * (s + 1)}[kind]
+    nodes = _bloch_vector(grid.node_thetas, grid.node_phis, flip_z=kind is not F)
+    w12 = evaluate_bipartite_many(
+        kind, singlet_tensors(s), grid.node_thetas, grid.node_phis,
+        grid.node_thetas, grid.node_phis,
+    )
+    return prefactor * (grid.weights * (nodes @ a)) @ w12 @ (grid.weights * (nodes @ b))
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind))
+@pytest.mark.parametrize("ts", [1, 2, 3, 5, 8])
+def test_correlation_equals_joint_matrix_route(kind, ts, rng):
+    # band 2 lies below 2s for 2s = 3, 5, 8, where the phi DFT aliases
+    for band in sorted({2, max(2, ts), ts + 3}):
+        grid = build_grid(band)
+        a, b = random_direction(rng), random_direction(rng)
+        ref = joint_matrix_correlation(kind, ts, a, b, grid)
+        got = correlation(kind, ts / 2, a, b, grid)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (band, got, ref)
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind))
+def test_correlation_closed_form_up_to_spin_twelve(kind, rng):
+    for ts in range(1, 25):
+        s = ts / 2
+        a, b = random_direction(rng), random_direction(rng)
+        got = correlation(kind, s, a, b, build_grid(max(2, ts)))
+        assert abs(got - correlation_exact(s, a, b)) <= 1e-9 * s * (s + 1) / 3, ts
+
+
+@pytest.mark.parametrize("ts", [32, 40])
+def test_correlation_p_guard_refuses_uncertified_values(ts):
+    # P's c_k^2 amplify the projections' roundoff past the tolerance: the
+    # bound cannot certify 2s = 32 (actual error ~6e-10) and 2s = 40 is wrong
+    # by ~3e-6, above the 1.4e-7 tolerance
+    with pytest.raises(ConsistencyError, match="roundoff bound"):
+        correlation(P, ts / 2, [0, 0, 1.0], [0, 1.0, 0], build_grid(ts))
+
+
+@pytest.mark.scale
+def test_correlation_p_guard_names_bound_and_tolerance():
+    with pytest.raises(ConsistencyError) as exc:
+        correlation(P, 32.0, [0, 0, 1.0], [0, 0, 1.0], build_grid(64))
+    message = str(exc.value)
+    bound = float(message.split("roundoff bound ")[1].split()[0])
+    tolerance = float(message.split("tolerance ")[1].split()[0])
+    assert tolerance == pytest.approx(1e-9 * 32 * 33 / 3, rel=1e-3)
+    assert bound > tolerance
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("kind", [Q, F])
+@pytest.mark.parametrize("ts", [64, 128])
+def test_correlation_closed_form_at_large_spin(kind, ts, rng):
+    s = ts / 2
+    a, b = random_direction(rng), random_direction(rng)
+    got = correlation(kind, s, a, b, build_grid(ts))
+    assert abs(got - correlation_exact(s, a, b)) <= 1e-9 * s * (s + 1) / 3
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("kind", [Q, F])
+def test_correlation_memory_at_spin_thirty_two(kind):
+    grid = build_grid(64)
+    tracemalloc.start()
+    try:
+        correlation(kind, 32.0, [0, 0, 1.0], [0, 1.0, 0], grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def sign_matrix_loop(kind, ts):
+    out = np.ones((ts + 1, 2 * ts + 1))
+    if kind is F:
+        return out
+    for k in range(ts + 1):
+        for q in range(-k, k + 1):
+            if (k + q) % 2:
+                out[k, ts + q] = -1.0
+    return out
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind))
+def test_sign_matrix_matches_loop(kind):
+    for ts in range(13):
+        assert np.array_equal(_sign_matrix(kind, ts), sign_matrix_loop(kind, ts))

@@ -13,6 +13,7 @@ from spinphase import (
     harmonic_table,
     integrate,
     integrate_product,
+    project,
 )
 from conftest import random_bipartite_density, random_density
 from spinphase.fano import decompose_bipartite
@@ -136,3 +137,45 @@ def test_build_grid_domain():
         build_grid(-1)
     with pytest.raises(DomainError):
         build_grid(2.5)
+
+
+# ------------------------------------------------------------------ project
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_project_single_harmonic_is_unit_vector(k):
+    for band in (k, k + 1, k + 4):
+        grid = build_grid(band)
+        table = harmonic_table(k, grid.node_thetas, grid.node_phis)
+        for q in range(-k, k + 1):
+            coefficients, _ = project(grid, table[k, k + q], band)
+            expected = np.zeros((band + 1, 2 * band + 1))
+            expected[k, band + q] = 1.0
+            assert np.max(np.abs(coefficients - expected)) < 1e-13, (band, q)
+
+
+@pytest.mark.parametrize("band, k_max", [(2, 2), (2, 9), (5, 7), (8, 3)])
+def test_project_matches_direct_sum(band, k_max, rng):
+    # k_max beyond the band: the phi columns wrap, as in the direct sum
+    grid = build_grid(band)
+    values = rng.normal(size=(2, grid.n_nodes)) + 1j * rng.normal(size=(2, grid.n_nodes))
+    y = harmonic_table(k_max, grid.node_thetas, grid.node_phis)
+    direct = np.einsum("n,bn,kqn->bkq", grid.weights, values, np.conj(y))
+    direct_bound = np.einsum("n,bn,kqn->bkq", grid.weights, np.abs(values), np.abs(y))
+    coefficients, bound = project(grid, values, k_max)
+    assert coefficients.shape == bound.shape == (2, k_max + 1, 2 * k_max + 1)
+    assert np.max(np.abs(coefficients - direct)) < 1e-13
+    eps = np.finfo(float).eps
+    assert np.allclose(bound, grid.n_nodes * eps * direct_bound, rtol=1e-12, atol=0.0)
+
+
+def test_project_rejects_bad_input():
+    grid = build_grid(2)
+    with pytest.raises(DomainError):
+        project(grid, np.ones(grid.n_nodes - 1), 2)
+    with pytest.raises(DomainError):
+        project(grid, np.ones(grid.n_nodes), -1)
+    bad = np.ones((2, grid.n_nodes))
+    bad[1, 5] = np.nan
+    with pytest.raises(DomainError, match="NaN integrand at node 5"):
+        project(grid, bad, 2)
