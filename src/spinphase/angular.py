@@ -164,8 +164,9 @@ def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:
     return _cg_core(ts1, ts2, ts, tm1, tm2, tm)
 
 
-@lru_cache(maxsize=1_000_000)
-def _cg_core(ts1, ts2, ts, tm1, tm2, tm):
+def _racah_cg(ts1, ts2, ts, tm1, tm2, tm):
+    """Racah single sum for twice-value labels that already pass every
+    selection rule; uncached, for callers that sweep labels once."""
     lf = log_factorial
     half_log_pref = 0.5 * (
         math.log(ts + 1.0)
@@ -202,6 +203,9 @@ def _cg_core(ts1, ts2, ts, tm1, tm2, tm):
     if total == 0.0:
         return 0.0
     return math.copysign(math.exp(half_log_pref + peak + math.log(abs(total))), total)
+
+
+_cg_core = lru_cache(maxsize=1_000_000)(_racah_cg)
 
 
 def legendre(k: int, x: float) -> float:
@@ -243,7 +247,9 @@ def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
 
     Normalization includes the Condon-Shortley phase and the 1/sqrt(4 pi), so
     Y_{kq} = Pbar[k, q] * exp(i q phi).  Forward recurrence in the degree on
-    the normalized functions keeps values O(1) at high k.
+    the normalized functions keeps values O(1) at high k.  The sectoral
+    diagonal is a loop over q; the degree recurrence runs once per k for all
+    q < k - 1 at once, with the same scalar operations in the same order.
     """
     n = x.shape[0]
     out = np.zeros((k_max + 1, k_max + 1, n), dtype=float)
@@ -254,10 +260,11 @@ def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
             out[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * sin_t * out[q - 1, q - 1]
         if q + 1 <= k_max:
             out[q + 1, q] = math.sqrt(2.0 * q + 3.0) * x * out[q, q]
-        for k in range(q + 2, k_max + 1):
-            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))
-            b = math.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))
-            out[k, q] = a * (x * out[k - 1, q] - b * out[k - 2, q])
+    for k in range(2, k_max + 1):
+        q = np.arange(k - 1)
+        a = np.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))[:, None]
+        b = np.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
+        out[k, : k - 1] = a * (x * out[k - 1, : k - 1] - b * out[k - 2, : k - 1])
     return out
 
 
@@ -287,6 +294,39 @@ def harmonic_table(k_max: int, theta, phi) -> np.ndarray:
     return out
 
 
+def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
+    """Sum_kq a[..., k, K + q] conj(Y_kq(theta_p, phi_p)) at paired points.
+
+    a has shape [..., K+1, 2K+1] (leading axes batched); the result has shape
+    [..., n_points].  This is the transpose of quadrature.project, done ring
+    by ring: the Legendre table is built on the distinct cos(theta) only, the
+    sum over k gives one g[..., q, ring], and the sum over q takes
+    exp(-i q phi) from the distinct phi only.  O(K^2 R + K N) work for R
+    distinct colatitudes among N points, instead of the O(K^2 N) of a full
+    harmonic table.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    if theta.shape != phi.shape or theta.ndim != 1:
+        raise DomainError("theta and phi must be equal-length 1-d arrays")
+    k_max = a.shape[-2] - 1
+    x, ring = np.unique(np.cos(theta), return_inverse=True)
+    pbar = _norm_legendre_table(k_max, x)  # [k, |q|, ring]
+    # conj(Y_kq) = Pbar[k, |q|] exp(-i q phi), times (-1)^q for q < 0
+    q = np.arange(-k_max, k_max + 1)
+    sign = np.where((q < 0) & (q % 2 == 1), -1.0, 1.0)
+    g = np.concatenate(
+        [
+            np.einsum("...kp,kpr->...pr", a[..., :k_max], pbar[:, :0:-1]),
+            np.einsum("...kp,kpr->...pr", a[..., k_max:], pbar),
+        ],
+        axis=-2,
+    ) * sign[:, None]
+    phis, column = np.unique(phi, return_inverse=True)
+    phase = np.exp(-1j * q[:, None] * phis)
+    return np.einsum("...qn,qn->...n", g[..., ring], phase[:, column])
+
+
 def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
     """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
@@ -303,7 +343,9 @@ def _require_rank_pair(rank, comp) -> tuple[int, int]:
     return tk, tq
 
 
-@lru_cache(maxsize=20_000)
+# float-keyed: each new beta adds one entry per rank; at rank 200 an entry
+# is 323 kB, so 256 entries stay under 83 MB
+@lru_cache(maxsize=256)
 def _small_d_matrix(tk: int, beta: float) -> np.ndarray:
     """d^k(beta) = exp(-i beta Jy) in the descending-m basis.
 

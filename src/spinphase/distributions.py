@@ -19,9 +19,13 @@ Tables are built by the ratio recurrence c_k = c_(k-1) sqrt(r_k), with r_k
 rational in 2s, so F's c_1 is exactly 1.
 
 Bipartite distributions take the squared prefactor 1/(4 pi) and one
-(c, sigma) factor per subsystem.  Evaluation is O((2s+1)^2) per point via a
-precomputed harmonic table; coefficient tables are cached per (kind, s) and
-immutable, so everything here is safe for concurrent use.
+(c, sigma) factor per subsystem.  Evaluation is a ring-wise synthesis
+(angular._synthesize): the Legendre sum runs on the distinct colatitudes
+only and the azimuthal sum on the distinct azimuths, O(K^2 R + K N) for R
+distinct colatitudes among N points with K = 2s, so O(K^3) on a band-K
+grid; no harmonic table over all points is built.  The joint form applies
+it along side 2's labels, then side 1's.  Coefficient tables are cached per
+(kind, s) and immutable, so everything here is safe for concurrent use.
 
 The singlet correlation never forms the joint distribution on the grid: it
 projects each side's classical vector onto harmonics ring by ring
@@ -42,7 +46,7 @@ import numpy as np
 
 from .angular import (
     HalfInteger,
-    harmonic_table,
+    _synthesize,
     legendre_sequence,
     require_spin,
 )
@@ -243,13 +247,16 @@ def _require_real(values: np.ndarray, context: str) -> np.ndarray:
 
 
 def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.ndarray:
-    """Vectorized distribution values at paired angle arrays."""
+    """Vectorized distribution values at paired angle arrays.
+
+    One ring-wise synthesis (angular._synthesize): the Legendre table is
+    built on the distinct colatitudes only, so a band-K grid costs O(K^3)
+    rather than O(K^2 N).  The full complex sum is formed and its imaginary
+    residue must stay within 1e-9 (ConsistencyError otherwise).
+    """
     ts = t.s.twice_value
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    y = harmonic_table(ts, theta, phi)
     weighted = _weighted_label_array(kind, t.as_array(), ts)
-    vals = np.einsum("ab,abn->n", weighted, np.conj(y)) / _SQRT4PI
+    vals = _synthesize(weighted, theta, phi) / _SQRT4PI
     return _require_real(vals, f"evaluate({kind.value})")
 
 
@@ -272,15 +279,12 @@ def evaluate_bipartite_many(
     """
     ts1 = t12.s1.twice_value
     ts2 = t12.s2.twice_value
-    y1 = harmonic_table(ts1, np.atleast_1d(theta1), np.atleast_1d(phi1))
-    y2 = harmonic_table(ts2, np.atleast_1d(theta2), np.atleast_1d(phi2))
-    t4 = t12.as_array()
-    c1 = _table_cached(kind, ts1)
-    c2 = _table_cached(kind, ts2)
-    w1 = _sign_matrix(kind, ts1) * c1[:, None]
-    w2 = _sign_matrix(kind, ts2) * c2[:, None]
-    t4w = t4 * w1[:, :, None, None] * w2[None, None, :, :]
-    vals = np.einsum("abcd,abn,cdm->nm", t4w, np.conj(y1), np.conj(y2), optimize=True)
+    w1 = _sign_matrix(kind, ts1) * _table_cached(kind, ts1)[:, None]
+    w2 = _sign_matrix(kind, ts2) * _table_cached(kind, ts2)[:, None]
+    t4w = t12.as_array() * w1[:, :, None, None] * w2[None, None, :, :]
+    # side 2's label axes first, then side 1's with side 2's points leading
+    side2 = _synthesize(t4w, theta2, phi2)  # [k1, 2s1 + q1, m]
+    vals = _synthesize(np.moveaxis(side2, -1, 0), theta1, phi1).T
     return _require_real(vals / (4.0 * math.pi), f"evaluate_bipartite({kind.value})")
 
 
@@ -333,7 +337,10 @@ def expectation(
     The operator is mapped to a classical function through the kind's
     correspondence rule (weight sqrt(4 pi)/c_k per rank); integrating it
     against the distribution reproduces the trace for any grid that is exact
-    at band 2s.
+    at band 2s.  The distribution and the classical image come from one
+    batched synthesis on the grid nodes, sharing one Legendre table on the
+    ring angles; the distribution values pass the same imaginary-residue
+    check as evaluate_many.
     """
     ts = t.s.twice_value
     if grid.band_limit < ts:
@@ -349,11 +356,14 @@ def expectation(
     table = _table_cached(kind, ts)
     # the operator resolution carries 1/(2s+1); its classical image inherits it
     inverse_weight = _SQRT4PI / (table * (ts + 1.0))
-    weighted = operator_components(a) * _sign_matrix(kind, ts) * inverse_weight[:, None]
-    y = harmonic_table(ts, grid.node_thetas, grid.node_phis)
-    a_classical = np.einsum("ab,abn->n", weighted, np.conj(y))
-    w_vals = evaluate_many(kind, t, grid.node_thetas, grid.node_phis)
-    integrand = w_vals * a_classical
+    weighted = np.stack([
+        _weighted_label_array(kind, t.as_array(), ts),
+        operator_components(a) * _sign_matrix(kind, ts) * inverse_weight[:, None],
+    ])
+    # one synthesis for the distribution and the operator's classical image,
+    # so the two share one Legendre table
+    w_vals, a_classical = _synthesize(weighted, grid.node_thetas, grid.node_phis)
+    integrand = _require_real(w_vals / _SQRT4PI, f"evaluate({kind.value})") * a_classical
     total = complex(
         math.fsum(grid.weights * integrand.real),
         math.fsum(grid.weights * integrand.imag),

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import clebsch_gordan, require_spin
+from .angular import _racah_cg, require_spin
 from .errors import DomainError
 
 __all__ = [
@@ -34,7 +34,6 @@ def _bands(ts: int) -> tuple[np.ndarray, ...]:
     """Band matrices indexed by 2s + q; row k - |q| is the offset-q
     diagonal of tau^k_q (entry j at row j + max(-q, 0))."""
     n = ts + 1
-    s = ts / 2.0
     out = []
     for q in range(-ts, ts + 1):
         size = n - abs(q)
@@ -43,9 +42,8 @@ def _bands(ts: int) -> tuple[np.ndarray, ...]:
             scale = math.sqrt(2.0 * k + 1.0)
             for j in range(size):
                 tm = ts - 2 * (j + max(q, 0))  # column holds m = s - col
-                band[k - abs(q), j] = scale * clebsch_gordan(
-                    s, k, s, tm / 2.0, q, tm / 2.0 + q
-                )
+                # <s m; k q | s m+q>: every label here passes the selection rules
+                band[k - abs(q), j] = scale * _racah_cg(ts, 2 * k, ts, tm, 2 * q, tm + 2 * q)
         band.setflags(write=False)
         out.append(band)
     return tuple(out)

@@ -19,6 +19,7 @@ from spinphase import (
     wigner_D_matrix,
     wigner_d,
 )
+from spinphase.angular import _norm_legendre_table, _small_d_matrix
 
 # ---------------------------------------------------------------- oracles
 
@@ -379,6 +380,29 @@ def test_harmonic_scipy_oracle(rng):
         )
 
 
+def norm_legendre_table_loop(k_max, x):
+    """The degree recurrence one (q, k) entry at a time."""
+    out = np.zeros((k_max + 1, k_max + 1, x.shape[0]))
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    out[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for q in range(k_max + 1):
+        if q > 0:
+            out[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * sin_t * out[q - 1, q - 1]
+        if q + 1 <= k_max:
+            out[q + 1, q] = math.sqrt(2.0 * q + 3.0) * x * out[q, q]
+        for k in range(q + 2, k_max + 1):
+            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))
+            b = math.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))
+            out[k, q] = a * (x * out[k - 1, q] - b * out[k - 2, q])
+    return out
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64])
+def test_norm_legendre_table_equals_loop(k_max, rng):
+    x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 13)])
+    assert np.array_equal(_norm_legendre_table(k_max, x), norm_legendre_table_loop(k_max, x))
+
+
 def test_harmonic_domain():
     with pytest.raises(DomainError):
         spherical_harmonic(2, 3, 0.1, 0.1)
@@ -423,6 +447,18 @@ def test_wigner_matrix_unitary(k, rng):
     gamma = rng.uniform(0, 2 * math.pi)
     d = wigner_D_matrix(k, alpha, beta, gamma)
     assert np.max(np.abs(d @ d.conj().T - np.eye(2 * k + 1))) < 1e-10
+
+
+def test_small_d_cache_is_bounded(rng):
+    bound = _small_d_matrix.cache_info().maxsize
+    # one rank-200 entry is 201 x 201 doubles
+    assert bound is not None and bound * 201**2 * 8 <= 100e6
+    # one rotation at 2s = 200 touches 2s + 1 ranks
+    assert bound > 201
+    for beta in rng.uniform(0.0, math.pi, bound + 10):
+        wigner_D_matrix(1, 0.0, beta, 0.0)
+        wigner_D_matrix(2, 0.0, beta, 0.0)
+    assert _small_d_matrix.cache_info().currsize <= bound
 
 
 def test_wigner_domain():

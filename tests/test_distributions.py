@@ -14,6 +14,7 @@ from spinphase import (
     DirectionVector,
     DistributionKind,
     DomainError,
+    FanoTensorSet,
     build_grid,
     classical_limit_table,
     classical_spin_vector,
@@ -29,6 +30,7 @@ from spinphase import (
     evaluate_bipartite_many,
     evaluate_many,
     expectation,
+    harmonic_table,
     integrate,
     q_direct,
     singlet_profile,
@@ -283,6 +285,119 @@ def test_p_moment_reproduction(ts, rng):
             assert integral == pytest.approx(t.value(k, q), abs=1e-10)
 
 
+# ------------------------------------------------------ ring-wise synthesis
+
+
+def harmonic_table_values(kind, t, theta, phi):
+    """sum_kq sigma c_k t^k_q conj(Y_kq) / sqrt(4 pi) over the full table."""
+    ts = t.s.twice_value
+    weighted = t.as_array() * _sign_matrix(kind, ts) * coefficient_table(kind, ts / 2)[:, None]
+    y = harmonic_table(ts, theta, phi)
+    return np.einsum("ab,abn->n", weighted, np.conj(y)) / math.sqrt(FOUR_PI)
+
+
+def random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2
+
+
+def point_set(name, ts, rng):
+    if name == "scattered":
+        return np.arccos(rng.uniform(-1.0, 1.0, 40)), rng.uniform(0.0, 2 * math.pi, 40)
+    if name == "grid":
+        grid = build_grid(ts)
+        return grid.node_thetas, grid.node_phis
+    if name == "repeated":
+        return rng.choice(rng.uniform(0, math.pi, 3), 30), rng.choice([0.0, 1.1, 4.0], 30)
+    # both poles at several azimuths, beside interior points
+    return np.array([0.0, math.pi, 0.0, math.pi, 0.7]), np.array([0.0, 0.0, 2.5, 4.1, 2.5])
+
+
+@pytest.mark.parametrize("points", ["scattered", "grid", "repeated", "poles"])
+@pytest.mark.parametrize("ts", [1, 4, 7, 12])
+def test_evaluate_many_equals_harmonic_table_route(points, ts, rng):
+    t = decompose(random_density(rng, ts))
+    theta, phi = point_set(points, ts, rng)
+    for kind in DistributionKind:
+        ref = harmonic_table_values(kind, t, theta, phi)
+        got = evaluate_many(kind, t, theta, phi)
+        assert got.shape == theta.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), kind
+
+
+def test_evaluate_many_rejects_unpaired_angles(rng):
+    t = decompose(random_density(rng, 2))
+    with pytest.raises(DomainError):
+        evaluate_many(Q, t, [0.1, 0.2, 0.3], [0.0, 1.0])
+
+
+def test_evaluate_many_names_imaginary_residue():
+    # t^(2s)_0 = 4e-13 i passes validation (conjugation defect 8e-13 <= 1e-12),
+    # but P's weights at 2s = 24 lift it to ~3e-7, above the 1e-9 residue limit
+    ts = 24
+    values = np.zeros((ts + 1, 2 * ts + 1), dtype=complex)
+    values[0, ts] = 1.0
+    values[ts, ts] = 4e-13j
+    t = FanoTensorSet(ts / 2, values)
+    grid = build_grid(ts)
+    residue = np.max(np.abs(harmonic_table_values(P, t, grid.node_thetas, grid.node_phis).imag))
+    assert residue > 1e-9
+    with pytest.raises(ConsistencyError, match="imaginary residue") as exc:
+        evaluate_many(P, t, grid.node_thetas, grid.node_phis)
+    message = str(exc.value)
+    assert "1e-09" in message
+    reported = float(message.split("imaginary residue ")[1].split()[0])
+    assert reported == pytest.approx(residue, rel=1e-3)
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 8])
+def test_expectation_matches_trace_all_kinds(ts, rng):
+    rho = random_density(rng, ts)
+    t = decompose(rho)
+    a = random_hermitian(rng, ts + 1)
+    _, _, sz = spin_operators(ts / 2)
+    grid = build_grid(ts)
+    for kind in DistributionKind:
+        for op in (sz, a):
+            ref = np.trace(rho.matrix @ op).real
+            assert expectation(kind, t, op, grid) == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("ts", [16, 24, 32])
+def test_expectation_matches_trace_up_to_spin_sixteen(ts, rng):
+    # P's values fail the 1e-9 imaginary-residue check from 2s = 24 on, and
+    # Q's classical image of a generic operator grows like 1/c_k; only the
+    # well-conditioned pairs are held to roundoff here
+    rho = random_density(rng, ts)
+    t = decompose(rho)
+    a = random_hermitian(rng, ts + 1)
+    _, _, sz = spin_operators(ts / 2)
+    grid = build_grid(ts)
+    for kind in (Q, F):
+        ref = np.trace(rho.matrix @ sz).real
+        assert expectation(kind, t, sz, grid) == pytest.approx(ref, abs=1e-12), kind
+    ref = np.trace(rho.matrix @ a).real
+    assert expectation(F, t, a, grid) == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("call", ["evaluate_many", "expectation"])
+def test_synthesis_memory_at_spin_thirty_two(call, rng):
+    ts = 32
+    t = decompose(random_density(rng, ts))
+    grid = build_grid(ts)
+    _, _, sz = spin_operators(ts / 2)
+    tracemalloc.start()
+    try:
+        if call == "evaluate_many":
+            evaluate_many(Q, t, grid.node_thetas, grid.node_phis)
+        else:
+            expectation(Q, t, sz, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 # -------------------------------------------------------------- bipartite
 
 
@@ -313,6 +428,29 @@ def test_bipartite_q_matches_product_scs_oracle(rng):
         got = evaluate_bipartite(Q, t12, th1, ph1, th2, ph2)
         oracle = q_direct_bipartite_oracle(rho12, th1, ph1, th2, ph2)
         assert got == pytest.approx(oracle, abs=1e-10)
+
+
+def einsum_bipartite_values(kind, t12, theta1, phi1, theta2, phi2):
+    """The joint values as one contraction with both full harmonic tables."""
+    ts1, ts2 = t12.s1.twice_value, t12.s2.twice_value
+    w1 = _sign_matrix(kind, ts1) * coefficient_table(kind, ts1 / 2)[:, None]
+    w2 = _sign_matrix(kind, ts2) * coefficient_table(kind, ts2 / 2)[:, None]
+    t4w = t12.as_array() * w1[:, :, None, None] * w2[None, None, :, :]
+    y1 = np.conj(harmonic_table(ts1, theta1, phi1))
+    y2 = np.conj(harmonic_table(ts2, theta2, phi2))
+    return np.einsum("abcd,abn,cdm->nm", t4w, y1, y2, optimize=True) / FOUR_PI
+
+
+@pytest.mark.parametrize("ts1, ts2", [(1, 1), (2, 3), (4, 4)])
+def test_evaluate_bipartite_many_equals_einsum_route(ts1, ts2, rng):
+    t12 = decompose_bipartite(random_bipartite_density(rng, ts1, ts2))
+    theta1, phi1 = point_set("scattered", ts1, rng)
+    theta2, phi2 = point_set("grid", ts2, rng)
+    for kind in DistributionKind:
+        ref = einsum_bipartite_values(kind, t12, theta1, phi1, theta2, phi2)
+        got = evaluate_bipartite_many(kind, t12, theta1, phi1, theta2, phi2)
+        assert got.shape == (theta1.size, theta2.size)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), kind
 
 
 @pytest.mark.parametrize("ts", [1, 2])

@@ -5,6 +5,7 @@ import pytest
 
 from spinphase import (
     DomainError,
+    clebsch_gordan,
     operator_components,
     operator_from_components,
     spin_operators,
@@ -12,6 +13,8 @@ from spinphase import (
     wigner_D,
     wigner_D_matrix,
 )
+from spinphase.angular import _cg_core
+from spinphase.tensor_ops import _bands
 from test_angular import ladder_spin_matrices
 
 # ---------------------------------------------------------------- oracles
@@ -25,6 +28,41 @@ def all_labels(ts):
     for k in range(ts + 1):
         for q in range(-k, k + 1):
             yield k, q
+
+
+def bands_from_clebsch_gordan(ts):
+    """Each band entry from the public, validated clebsch_gordan."""
+    n = ts + 1
+    out = []
+    for q in range(-ts, ts + 1):
+        size = n - abs(q)
+        band = np.zeros((size, size))
+        for k in range(abs(q), n):
+            for j in range(size):
+                tm = ts - 2 * (j + max(q, 0))
+                band[k - abs(q), j] = math.sqrt(2.0 * k + 1.0) * clebsch_gordan(
+                    ts / 2, k, ts / 2, tm / 2, q, tm / 2 + q
+                )
+        out.append(band)
+    return out
+
+
+# ------------------------------------------------------------------ bands
+
+
+@pytest.mark.parametrize("ts", range(13))
+def test_bands_equal_clebsch_gordan_build(ts):
+    got = _bands.__wrapped__(ts)
+    expected = bands_from_clebsch_gordan(ts)
+    assert len(got) == len(expected)
+    for band, ref in zip(got, expected):
+        assert np.array_equal(band, ref)
+
+
+def test_band_build_leaves_cg_cache_alone():
+    before = _cg_core.cache_info().currsize
+    _bands.__wrapped__(14)
+    assert _cg_core.cache_info().currsize == before
 
 
 # ------------------------------------------------------------------ tau
