@@ -1,27 +1,27 @@
 #!/usr/bin/env python3
 """Generate singlet joint-angle profile data for several spins.
 
-Writes one CSV per spin (columns theta12_deg, p, p_normalized, q, f) and
-prints a peak/width summary table.  The CSVs match the `spinphase singlet`
-subcommand output.
+Writes one CSV per spin (columns theta12_deg, p, p_normalized, q, f) through
+the `spinphase singlet` subcommand, then reads each CSV back for the printed
+peak summary table.
 """
 
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
-from spinphase import DistributionKind, singlet_profile
+from spinphase import DistributionKind
 from spinphase.cli import main as cli_main
 
 
-def peak_summary(twice_spin: int, step_deg: float):
-    deg = np.arange(0.0, 360.0 + step_deg / 2, step_deg)
-    rad = np.deg2rad(deg)
+def peak_summary(csv_path: Path):
+    """Peak angle, max and min of each kind's column in a profile CSV."""
+    table = np.genfromtxt(csv_path, delimiter=",", names=True)
+    deg = table["theta12_deg"]
     rows = []
     for kind in DistributionKind:
-        vals = singlet_profile(kind, twice_spin / 2.0, rad)
+        vals = table[kind.value.lower()]
         peak_angle = deg[int(np.argmax(vals))]
         rows.append((kind.value, peak_angle, float(np.max(vals)), float(np.min(vals))))
     return rows
@@ -36,7 +36,7 @@ def run(out_dir: Path, step_deg: float, twice_spins):
             ["singlet", "--kind", "all", "--twice-spin", str(ts),
              "--step-deg", str(step_deg), "--out", str(out)]
         )
-        for kind, peak, vmax, vmin in peak_summary(ts, step_deg):
+        for kind, peak, vmax, vmin in peak_summary(out):
             print(f"{ts:>4} {kind:>4} {peak:>9.1f} {vmax:>13.6e} {vmin:>13.6e}")
         print(f"wrote {out}")
 

@@ -11,13 +11,16 @@ which makes R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'} for irreducible
 tensor operators.  Spins and projections are carried as twice-value integers
 so half-integer arithmetic stays exact.
 
-All functions here are pure; the factorial table is immutable after import,
-so everything is safe to call concurrently.
+All functions here are pure; the factorial table is immutable after import
+and the per-rank J_y eigenbasis cache is guarded by a lock, so everything is
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -333,8 +336,12 @@ def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
         raise DomainError(f"spherical_harmonic expects integer k >= 0, got {k!r}")
     if not isinstance(q, (int, np.integer)) or abs(q) > k:
         raise DomainError(f"spherical_harmonic expects integer |q| <= k, got q={q!r}")
-    table = harmonic_table(k, [float(theta)], [float(phi)])
-    return complex(table[k, k + q, 0])
+    pbar = _norm_legendre_table(k, np.cos(np.array([float(theta)])))[k, abs(q), 0]
+    phase = np.exp(1j * abs(q) * float(phi))
+    if q >= 0:
+        return complex(pbar * phase)
+    # Y_{k,-q} = (-1)^q conj(Y_kq)
+    return complex((-1.0 if q % 2 else 1.0) * pbar * np.conj(phase))
 
 
 def _require_rank_pair(rank, comp) -> tuple[int, int]:
@@ -343,34 +350,123 @@ def _require_rank_pair(rank, comp) -> tuple[int, int]:
     return tk, tq
 
 
-# float-keyed: each new beta adds one entry per rank; at rank 200 an entry
-# is 323 kB, so 256 entries stay under 83 MB
-@lru_cache(maxsize=256)
-def _small_d_matrix(tk: int, beta: float) -> np.ndarray:
-    """d^k(beta) = exp(-i beta Jy) in the descending-m basis.
+class _RankCache:
+    """LRU map from a twice-rank to a tuple of read-only arrays, bounded by
+    the bytes it holds rather than by its number of entries.
 
-    Built from the exact eigendecomposition of the tridiagonal generator;
-    unitary to roundoff at any rank, unlike the alternating single-sum
-    element formula, which loses all precision near k ~ 50.
+    A miss builds the entry; the oldest entries are then evicted until the
+    held bytes are back under max_bytes (the newest entry always stays).
+    Guarded by a lock, so concurrent callers are safe.
+    """
+
+    def __init__(self, build, max_bytes: int):
+        self._build = build
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict[int, tuple] = OrderedDict()
+        self._nbytes = 0
+        self._hits = self._misses = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, tk: int) -> tuple:
+        with self._lock:
+            entry = self._entries.get(tk)
+            if entry is not None:
+                self._entries.move_to_end(tk)
+                self._hits += 1
+                return entry
+            self._misses += 1
+        entry = self._build(tk)
+        with self._lock:
+            if tk not in self._entries:
+                self._entries[tk] = entry
+                self._nbytes += sum(a.nbytes for a in entry)
+                while self._nbytes > self.max_bytes and len(self._entries) > 1:
+                    _, old = self._entries.popitem(last=False)
+                    self._nbytes -= sum(a.nbytes for a in old)
+        return entry
+
+    def cache_info(self) -> dict:
+        """Plain-dict statistics: hits, misses, keys held, bytes, max_bytes."""
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "keys": tuple(self._entries),
+                "bytes": self._nbytes,
+                "max_bytes": self.max_bytes,
+            }
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._nbytes = 0
+            self._hits = self._misses = 0
+
+
+def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The J_y eigenbasis at twice-rank tk, as d(beta) consumes it.
+
+    In the descending-m basis (row a holds m = k - a), J_y = Z J_x Z^dag with
+    Z = diag(i^a), and J_x is real: its eigenvectors U (ascending eigenvalues
+    mu) are real, half the bytes of complex J_y eigenvectors.  Then
+    d(beta) = Z U exp(-i beta mu) U^T Z^dag.  Writing i^a = sigma_a i^(a mod 2)
+    with sigma_a = +1, +1, -1, -1 for a mod 4 = 0..3, the rows are stored as
+    G = sigma U, split into even and odd a, so that d takes no phase table:
+
+        d[a, b] = sum_mu G_{a mu} G_{b mu} cos(beta mu)    a, b of one parity,
+        d[a, b] = +-sum_mu G_{a mu} G_{b mu} sin(beta mu)  + for odd a, - for odd b.
+
+    Returns (mu, G[even a], G[odd a]), read-only.
     """
     n = tk + 1
     j = tk / 2.0
-    jp = np.zeros((n, n), dtype=complex)
-    for i in range(1, n):
-        m = j - i
-        jp[i - 1, i] = math.sqrt(j * (j + 1.0) - m * (m + 1.0))
-    jy = (jp - jp.conj().T) / 2j
-    evals, vecs = np.linalg.eigh(jy)
-    d = (vecs * np.exp(-1j * beta * evals)) @ vecs.conj().T
-    # d is real in this convention; the eigh product leaves rounding noise
-    out = d.real.copy()
-    out.setflags(write=False)
+    m = j - np.arange(1, n)
+    # <m + 1| J_x |m> = J_+(m) / 2
+    half_jp = 0.5 * np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+    evals, vecs = np.linalg.eigh(np.diag(half_jp, 1) + np.diag(half_jp, -1))
+    sigma = np.where(np.arange(n) % 4 < 2, 1.0, -1.0)
+    g = sigma[:, None] * vecs
+    out = (evals, np.ascontiguousarray(g[::2]), np.ascontiguousarray(g[1::2]))
+    for a in out:
+        a.setflags(write=False)
     return out
 
 
+# integer-keyed by twice-rank; an entry is (n + 1) n doubles for n = tk + 1,
+# so every integer rank k <= 200 (one rotation at 2s = 200) takes 86.9 MB
+_jy_eigenbasis = _RankCache(_build_jy_eigenbasis, max_bytes=100_000_000)
+
+
+def _small_d(tk: int, beta: float) -> np.ndarray:
+    """d^k(beta) = exp(-i beta J_y) in the descending-m basis.
+
+    Formed on each call from the cached eigenbasis, with no eigensolver per
+    angle, by three real products of half-size blocks (the even-odd block is
+    minus the transposed odd-even one, as d(beta)^T = d(-beta)).  Unitary to
+    roundoff at any rank, unlike the alternating single-sum element formula,
+    which loses all precision near k ~ 50.
+    """
+    evals, even, odd = _jy_eigenbasis(tk)
+    x = beta * evals
+    cos_x = np.cos(x)
+    d = np.empty((tk + 1, tk + 1))
+    d[::2, ::2] = (even * cos_x) @ even.T
+    d[1::2, 1::2] = (odd * cos_x) @ odd.T
+    odd_even = (odd * np.sin(x)) @ even.T
+    d[1::2, ::2] = odd_even
+    d[::2, 1::2] = -odd_even.T
+    return d
+
+
 def _wigner_d_core(tk: int, tqp: int, tq: int, beta: float) -> float:
-    d = _small_d_matrix(tk, float(beta))
-    return float(d[(tk - tqp) // 2, (tk - tq) // 2])
+    """One entry of _small_d(tk, beta), in O(tk) work."""
+    evals, even, odd = _jy_eigenbasis(tk)
+    a, b = (tk - tqp) // 2, (tk - tq) // 2
+    row, col = (even, odd)[a % 2][a // 2], (even, odd)[b % 2][b // 2]
+    if a % 2 == b % 2:
+        return float(row * np.cos(beta * evals) @ col)
+    sign = 1.0 if a % 2 else -1.0
+    return sign * float(row * np.sin(beta * evals) @ col)
 
 
 def wigner_d(k, qp, q, beta: float) -> float:
@@ -397,7 +493,7 @@ def wigner_D_matrix(k, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """
     tk = require_spin(k)
     n = tk + 1
-    d = _small_d_matrix(tk, float(beta))
+    d = _small_d(tk, float(beta))
     tq_axis = tk - 2 * np.arange(n)
     left = np.exp(-0.5j * tq_axis * float(alpha))
     right = np.exp(-0.5j * tq_axis * float(gamma))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import HalfInteger, require_spin, wigner_D_matrix
+from .angular import HalfInteger, _small_d, require_spin
 from .errors import DomainError, ValidationError
 from .tensor_ops import operator_components, operator_from_components
 
@@ -61,18 +61,20 @@ def _validate_state_matrix(matrix: np.ndarray, dim: int, what: str) -> np.ndarra
     herm_defect = float(np.max(np.abs(m - m.conj().T)))
     if herm_defect > HERMITICITY_TOL:
         raise ValidationError(
-            f"{what}: hermiticity violated (max |M - M^dag| = {herm_defect:.3e})"
+            f"{what}: hermiticity violated (max |M - M^dag| = {herm_defect:.3e}, "
+            f"tolerance {HERMITICITY_TOL:g})"
         )
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValidationError(
             f"{what}: unit trace violated (measured trace = {trace.real:.15g}"
-            f"{trace.imag:+.3e}j)"
+            f"{trace.imag:+.3e}j, |trace - 1| = {abs(trace - 1.0):.3e}, tolerance {TRACE_TOL:g})"
         )
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
     if min_eig < EIGENVALUE_FLOOR:
         raise ValidationError(
-            f"{what}: positivity violated (smallest eigenvalue = {min_eig:.3e})"
+            f"{what}: positivity violated (smallest eigenvalue = {min_eig:.3e}, "
+            f"floor {EIGENVALUE_FLOOR:g})"
         )
     m = m.copy()
     m.setflags(write=False)
@@ -305,16 +307,20 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
 
     Because R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'}, the coefficients
     transform with the conjugate matrix: t'^k_q = sum_{q'} conj(D^k_{q q'})
-    t^k_{q'}.  Matches decompose(R rho R^dag) to roundoff.
+    t^k_{q'} = e^{i q alpha} sum_{q'} d^k_{q q'}(beta) e^{i q' gamma} t^k_{q'}.
+    Each rank takes d^k(beta) from the cached J_y eigenbasis (no eigensolver
+    per angle) and the two z rotations as elementwise phases.  Matches
+    decompose(R rho R^dag) to roundoff.
     """
     ts = t.s.twice_value
-    out = t.values.copy()
+    beta = float(beta)
+    q = np.arange(-ts, ts + 1)
+    out = t.values * np.exp(1j * q * float(gamma))
     for k in range(1, ts + 1):
         cols = slice(ts - k, ts + k + 1)
-        # wigner_D_matrix orders q = k..-k, the reverse of the array columns
-        d = wigner_D_matrix(k, alpha, beta, gamma)
-        out[k, cols] = (np.conj(d) @ t.values[k, cols][::-1])[::-1]
-    return FanoTensorSet(t.s, out)
+        # d orders q = k..-k, the reverse of the array columns
+        out[k, cols] = (_small_d(2 * k, beta) @ out[k, cols][::-1])[::-1]
+    return FanoTensorSet(t.s, np.exp(1j * q * float(alpha)) * out)
 
 
 def singlet_density(s) -> BipartiteDensityMatrix:

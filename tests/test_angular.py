@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,18 +10,20 @@ from scipy.linalg import expm
 
 from spinphase import (
     DomainError,
+    FanoTensorSet,
     HalfInteger,
     clebsch_gordan,
     harmonic_table,
     legendre,
     legendre_sequence,
     log_factorial,
+    rotate_tensors,
     spherical_harmonic,
     wigner_D,
     wigner_D_matrix,
     wigner_d,
 )
-from spinphase.angular import _norm_legendre_table, _small_d_matrix
+from spinphase.angular import _jy_eigenbasis, _norm_legendre_table, _RankCache
 
 # ---------------------------------------------------------------- oracles
 
@@ -403,6 +407,16 @@ def test_norm_legendre_table_equals_loop(k_max, rng):
     assert np.array_equal(_norm_legendre_table(k_max, x), norm_legendre_table_loop(k_max, x))
 
 
+@pytest.mark.parametrize("k", range(21))
+def test_spherical_harmonic_equals_table(k, rng):
+    thetas = np.concatenate([[0.0, math.pi], rng.uniform(0, math.pi, 4)])
+    phis = np.concatenate([[0.0, 1.3], rng.uniform(0, 2 * math.pi, 4)])
+    table = harmonic_table(k, thetas, phis)
+    for n, (theta, phi) in enumerate(zip(thetas, phis)):
+        for q in range(-k, k + 1):
+            assert spherical_harmonic(k, q, theta, phi) == table[k, k + q, n]
+
+
 def test_harmonic_domain():
     with pytest.raises(DomainError):
         spherical_harmonic(2, 3, 0.1, 0.1)
@@ -440,6 +454,17 @@ def test_wigner_matrix_matches_exponential_oracle(ts, rng):
         assert np.max(np.abs(got - oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("ts", [1, 2, 7, 40, 101])
+def test_wigner_elements_equal_matrix(ts, rng):
+    alpha, beta, gamma = rng.uniform(0, 2 * math.pi, 3)
+    full = wigner_D_matrix(ts / 2, alpha, beta, gamma)
+    small = wigner_D_matrix(ts / 2, 0.0, beta, 0.0).real
+    for a, b in rng.integers(0, ts + 1, (30, 2)):
+        qp, q = (ts - 2 * a) / 2, (ts - 2 * b) / 2
+        assert abs(wigner_D(ts / 2, qp, q, alpha, beta, gamma) - full[a, b]) <= 1e-14
+        assert abs(wigner_d(ts / 2, qp, q, beta) - small[a, b]) <= 1e-14
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 50])
 def test_wigner_matrix_unitary(k, rng):
     alpha = rng.uniform(0, 2 * math.pi)
@@ -449,16 +474,90 @@ def test_wigner_matrix_unitary(k, rng):
     assert np.max(np.abs(d @ d.conj().T - np.eye(2 * k + 1))) < 1e-10
 
 
+def random_tensor_values(rng, ts: int) -> np.ndarray:
+    """A valid [k, 2s + q] tensor-set array: t^0_0 = 1, zero where |q| > k,
+    conj(t^k_q) = (-1)^q t^k_{-q}."""
+    k = np.arange(ts + 1)[:, None]
+    q = np.arange(-ts, ts + 1)
+    a = rng.normal(size=(ts + 1, 2 * ts + 1)) + 1j * rng.normal(size=(ts + 1, 2 * ts + 1))
+    a = 0.5 * (a + (-1.0) ** q * np.conj(a[:, ::-1]))
+    a[np.abs(q) > k] = 0.0
+    a[0, ts] = 1.0
+    return a
+
+
 def test_small_d_cache_is_bounded(rng):
-    bound = _small_d_matrix.cache_info().maxsize
-    # one rank-200 entry is 201 x 201 doubles
-    assert bound is not None and bound * 201**2 * 8 <= 100e6
-    # one rotation at 2s = 200 touches 2s + 1 ranks
-    assert bound > 201
-    for beta in rng.uniform(0.0, math.pi, bound + 10):
-        wigner_D_matrix(1, 0.0, beta, 0.0)
-        wigner_D_matrix(2, 0.0, beta, 0.0)
-    assert _small_d_matrix.cache_info().currsize <= bound
+    _jy_eigenbasis.cache_clear()
+    try:
+        # the cache is keyed by twice-rank alone: new angles add no entries
+        for beta in rng.uniform(0.0, math.pi, 300):
+            wigner_D_matrix(1, 0.0, beta, 0.0)
+            wigner_D_matrix(2, 0.0, beta, 0.0)
+        assert set(_jy_eigenbasis.cache_info()["keys"]) == {2, 4}
+
+        # every rank k <= 200, integer and half-integer, is twice-rank <= 400:
+        # unbounded that would be sum_{n <= 401} n (n + 1) doubles = 173.2 MB
+        for tk in range(401):
+            _jy_eigenbasis(tk)
+        info = _jy_eigenbasis.cache_info()
+        assert info["bytes"] <= info["max_bytes"] <= 100e6
+        held = sum(sum(a.nbytes for a in _jy_eigenbasis(tk)) for tk in info["keys"])
+        assert held == info["bytes"]
+
+        # one rotation at 2s = 200 touches the integer ranks 1..200, which take
+        # sum_{k <= 200} (2k + 1)(2k + 2) doubles = 86.9 MB: all stay cached
+        t = FanoTensorSet(100, random_tensor_values(rng, 200))
+        rotate_tensors(t, 0.1, 0.2, 0.3)
+        assert {2 * k for k in range(1, 201)} <= set(_jy_eigenbasis.cache_info()["keys"])
+        misses = _jy_eigenbasis.cache_info()["misses"]
+        rotate_tensors(t, 0.4, 0.5, 0.6)
+        assert _jy_eigenbasis.cache_info()["misses"] == misses
+    finally:
+        _jy_eigenbasis.cache_clear()
+
+
+def test_rank_cache_accounting_under_threads():
+    # a budget of three rank-8 entries forces evictions on nearly every call
+    cache = _RankCache(lambda tk: (np.zeros(tk + 1), np.zeros((tk + 1, tk + 1))), 3 * 9 * 10 * 8)
+    errors = []
+
+    def hammer(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for tk in rng.integers(0, 9, 2000):
+                evals, vecs = cache(int(tk))
+                assert vecs.shape == (tk + 1, tk + 1)
+        except Exception as exc:  # a thread's exception would not fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    info = cache.cache_info()
+    assert info["hits"] + info["misses"] == 6 * 2000
+    assert info["bytes"] <= info["max_bytes"]
+    assert info["bytes"] == sum(sum(a.nbytes for a in cache(tk)) for tk in info["keys"])
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("ts", [64, 101, 128, 199, 200])
+def test_wigner_matrix_matches_expm_at_large_rank(ts, rng):
+    for _ in range(2):
+        alpha = rng.uniform(0, 2 * math.pi)
+        beta = rng.uniform(0, math.pi)
+        gamma = rng.uniform(0, 2 * math.pi)
+        oracle = rotation_by_exponentials(ts, alpha, beta, gamma)
+        got = wigner_D_matrix(ts / 2, alpha, beta, gamma)
+        assert np.max(np.abs(got - oracle)) <= 1e-13
 
 
 def test_wigner_domain():

@@ -69,6 +69,29 @@ def test_density_rejects_non_hermitian():
         DensityMatrix(0.5, bad)
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (
+            [[0.5, 3.1e-11], [0.0, 0.5]],
+            r"hermiticity violated \(max \|M - M\^dag\| = 3\.100e-11, tolerance 1e-12\)",
+        ),
+        (
+            [[0.5, 0.0], [0.0, 0.5 + 4e-12]],
+            r"unit trace violated \(measured trace = 1\.000000000004\+0\.000e\+00j, "
+            r"\|trace - 1\| = 4\.000e-12, tolerance 1e-12\)",
+        ),
+        (
+            [[1.002, 0.0], [0.0, -0.002]],
+            r"positivity violated \(smallest eigenvalue = -2\.000e-03, floor -1e-10\)",
+        ),
+    ],
+)
+def test_density_errors_name_measured_value_and_tolerance(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        DensityMatrix(0.5, np.array(matrix, dtype=complex))
+
+
 def test_density_rejects_bad_trace_with_measured_value():
     bad = np.eye(2, dtype=complex)
     with pytest.raises(ValidationError, match="trace"):
@@ -289,7 +312,7 @@ def test_rotate_flips_axial_dipole():
     assert t_rot.value(1, 0) == pytest.approx(-0.4, abs=1e-13)
 
 
-@pytest.mark.parametrize("ts", [1, 2, 3, 4])
+@pytest.mark.parametrize("ts", [1, 2, 3, 4, 8, 16, 24, 32])
 def test_rotate_matches_conjugation_oracle(ts, rng):
     for _ in range(3):
         rho = random_density(rng, ts)
@@ -304,6 +327,29 @@ def test_rotate_matches_conjugation_oracle(ts, rng):
         expected = decompose(rotated_rho)
         got = rotate_tensors(t, *angles)
         assert got.values == pytest.approx(expected.values, abs=1e-9)
+
+
+def conjugate_d_route(t, alpha, beta, gamma):
+    """Rank by rank conj(D^k) @ t^k with the public D matrices."""
+    ts = t.s.twice_value
+    out = t.values.copy()
+    for k in range(1, ts + 1):
+        cols = slice(ts - k, ts + k + 1)
+        # wigner_D_matrix orders q = k..-k, the reverse of the array columns
+        d = wigner_D_matrix(k, alpha, beta, gamma)
+        out[k, cols] = (np.conj(d) @ t.values[k, cols][::-1])[::-1]
+    return out
+
+
+@pytest.mark.parametrize("ts", [1, 4, 13, 24, 32])
+def test_rotate_matches_d_matrix_route_over_beta(ts, rng):
+    t = decompose(random_density(rng, ts))
+    scale = np.max(np.abs(t.values))
+    for beta in np.linspace(0.0, 2.0 * math.pi, 25):
+        alpha, gamma = rng.uniform(0, 2 * math.pi, 2)
+        expected = conjugate_d_route(t, alpha, beta, gamma)
+        got = rotate_tensors(t, alpha, beta, gamma).values
+        assert np.max(np.abs(got - expected)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------- singlet
