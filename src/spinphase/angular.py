@@ -11,9 +11,13 @@ which makes R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'} for irreducible
 tensor operators.  Spins and projections are carried as twice-value integers
 so half-integer arithmetic stays exact.
 
-All functions here are pure; the factorial table is immutable after import
-and the per-rank J_y eigenbasis cache is guarded by a lock, so everything is
-safe to call concurrently.
+Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
+sum, harmonics the normalized Legendre table (one entry for
+spherical_harmonic, distinct colatitudes only for the ring-wise synthesis),
+and d(beta) the per-rank J_y eigenbasis.  All functions here are pure; the
+factorial table is immutable after import and the eigenbasis lives in a
+lock-guarded, byte-bounded _RankCache (the cache kind tensor_ops' bands
+share), so everything is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,10 +35,8 @@ __all__ = [
     "HalfInteger",
     "log_factorial",
     "clebsch_gordan",
-    "legendre",
     "legendre_sequence",
     "spherical_harmonic",
-    "harmonic_table",
     "wigner_d",
     "wigner_D",
     "wigner_D_matrix",
@@ -103,19 +104,6 @@ class HalfInteger:
     def is_integer(self) -> bool:
         return self.twice_value % 2 == 0
 
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.twice_value)
-
-    def __add__(self, other):
-        if isinstance(other, HalfInteger):
-            return HalfInteger(self.twice_value + other.twice_value)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInteger):
-            return HalfInteger(self.twice_value - other.twice_value)
-        return NotImplemented
-
     def __float__(self) -> float:
         return self.value
 
@@ -164,12 +152,13 @@ def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:
         return 0.0
     if ts < abs(ts1 - ts2) or ts > ts1 + ts2 or (ts1 + ts2 + ts) % 2 != 0:
         return 0.0
-    return _cg_core(ts1, ts2, ts, tm1, tm2, tm)
+    return _racah_cg(ts1, ts2, ts, tm1, tm2, tm)
 
 
 def _racah_cg(ts1, ts2, ts, tm1, tm2, tm):
     """Racah single sum for twice-value labels that already pass every
-    selection rule; uncached, for callers that sweep labels once."""
+    selection rule.  Uncached: its one bulk caller, the tensor band build,
+    evaluates each label once and caches the bands."""
     lf = log_factorial
     half_log_pref = 0.5 * (
         math.log(ts + 1.0)
@@ -208,31 +197,13 @@ def _racah_cg(ts1, ts2, ts, tm1, tm2, tm):
     return math.copysign(math.exp(half_log_pref + peak + math.log(abs(total))), total)
 
 
-_cg_core = lru_cache(maxsize=1_000_000)(_racah_cg)
-
-
-def legendre(k: int, x: float) -> float:
-    """Legendre polynomial P_k(x) on [-1, 1] by the Bonnet recurrence."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"legendre expects integer k >= 0, got {k!r}")
-    x = float(x)
-    if abs(x) > 1.0:
-        raise DomainError(f"legendre expects |x| <= 1, got {x}")
-    if k == 0:
-        return 1.0
-    p_prev, p = 1.0, x
-    for n in range(1, k):
-        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-    return p
-
-
 def legendre_sequence(k_max: int, x) -> np.ndarray:
     """All P_k(x) for k = 0..k_max; x may be a scalar or 1-d array.
 
     Returns shape (k_max + 1,) + shape(x).
     """
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise DomainError(f"legendre_sequence expects integer k_max >= 0, got {k_max!r}")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0):
         raise DomainError("legendre_sequence expects |x| <= 1")
@@ -268,32 +239,6 @@ def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
         a = np.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))[:, None]
         b = np.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
         out[k, : k - 1] = a * (x * out[k - 1, : k - 1] - b * out[k - 2, : k - 1])
-    return out
-
-
-def harmonic_table(k_max: int, theta, phi) -> np.ndarray:
-    """Spherical harmonics Y_{kq} for all k <= k_max at the given points.
-
-    theta, phi are scalars or equal-length 1-d arrays; the result has shape
-    (k_max + 1, 2 k_max + 1, n_points) indexed [k, k_max + q, point], zero
-    where |q| > k.
-    """
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if theta.shape != phi.shape or theta.ndim != 1:
-        raise DomainError("theta and phi must be equal-length 1-d arrays")
-    pbar = _norm_legendre_table(k_max, np.cos(theta))
-    out = np.zeros((k_max + 1, 2 * k_max + 1, theta.shape[0]), dtype=complex)
-    for q in range(k_max + 1):
-        phase = np.exp(1j * q * phi)
-        sign = -1.0 if q % 2 else 1.0
-        for k in range(q, k_max + 1):
-            out[k, k_max + q] = pbar[k, q] * phase
-            if q > 0:
-                # Y_{k,-q} = (-1)^q conj(Y_{kq})
-                out[k, k_max - q] = sign * pbar[k, q] * np.conj(phase)
     return out
 
 
@@ -351,8 +296,9 @@ def _require_rank_pair(rank, comp) -> tuple[int, int]:
 
 
 class _RankCache:
-    """LRU map from a twice-rank to a tuple of read-only arrays, bounded by
-    the bytes it holds rather than by its number of entries.
+    """LRU map from an integer key (a twice-rank or twice-spin) to a tuple of
+    read-only arrays, bounded by the bytes it holds rather than by its number
+    of entries.  Holds the J_y eigenbases here and tensor_ops' bands.
 
     A miss builds the entry; the oldest entries are then evicted until the
     held bytes are back under max_bytes (the newest entry always stays).
@@ -367,18 +313,18 @@ class _RankCache:
         self._hits = self._misses = 0
         self._lock = threading.Lock()
 
-    def __call__(self, tk: int) -> tuple:
+    def __call__(self, key: int) -> tuple:
         with self._lock:
-            entry = self._entries.get(tk)
+            entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(tk)
+                self._entries.move_to_end(key)
                 self._hits += 1
                 return entry
             self._misses += 1
-        entry = self._build(tk)
+        entry = self._build(key)
         with self._lock:
-            if tk not in self._entries:
-                self._entries[tk] = entry
+            if key not in self._entries:
+                self._entries[key] = entry
                 self._nbytes += sum(a.nbytes for a in entry)
                 while self._nbytes > self.max_bytes and len(self._entries) > 1:
                     _, old = self._entries.popitem(last=False)
@@ -403,37 +349,38 @@ class _RankCache:
             self._hits = self._misses = 0
 
 
-def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
     """The J_y eigenbasis at twice-rank tk, as d(beta) consumes it.
 
     In the descending-m basis (row a holds m = k - a), J_y = Z J_x Z^dag with
     Z = diag(i^a), and J_x is real: its eigenvectors U (ascending eigenvalues
-    mu) are real, half the bytes of complex J_y eigenvectors.  Then
-    d(beta) = Z U exp(-i beta mu) U^T Z^dag.  Writing i^a = sigma_a i^(a mod 2)
-    with sigma_a = +1, +1, -1, -1 for a mod 4 = 0..3, the rows are stored as
-    G = sigma U, split into even and odd a, so that d takes no phase table:
+    mu = -k..k, exact, so only U is kept) are real, half the bytes of complex
+    J_y eigenvectors.  Then d(beta) = Z U exp(-i beta mu) U^T Z^dag.  Writing
+    i^a = sigma_a i^(a mod 2) with sigma_a = +1, +1, -1, -1 for a mod 4 = 0..3,
+    the rows are stored as G = sigma U, split into even and odd a, so that d
+    takes no phase table:
 
         d[a, b] = sum_mu G_{a mu} G_{b mu} cos(beta mu)    a, b of one parity,
         d[a, b] = +-sum_mu G_{a mu} G_{b mu} sin(beta mu)  + for odd a, - for odd b.
 
-    Returns (mu, G[even a], G[odd a]), read-only.
+    Returns (G[even a], G[odd a]), read-only.
     """
     n = tk + 1
     j = tk / 2.0
     m = j - np.arange(1, n)
     # <m + 1| J_x |m> = J_+(m) / 2
     half_jp = 0.5 * np.sqrt(j * (j + 1.0) - m * (m + 1.0))
-    evals, vecs = np.linalg.eigh(np.diag(half_jp, 1) + np.diag(half_jp, -1))
+    _, vecs = np.linalg.eigh(np.diag(half_jp, 1) + np.diag(half_jp, -1))
     sigma = np.where(np.arange(n) % 4 < 2, 1.0, -1.0)
     g = sigma[:, None] * vecs
-    out = (evals, np.ascontiguousarray(g[::2]), np.ascontiguousarray(g[1::2]))
+    out = (np.ascontiguousarray(g[::2]), np.ascontiguousarray(g[1::2]))
     for a in out:
         a.setflags(write=False)
     return out
 
 
-# integer-keyed by twice-rank; an entry is (n + 1) n doubles for n = tk + 1,
-# so every integer rank k <= 200 (one rotation at 2s = 200) takes 86.9 MB
+# integer-keyed by twice-rank; an entry is n^2 doubles for n = tk + 1, so
+# every integer rank k <= 200 (one rotation at 2s = 200) takes 86.6 MB
 _jy_eigenbasis = _RankCache(_build_jy_eigenbasis, max_bytes=100_000_000)
 
 
@@ -446,8 +393,9 @@ def _small_d(tk: int, beta: float) -> np.ndarray:
     roundoff at any rank, unlike the alternating single-sum element formula,
     which loses all precision near k ~ 50.
     """
-    evals, even, odd = _jy_eigenbasis(tk)
-    x = beta * evals
+    even, odd = _jy_eigenbasis(tk)
+    # beta mu for the exact eigenvalues mu = -k..k, in eigh's ascending order
+    x = beta * np.arange(-0.5 * tk, 0.5 * tk + 1.0)
     cos_x = np.cos(x)
     d = np.empty((tk + 1, tk + 1))
     d[::2, ::2] = (even * cos_x) @ even.T
@@ -460,13 +408,14 @@ def _small_d(tk: int, beta: float) -> np.ndarray:
 
 def _wigner_d_core(tk: int, tqp: int, tq: int, beta: float) -> float:
     """One entry of _small_d(tk, beta), in O(tk) work."""
-    evals, even, odd = _jy_eigenbasis(tk)
+    even, odd = _jy_eigenbasis(tk)
+    x = beta * np.arange(-0.5 * tk, 0.5 * tk + 1.0)
     a, b = (tk - tqp) // 2, (tk - tq) // 2
     row, col = (even, odd)[a % 2][a // 2], (even, odd)[b % 2][b // 2]
     if a % 2 == b % 2:
-        return float(row * np.cos(beta * evals) @ col)
+        return float(row * np.cos(x) @ col)
     sign = 1.0 if a % 2 else -1.0
-    return sign * float(row * np.sin(beta * evals) @ col)
+    return sign * float(row * np.sin(x) @ col)
 
 
 def wigner_d(k, qp, q, beta: float) -> float:

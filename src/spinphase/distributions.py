@@ -28,8 +28,9 @@ it along side 2's labels, then side 1's.  Coefficient tables are cached per
 (kind, s) and immutable, so everything here is safe for concurrent use.
 
 The singlet correlation never forms the joint distribution on the grid: it
-projects each side's classical vector onto harmonics ring by ring
-(quadrature.project) and contracts the two [k, 2s + q] arrays with the
+projects each side's classical vector (classical_spin_vector, the one
+statement of each kind's magnitude and orientation) onto harmonics ring by
+ring (quadrature.project) and contracts the two [k, 2s + q] arrays with the
 singlet's coefficients, O(K^3) for a grid of band K.  Its roundoff bound
 travels with it, and a result the bound cannot certify to 1e-9 s(s+1)/3
 raises ConsistencyError (P from 2s = 26 on, on band-2s grids).
@@ -234,9 +235,9 @@ def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
     return np.where((np.abs(q) <= k) & ((k + q) % 2 == 1), -1.0, 1.0)
 
 
-def _weighted_label_array(kind: DistributionKind, t_array: np.ndarray, ts: int) -> np.ndarray:
-    table = _table_cached(kind, ts)
-    return t_array * _sign_matrix(kind, ts) * table[:, None]
+def _weights(kind: DistributionKind, ts: int) -> np.ndarray:
+    """The kind's label weights sigma(k, q) c_k as a [k, 2s + q] array."""
+    return _sign_matrix(kind, ts) * _table_cached(kind, ts)[:, None]
 
 
 def _require_real(values: np.ndarray, context: str) -> np.ndarray:
@@ -254,8 +255,7 @@ def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.nd
     rather than O(K^2 N).  The full complex sum is formed and its imaginary
     residue must stay within 1e-9 (ConsistencyError otherwise).
     """
-    ts = t.s.twice_value
-    weighted = _weighted_label_array(kind, t.as_array(), ts)
+    weighted = t.as_array() * _weights(kind, t.s.twice_value)
     vals = _synthesize(weighted, theta, phi) / _SQRT4PI
     return _require_real(vals, f"evaluate({kind.value})")
 
@@ -277,10 +277,8 @@ def evaluate_bipartite_many(
 
     Returns shape (len(theta1), len(theta2)).
     """
-    ts1 = t12.s1.twice_value
-    ts2 = t12.s2.twice_value
-    w1 = _sign_matrix(kind, ts1) * _table_cached(kind, ts1)[:, None]
-    w2 = _sign_matrix(kind, ts2) * _table_cached(kind, ts2)[:, None]
+    w1 = _weights(kind, t12.s1.twice_value)
+    w2 = _weights(kind, t12.s2.twice_value)
     t4w = t12.as_array() * w1[:, :, None, None] * w2[None, None, :, :]
     # side 2's label axes first, then side 1's with side 2's points leading
     side2 = _synthesize(t4w, theta2, phi2)  # [k1, 2s1 + q1, m]
@@ -310,12 +308,13 @@ def _bloch_vector(theta, phi, flip_z: bool) -> np.ndarray:
     return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z], axis=-1)
 
 
-def classical_spin_vector(kind: DistributionKind, s, theta: float, phi: float) -> np.ndarray:
+def classical_spin_vector(kind: DistributionKind, s, theta, phi) -> np.ndarray:
     """Classical spin vector the kind associates with a point of the sphere.
 
     P maps to s * n(pi-theta, phi), Q to (s+1) * n(pi-theta, phi), F to
     sqrt(s(s+1)) * n(theta, phi), with n(pi-theta, phi) =
-    (sin t cos p, sin t sin p, -cos t).
+    (sin t cos p, sin t sin p, -cos t).  theta and phi may be equal-shape
+    arrays; the vector is then the last axis.
     """
     ts = require_spin(s)
     s_val = ts / 2.0
@@ -357,7 +356,7 @@ def expectation(
     # the operator resolution carries 1/(2s+1); its classical image inherits it
     inverse_weight = _SQRT4PI / (table * (ts + 1.0))
     weighted = np.stack([
-        _weighted_label_array(kind, t.as_array(), ts),
+        t.as_array() * _weights(kind, ts),
         operator_components(a) * _sign_matrix(kind, ts) * inverse_weight[:, None],
     ])
     # one synthesis for the distribution and the operator's classical image,
@@ -436,22 +435,15 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     av = DirectionVector.from_any(a).as_array()
     bv = DirectionVector.from_any(b).as_array()
     s_val = ts / 2.0
-    if kind is DistributionKind.P:
-        prefactor = s_val**2
-    elif kind is DistributionKind.Q:
-        prefactor = (s_val + 1.0) ** 2
-    else:
-        prefactor = s_val * (s_val + 1.0)
-    flip = kind is not DistributionKind.F
-    nodes = _bloch_vector(grid.node_thetas, grid.node_phis, flip_z=flip)
+    vectors = classical_spin_vector(kind, s, grid.node_thetas, grid.node_phis)
     (left, right), (left_err, right_err) = project(
-        grid, np.stack([nodes @ av, nodes @ bv]), ts
+        grid, np.stack([vectors @ av, vectors @ bv]), ts
     )
     # side 1's column 2s + q meets side 2's column 2s - q
     right, right_err = right[:, ::-1], right_err[:, ::-1]
     # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
     c_squared = _table_cached(kind, ts)[:, None] ** 2
-    coupling = prefactor / (4.0 * math.pi) * _singlet_coefficients(ts) * c_squared
+    coupling = _singlet_coefficients(ts) * c_squared / (4.0 * math.pi)
     terms = coupling * left * right
     # per term |LR - L'R'| <= |L'| dR + dL |R'| + dL dR, plus the sum's rounding
     pair_err = np.abs(left) * right_err + left_err * np.abs(right) + left_err * right_err

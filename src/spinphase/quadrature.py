@@ -5,10 +5,11 @@ With band limit L the grid has L+1 polar and 2L+2 azimuthal nodes (one above
 the minimum, guarding the |q| = L aliasing edge), which integrates any
 spherical-harmonic polynomial of degree <= 2L+1 to roundoff.
 
-project analyses node values into spherical-harmonic coefficients ring by
-ring: one FFT in phi per ring, then a Legendre sum over the rings (the
-Driscoll-Healy / SHTns structure), so the harmonic table over all nodes is
-never built.
+Integrands are given as arrays of node values (at node_thetas, node_phis)
+and checked for shape and NaN in one vectorized step.  project analyses
+node values into spherical-harmonic coefficients ring by ring: one FFT in
+phi per ring, then a Legendre sum over the rings (the Driscoll-Healy /
+SHTns structure), so the harmonic table over all nodes is never built.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ class SphereGrid:
         out.setflags(write=False)
         return out
 
-    def nodes(self):
-        """Iterate (theta, phi, weight) in the fixed node order."""
-        for t, p, w in zip(self.node_thetas, self.node_phis, self.weights):
-            yield float(t), float(p), float(w)
-
 
 def build_grid(band_limit: int) -> SphereGrid:
     """Build the Gauss-Legendre x uniform-phi grid for the given band limit."""
@@ -100,20 +96,18 @@ def build_grid(band_limit: int) -> SphereGrid:
     )
 
 
-def _node_values(grid: SphereGrid, f) -> np.ndarray:
-    if callable(f):
-        vals = np.asarray(
-            [f(float(t), float(p)) for t, p in zip(grid.node_thetas, grid.node_phis)]
+def _node_values(grid: SphereGrid, values) -> np.ndarray:
+    """Node values in grid order along the last axis (leading axes batched);
+    NaN is refused, naming the first bad node in row-major order."""
+    vals = np.asarray(values)
+    if vals.ndim == 0 or vals.shape[-1] != grid.n_nodes:
+        raise DomainError(
+            f"expected {grid.n_nodes} node values along the last axis, got array "
+            f"of shape {vals.shape}"
         )
-    else:
-        vals = np.asarray(f)
-        if vals.shape != (grid.n_nodes,):
-            raise DomainError(
-                f"expected {grid.n_nodes} node values, got array of shape {vals.shape}"
-            )
-    bad = np.nonzero(np.isnan(vals.real) | np.isnan(vals.imag))[0]
+    bad = np.flatnonzero(np.isnan(vals.real) | np.isnan(vals.imag))
     if bad.size:
-        n = int(bad[0])
+        n = int(bad[0]) % grid.n_nodes
         raise DomainError(
             f"NaN integrand at node {n} "
             f"(theta={grid.node_thetas[n]:.6f}, phi={grid.node_phis[n]:.6f})"
@@ -122,12 +116,14 @@ def _node_values(grid: SphereGrid, f) -> np.ndarray:
 
 
 def integrate(grid: SphereGrid, f):
-    """Integrate f over the sphere: weighted sum in fixed node order.
+    """Integrate node values over the sphere: weighted sum in fixed node order.
 
-    f is either a callable f(theta, phi) or a precomputed array of node
-    values in grid order.  Accumulation is compensated (math.fsum).
+    f is a 1-d array of node values in grid order (at grid.node_thetas,
+    grid.node_phis).  Accumulation is compensated (math.fsum).
     """
     vals = _node_values(grid, f)
+    if vals.ndim != 1:
+        raise DomainError(f"expected {grid.n_nodes} node values, got array of shape {vals.shape}")
     w = grid.weights
     if np.iscomplexobj(vals):
         return complex(math.fsum(w * vals.real), math.fsum(w * vals.imag))
@@ -171,14 +167,7 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     """
     if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
-    vals = np.asarray(values)
-    if vals.ndim == 0 or vals.shape[-1] != grid.n_nodes:
-        raise DomainError(
-            f"expected {grid.n_nodes} node values along the last axis, got array "
-            f"of shape {vals.shape}"
-        )
-    for row in vals.reshape(-1, grid.n_nodes):
-        _node_values(grid, row)
+    vals = _node_values(grid, values)
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
     ring_weights = grid.theta_weights * grid.phi_weight
     q = np.arange(-k_max, k_max + 1)

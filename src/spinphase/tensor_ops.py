@@ -6,19 +6,18 @@ descending projection, m = s, s-1, ..., -s.  Every module in this package
 shares that ordering.  The rank-k component-q tensor has matrix elements
 sqrt(2k+1) * <s m; k q | s m'> on the single band m' = m + q (the diagonal
 at offset q), so tau^0_0 is the identity and every higher rank is traceless.
-Only those bands are stored.  Component arrays use the layout
-[..., k, 2s + q], zero where |q| > k; both routines broadcast over the
-leading axes.
+Only those bands are stored, per spin, in a byte-bounded cache (100 MB).
+Component arrays use the layout [..., k, 2s + q], zero where |q| > k; both
+routines broadcast over the leading axes.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .angular import _racah_cg, require_spin
+from .angular import _racah_cg, _RankCache, require_spin
 from .errors import DomainError
 
 __all__ = [
@@ -29,8 +28,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=16)
-def _bands(ts: int) -> tuple[np.ndarray, ...]:
+def _build_bands(ts: int) -> tuple[np.ndarray, ...]:
     """Band matrices indexed by 2s + q; row k - |q| is the offset-q
     diagonal of tau^k_q (entry j at row j + max(-q, 0))."""
     n = ts + 1
@@ -47,6 +45,11 @@ def _bands(ts: int) -> tuple[np.ndarray, ...]:
         band.setflags(write=False)
         out.append(band)
     return tuple(out)
+
+
+# integer-keyed by twice-spin; one spin's bands are 8 sum_q (n - |q|)^2 bytes,
+# 43.3 MB at 2s = 200, so both factors of a 2s = 200 bipartite state fit
+_bands = _RankCache(_build_bands, max_bytes=100_000_000)
 
 
 def _band_index(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,6 @@ from spinphase import (
     FanoTensorSet,
     HalfInteger,
     clebsch_gordan,
-    harmonic_table,
-    legendre,
     legendre_sequence,
     log_factorial,
     rotate_tensors,
@@ -23,6 +21,7 @@ from spinphase import (
     wigner_D_matrix,
     wigner_d,
 )
+from conftest import harmonic_table
 from spinphase.angular import _jy_eigenbasis, _norm_legendre_table, _RankCache
 
 # ---------------------------------------------------------------- oracles
@@ -87,8 +86,6 @@ def test_half_integer_basics():
     assert not h.is_integer
     assert str(h) == "3/2"
     assert str(HalfInteger(4)) == "2"
-    assert (-h).twice_value == -3
-    assert (h + HalfInteger(1)).twice_value == 4
 
 
 def test_half_integer_rejects_non_half():
@@ -245,6 +242,11 @@ def test_cg_diagonal_sum_rule():
 # --------------------------------------------------------------- Legendre
 
 
+def legendre(k: int, x: float) -> float:
+    """P_k(x), the last entry of the library's sequence at a scalar x."""
+    return float(legendre_sequence(k, x)[k])
+
+
 def test_legendre_trivial():
     assert legendre(0, 0.3) == 1.0
     assert legendre(1, -0.25) == -0.25
@@ -265,6 +267,7 @@ def test_legendre_endpoint_values_high_degree():
 
 
 def test_legendre_sequence_matches_scalar():
+    # the array form against one scalar x at a time
     xs = np.linspace(-1, 1, 7)
     seq = legendre_sequence(6, xs)
     for k in range(7):
@@ -274,9 +277,12 @@ def test_legendre_sequence_matches_scalar():
 
 def test_legendre_domain():
     with pytest.raises(DomainError):
-        legendre(2, 1.5)
+        legendre_sequence(2, 1.5)
     with pytest.raises(DomainError):
-        legendre(-1, 0.0)
+        legendre_sequence(-1, 0.0)
+    for bad_k in (True, 2.0, 1.5, "2"):
+        with pytest.raises(DomainError):
+            legendre_sequence(bad_k, 0.0)
 
 
 @given(st.integers(min_value=0, max_value=60), st.floats(min_value=-1.0, max_value=1.0))
@@ -382,6 +388,29 @@ def test_harmonic_scipy_oracle(rng):
         assert spherical_harmonic(k, q, theta, phi) == pytest.approx(
             complex(sph_harm_y(k, q, theta, phi)), abs=1e-12
         )
+
+
+@pytest.mark.scale
+def test_harmonics_match_scipy_up_to_rank_200(rng):
+    # scipy's sph_harm_y(k, q, theta, phi) shares the physics convention and
+    # the Condon-Shortley phase; agreement degrades like k eps (7e-14 at 200)
+    from scipy.special import sph_harm_y
+
+    k_max = 200
+    thetas = np.concatenate([[0.0, math.pi], np.arccos(rng.uniform(-1.0, 1.0, 6))])
+    phis = np.concatenate([[0.0, 2.0], rng.uniform(0, 2 * math.pi, 6)])
+    k = np.arange(k_max + 1)[:, None, None]
+    q = np.arange(-k_max, k_max + 1)[None, :, None]
+    valid = np.abs(q) <= k
+    reference = np.where(valid, sph_harm_y(k, np.where(valid, q, 0), thetas, phis), 0.0)
+    bound = 1e-15 * (k + 1.0)
+    assert np.all(np.abs(harmonic_table(k_max, thetas, phis) - reference) <= bound)
+    for _ in range(200):
+        kk = int(rng.integers(0, k_max + 1))
+        qq = int(rng.integers(-kk, kk + 1))
+        n = int(rng.integers(0, thetas.size))
+        got = spherical_harmonic(kk, qq, thetas[n], phis[n])
+        assert abs(got - reference[kk, k_max + qq, n]) <= bound[kk, 0, 0], (kk, qq, n)
 
 
 def norm_legendre_table_loop(k_max, x):
@@ -496,7 +525,7 @@ def test_small_d_cache_is_bounded(rng):
         assert set(_jy_eigenbasis.cache_info()["keys"]) == {2, 4}
 
         # every rank k <= 200, integer and half-integer, is twice-rank <= 400:
-        # unbounded that would be sum_{n <= 401} n (n + 1) doubles = 173.2 MB
+        # unbounded that would be sum_{n <= 401} n^2 doubles = 172.6 MB
         for tk in range(401):
             _jy_eigenbasis(tk)
         info = _jy_eigenbasis.cache_info()
@@ -505,7 +534,7 @@ def test_small_d_cache_is_bounded(rng):
         assert held == info["bytes"]
 
         # one rotation at 2s = 200 touches the integer ranks 1..200, which take
-        # sum_{k <= 200} (2k + 1)(2k + 2) doubles = 86.9 MB: all stay cached
+        # sum_{k <= 200} (2k + 1)^2 doubles = 86.6 MB: all stay cached
         t = FanoTensorSet(100, random_tensor_values(rng, 200))
         rotate_tensors(t, 0.1, 0.2, 0.3)
         assert {2 * k for k in range(1, 201)} <= set(_jy_eigenbasis.cache_info()["keys"])
@@ -558,6 +587,22 @@ def test_wigner_matrix_matches_expm_at_large_rank(ts, rng):
         oracle = rotation_by_exponentials(ts, alpha, beta, gamma)
         got = wigner_D_matrix(ts / 2, alpha, beta, gamma)
         assert np.max(np.abs(got - oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "ts, bound", [(48, 1e-14), pytest.param(200, 1.2e-14, marks=pytest.mark.scale)]
+)
+def test_small_d_matches_expm_with_exact_eigenvalues(ts, bound, rng):
+    # each bound sits between the two ways to take J_y's eigenvalues: the
+    # exact -k..k give maxima of 4.9e-15 (twice-rank 48) and 7.5-8.6e-15
+    # (200) here, the eigensolver's own (error ~ k eps) 1.8e-14 and 1.7e-14
+    _, sp_ = ladder_spin_matrices(ts)
+    sy = (sp_ - sp_.conj().T) / 2j
+    worst = max(
+        np.max(np.abs(wigner_D_matrix(ts / 2, 0.0, beta, 0.0) - expm(-1j * beta * sy)))
+        for beta in rng.uniform(0.0, 2 * math.pi, 12)
+    )
+    assert worst <= bound
 
 
 def test_wigner_domain():

@@ -30,7 +30,6 @@ from spinphase import (
     evaluate_bipartite_many,
     evaluate_many,
     expectation,
-    harmonic_table,
     integrate,
     q_direct,
     singlet_profile,
@@ -38,7 +37,7 @@ from spinphase import (
     spin_operators,
     tau_matrix,
 )
-from conftest import random_bipartite_density, random_density, random_direction
+from conftest import harmonic_table, random_bipartite_density, random_density, random_direction
 from spinphase.distributions import _bloch_vector, _sign_matrix
 
 P, Q, F = DistributionKind.P, DistributionKind.Q, DistributionKind.F

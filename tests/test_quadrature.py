@@ -10,12 +10,11 @@ from spinphase import (
     decompose,
     evaluate_bipartite_many,
     evaluate_many,
-    harmonic_table,
     integrate,
     integrate_product,
     project,
 )
-from conftest import random_bipartite_density, random_density
+from conftest import harmonic_table, random_bipartite_density, random_density
 from spinphase.fano import decompose_bipartite
 
 FOUR_PI = 4.0 * math.pi
@@ -29,7 +28,7 @@ def test_weights_sum_to_sphere_area(band):
 
 def test_constant_integrates_to_area():
     grid = build_grid(3)
-    assert integrate(grid, lambda t, p: 1.0) == pytest.approx(FOUR_PI, abs=1e-12)
+    assert integrate(grid, np.ones(grid.n_nodes)) == pytest.approx(FOUR_PI, abs=1e-12)
 
 
 def test_zero_mean_harmonic():
@@ -73,7 +72,7 @@ def test_single_product_value():
 
 def test_cos_squared_integral():
     grid = build_grid(2)
-    val = integrate(grid, lambda t, p: math.cos(t) ** 2)
+    val = integrate(grid, np.cos(grid.node_thetas) ** 2)
     assert val == pytest.approx(FOUR_PI / 3.0, abs=1e-13)
 
 
@@ -103,13 +102,6 @@ def test_product_grid_bipartite_normalization(ts1, ts2, rng):
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_integrate_array_and_callable_agree():
-    grid = build_grid(2)
-    f = lambda t, p: math.sin(t) * math.cos(p) ** 2
-    arr = np.array([f(t, p) for t, p, _ in grid.nodes()])
-    assert integrate(grid, f) == pytest.approx(integrate(grid, arr), abs=1e-15)
-
-
 def test_integrate_rejects_nan():
     grid = build_grid(1)
     vals = np.ones(grid.n_nodes)
@@ -122,6 +114,15 @@ def test_integrate_rejects_bad_shape():
     grid = build_grid(1)
     with pytest.raises(DomainError):
         integrate(grid, np.ones(grid.n_nodes + 1))
+    with pytest.raises(DomainError):
+        integrate(grid, np.ones((2, grid.n_nodes)))
+
+
+def test_integrate_rejects_callable():
+    # integrands are node arrays only; a callable fails the shape check
+    grid = build_grid(2)
+    with pytest.raises(DomainError, match="node values"):
+        integrate(grid, lambda t, p: 1.0)
 
 
 def test_build_grid_counts():
@@ -129,7 +130,8 @@ def test_build_grid_counts():
     assert grid.n_theta == 6
     assert grid.n_phi == 12
     assert grid.n_nodes == 72
-    assert len(list(grid.nodes())) == 72
+    assert grid.node_thetas.shape == grid.node_phis.shape == grid.weights.shape == (72,)
+    assert not hasattr(grid, "nodes")
 
 
 def test_build_grid_domain():
@@ -178,4 +180,8 @@ def test_project_rejects_bad_input():
     bad = np.ones((2, grid.n_nodes))
     bad[1, 5] = np.nan
     with pytest.raises(DomainError, match="NaN integrand at node 5"):
+        project(grid, bad, 2)
+    # the first bad node in row-major order, as a loop over the rows finds it
+    bad[0, 9] = np.nan
+    with pytest.raises(DomainError, match=r"NaN integrand at node 9 \(theta="):
         project(grid, bad, 2)

@@ -13,8 +13,8 @@ from spinphase import (
     wigner_D,
     wigner_D_matrix,
 )
-from spinphase.angular import _cg_core
-from spinphase.tensor_ops import _bands
+from spinphase.angular import _RankCache
+from spinphase.tensor_ops import _bands, _build_bands
 from test_angular import ladder_spin_matrices
 
 # ---------------------------------------------------------------- oracles
@@ -52,17 +52,48 @@ def bands_from_clebsch_gordan(ts):
 
 @pytest.mark.parametrize("ts", range(13))
 def test_bands_equal_clebsch_gordan_build(ts):
-    got = _bands.__wrapped__(ts)
+    got = _build_bands(ts)
     expected = bands_from_clebsch_gordan(ts)
     assert len(got) == len(expected)
     for band, ref in zip(got, expected):
         assert np.array_equal(band, ref)
 
 
-def test_band_build_leaves_cg_cache_alone():
-    before = _cg_core.cache_info().currsize
-    _bands.__wrapped__(14)
-    assert _cg_core.cache_info().currsize == before
+def band_bytes(ts):
+    """8 sum_q (n - |q|)^2 bytes: one spin's bands."""
+    n = ts + 1
+    return 8 * sum((n - abs(q)) ** 2 for q in range(-ts, ts + 1))
+
+
+def test_bands_cache_is_bounded_by_bytes():
+    assert isinstance(_bands, _RankCache)
+    assert _bands.max_bytes == 100_000_000
+    # 43.3 MB at 2s = 200: both factors of a 2s = 200 bipartite state fit,
+    # three spins that size do not
+    assert 2 * band_bytes(200) <= _bands.max_bytes < 3 * band_bytes(200)
+    for ts in range(6):
+        assert sum(b.nbytes for b in _bands(ts)) == band_bytes(ts)
+
+
+def test_band_cache_evicts_oldest_and_counts_bytes():
+    # a budget of the 2s = 6 and 2s = 5 entries together; 2s = 8 alone is bigger
+    cache = _RankCache(_build_bands, max_bytes=band_bytes(6) + band_bytes(5))
+    cache(6)
+    cache(5)
+    assert cache.cache_info()["keys"] == (6, 5)
+    assert cache.cache_info()["bytes"] == band_bytes(6) + band_bytes(5)
+    cache(6)  # a hit moves 6 to the newest end
+    cache(4)  # evicts 5, the oldest
+    info = cache.cache_info()
+    assert info["keys"] == (6, 4)
+    assert info["bytes"] == band_bytes(6) + band_bytes(4)
+    assert (info["hits"], info["misses"]) == (1, 3)
+    cache(8)  # over budget on its own: every older entry goes, the newest stays
+    info = cache.cache_info()
+    assert info["keys"] == (8,)
+    assert info["bytes"] == band_bytes(8) > info["max_bytes"]
+    for got, ref in zip(cache(8), _build_bands(8)):
+        assert np.array_equal(got, ref)
 
 
 # ------------------------------------------------------------------ tau
