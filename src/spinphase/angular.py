@@ -12,12 +12,13 @@ tensor operators.  Spins and projections are carried as twice-value integers
 so half-integer arithmetic stays exact.
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
-sum, harmonics the normalized Legendre table (one entry for
-spherical_harmonic, distinct colatitudes only for the ring-wise synthesis),
-and d(beta) the per-rank J_y eigenbasis.  All functions here are pure; the
-factorial table is immutable after import and the eigenbasis lives in a
-lock-guarded, byte-bounded _RankCache (the cache kind tensor_ops' bands
-share), so everything is safe to call concurrently.
+sum, d(beta) the per-rank J_y eigenbasis, and harmonics one real, signed
+table T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
+(_norm_legendre_table): spherical_harmonic reads one entry, the ring-wise
+synthesis and quadrature.project build it on distinct colatitudes.  All
+functions here are pure; the factorial table is immutable after import and
+the eigenbasis lives in a lock-guarded, byte-bounded _RankCache (the cache
+kind tensor_ops' bands share), so everything is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -217,28 +218,35 @@ def legendre_sequence(k_max: int, x) -> np.ndarray:
 
 
 def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre table Pbar[k, q] for q >= 0.
+    """Signed harmonic table T[k, k_max + q, point] = Y_kq(theta, 0), x = cos(theta).
 
-    Normalization includes the Condon-Shortley phase and the 1/sqrt(4 pi), so
-    Y_{kq} = Pbar[k, q] * exp(i q phi).  Forward recurrence in the degree on
-    the normalized functions keeps values O(1) at high k.  The sectoral
-    diagonal is a loop over q; the degree recurrence runs once per k for all
-    q < k - 1 at once, with the same scalar operations in the same order.
+    T is Pbar[k, |q|], the fully normalized associated Legendre function
+    (Condon-Shortley phase and 1/sqrt(4 pi) included), times (-1)^q for
+    q < 0, and zero where |q| > k.  Being real, it gives Y_kq = T exp(i q phi)
+    and conj(Y_kq) = T exp(-i q phi) at every q.  The degree recurrence on
+    the normalized functions (O(1) values at high k) fills the q >= 0 half:
+    the sectoral diagonal by a loop over q, then once per k for all q < k - 1
+    at once, with the same scalar operations in the same order.  The q < 0
+    half is then filled once, in place.
     """
     n = x.shape[0]
-    out = np.zeros((k_max + 1, k_max + 1, n), dtype=float)
+    out = np.zeros((k_max + 1, 2 * k_max + 1, n), dtype=float)
+    pbar = out[:, k_max:]
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    out[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    pbar[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for q in range(k_max + 1):
         if q > 0:
-            out[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * sin_t * out[q - 1, q - 1]
+            pbar[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * sin_t * pbar[q - 1, q - 1]
         if q + 1 <= k_max:
-            out[q + 1, q] = math.sqrt(2.0 * q + 3.0) * x * out[q, q]
+            pbar[q + 1, q] = math.sqrt(2.0 * q + 3.0) * x * pbar[q, q]
     for k in range(2, k_max + 1):
         q = np.arange(k - 1)
         a = np.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))[:, None]
         b = np.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
-        out[k, : k - 1] = a * (x * out[k - 1, : k - 1] - b * out[k - 2, : k - 1])
+        pbar[k, : k - 1] = a * (x * pbar[k - 1, : k - 1] - b * pbar[k - 2, : k - 1])
+    # Y_{k,-q}(theta, 0) = (-1)^q Y_kq(theta, 0), for columns q = -k_max..-1
+    sign = np.where(np.arange(k_max, 0, -1) % 2, -1.0, 1.0)
+    np.multiply(pbar[:, :0:-1], sign[:, None], out=out[:, :k_max])
     return out
 
 
@@ -247,11 +255,11 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
 
     a has shape [..., K+1, 2K+1] (leading axes batched); the result has shape
     [..., n_points].  This is the transpose of quadrature.project, done ring
-    by ring: the Legendre table is built on the distinct cos(theta) only, the
-    sum over k gives one g[..., q, ring], and the sum over q takes
-    exp(-i q phi) from the distinct phi only.  O(K^2 R + K N) work for R
-    distinct colatitudes among N points, instead of the O(K^2 N) of a full
-    harmonic table.
+    by ring: the signed table T[k, K + q, ring] = Y_kq(theta, 0) is built on
+    the distinct cos(theta) only, the sum over k gives one g[..., q, ring],
+    and the sum over q takes exp(-i q phi) from the distinct phi only.
+    O(K^2 R + K N) work for R distinct colatitudes among N points, instead of
+    the O(K^2 N) of a full harmonic table.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -259,19 +267,10 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
         raise DomainError("theta and phi must be equal-length 1-d arrays")
     k_max = a.shape[-2] - 1
     x, ring = np.unique(np.cos(theta), return_inverse=True)
-    pbar = _norm_legendre_table(k_max, x)  # [k, |q|, ring]
-    # conj(Y_kq) = Pbar[k, |q|] exp(-i q phi), times (-1)^q for q < 0
-    q = np.arange(-k_max, k_max + 1)
-    sign = np.where((q < 0) & (q % 2 == 1), -1.0, 1.0)
-    g = np.concatenate(
-        [
-            np.einsum("...kp,kpr->...pr", a[..., :k_max], pbar[:, :0:-1]),
-            np.einsum("...kp,kpr->...pr", a[..., k_max:], pbar),
-        ],
-        axis=-2,
-    ) * sign[:, None]
+    # the table [k, K + q, ring] is freed before the [2K + 1, N] gathers below
+    g = np.einsum("...kq,kqr->...qr", a, _norm_legendre_table(k_max, x))
     phis, column = np.unique(phi, return_inverse=True)
-    phase = np.exp(-1j * q[:, None] * phis)
+    phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
     return np.einsum("...qn,qn->...n", g[..., ring], phase[:, column])
 
 
@@ -281,12 +280,8 @@ def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
         raise DomainError(f"spherical_harmonic expects integer k >= 0, got {k!r}")
     if not isinstance(q, (int, np.integer)) or abs(q) > k:
         raise DomainError(f"spherical_harmonic expects integer |q| <= k, got q={q!r}")
-    pbar = _norm_legendre_table(k, np.cos(np.array([float(theta)])))[k, abs(q), 0]
-    phase = np.exp(1j * abs(q) * float(phi))
-    if q >= 0:
-        return complex(pbar * phase)
-    # Y_{k,-q} = (-1)^q conj(Y_kq)
-    return complex((-1.0 if q % 2 else 1.0) * pbar * np.conj(phase))
+    y = _norm_legendre_table(k, np.cos(np.array([float(theta)])))[k, k + q, 0]
+    return complex(y * np.exp(1j * q * float(phi)))
 
 
 def _require_rank_pair(rank, comp) -> tuple[int, int]:

@@ -31,7 +31,8 @@ The singlet correlation never forms the joint distribution on the grid: it
 projects each side's classical vector (classical_spin_vector, the one
 statement of each kind's magnitude and orientation) onto harmonics ring by
 ring (quadrature.project) and contracts the two [k, 2s + q] arrays with the
-singlet's coefficients, O(K^3) for a grid of band K.  Its roundoff bound
+singlet's coefficients, O(K^3) for a grid of band K.  It needs band >= s
+(BandLimitError otherwise; coarser grids alias).  Its roundoff bound
 travels with it, and a result the bound cannot certify to 1e-9 s(s+1)/3
 raises ConsistencyError (P from 2s = 26 on, on band-2s grids).
 """
@@ -227,12 +228,11 @@ def q_direct(rho: DensityMatrix, theta: float, phi: float) -> float:
 
 
 def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
-    """sigma(k, q) as a [k, 2s + q] array; 1 where |q| > k."""
+    """sigma(k, q) as a [k, 2s + q] array: (-1)^(k+q), the singlet's
+    coefficients, for P and Q (zero where |q| > k); all ones for F."""
     if kind is DistributionKind.F:
         return np.ones((ts + 1, 2 * ts + 1))
-    k = np.arange(ts + 1)[:, None]
-    q = np.arange(-ts, ts + 1)
-    return np.where((np.abs(q) <= k) & ((k + q) % 2 == 1), -1.0, 1.0)
+    return _singlet_coefficients(ts)
 
 
 def _weights(kind: DistributionKind, ts: int) -> np.ndarray:
@@ -413,7 +413,8 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     vectors: magnitude s (P), s+1 (Q) or sqrt(s(s+1)) (F), with P and Q
     reading directions as n(pi-theta, phi).  Exact (to roundoff) whenever
     the grid integrates products of band 2s and band 1 harmonics, i.e. for
-    2 * band_limit + 1 >= 2s + 1.
+    band_limit >= s.  Coarser grids alias to wrong values, so they raise
+    BandLimitError, as does band_limit < 2.
 
     Each side's classical component along a (b) is projected onto harmonics
     (quadrature.project), and the two [k, 2s + q] arrays are contracted with
@@ -428,9 +429,10 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     ts = require_spin(s)
     if ts < 1:
         raise DomainError("correlation requires 2s >= 1")
-    if grid.band_limit < 2:
+    if grid.band_limit < 2 or 2 * grid.band_limit < ts:
         raise BandLimitError(
-            f"grid band limit {grid.band_limit} is below the required minimum 2"
+            f"grid band limit {grid.band_limit} is too coarse for 2s = {ts}; "
+            "correlation needs band >= 2 and 2 * band >= 2s"
         )
     av = DirectionVector.from_any(a).as_array()
     bv = DirectionVector.from_any(b).as_array()

@@ -8,8 +8,10 @@ spherical-harmonic polynomial of degree <= 2L+1 to roundoff.
 Integrands are given as arrays of node values (at node_thetas, node_phis)
 and checked for shape and NaN in one vectorized step.  project analyses
 node values into spherical-harmonic coefficients ring by ring: one FFT in
-phi per ring, then a Legendre sum over the rings (the Driscoll-Healy /
-SHTns structure), so the harmonic table over all nodes is never built.
+phi per ring, then one sum over the rings against angular's signed table
+T[k, k_max + q, ring] = Y_kq(theta_ring, 0), which already carries the q < 0
+sign (the Driscoll-Healy / SHTns structure), so the harmonic table over all
+nodes is never built.
 """
 
 from __future__ import annotations
@@ -161,9 +163,10 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     are batched.  Both results have shape [..., k, k_max + q], zero where
     |q| > k.  Each ring takes one FFT in phi and column q is read at index
     q mod n_phi, so this is the same discrete sum as the direct one on any
-    grid, aliasing included.  The theta sum contracts with the normalized
-    Legendre table on the n_theta ring angles: O(k_max^2 n_theta) work and
-    memory instead of the O(k_max^2 N) of a full harmonic table.
+    grid, aliasing included.  The theta sum is one contraction with the
+    signed table T[k, k_max + q, ring] = Y_kq(theta_ring, 0), as conj(Y_kq) =
+    T exp(-i q phi) at every q: O(k_max^2 n_theta) work and memory instead
+    of the O(k_max^2 N) of a full harmonic table.
     """
     if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
@@ -171,17 +174,11 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
     ring_weights = grid.theta_weights * grid.phi_weight
     q = np.arange(-k_max, k_max + 1)
-    # conj(Y_kq) = Pbar[k, |q|] exp(-i q phi), times (-1)^q for q < 0
-    sign = np.where((q < 0) & (q % 2 == 1), -1.0, 1.0)
-    spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * (ring_weights[:, None] * sign)
-    pbar = _norm_legendre_table(k_max, np.cos(grid.thetas))  # [k, |q|, ring]
-    coefficients = np.concatenate(
-        [
-            np.einsum("kpr,...rp->...kp", pbar[:, :0:-1], spectra[..., :k_max]),
-            np.einsum("kpr,...rp->...kp", pbar, spectra[..., k_max:]),
-        ],
-        axis=-1,
-    )
+    spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * ring_weights[:, None]
+    table = _norm_legendre_table(k_max, np.cos(grid.thetas))  # [k, k_max + q, ring]
+    coefficients = np.einsum("kqr,...rq->...kq", table, spectra)
+    # the bound needs |Pbar[k, |q|]| only: reuse the q >= 0 half in place
+    abs_pbar = np.abs(table[:, k_max:], out=table[:, k_max:])
     abs_rings = np.abs(rings).sum(axis=-1) * ring_weights
-    bound = np.einsum("kpr,...r->...kp", np.abs(pbar), abs_rings)[..., np.abs(q)]
+    bound = np.einsum("kpr,...r->...kp", abs_pbar, abs_rings)[..., np.abs(q)]
     return coefficients, grid.n_nodes * np.finfo(float).eps * bound

@@ -44,7 +44,8 @@ def harmonic_table(k_max: int, theta, phi) -> np.ndarray:
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if theta.shape != phi.shape or theta.ndim != 1:
         raise DomainError("theta and phi must be equal-length 1-d arrays")
-    pbar = _norm_legendre_table(k_max, np.cos(theta))
+    # only the q >= 0 half, Pbar[k, q]; the q < 0 rule below is the oracle's own
+    pbar = _norm_legendre_table(k_max, np.cos(theta))[:, k_max:]
     out = np.zeros((k_max + 1, 2 * k_max + 1, theta.shape[0]), dtype=complex)
     for q in range(k_max + 1):
         phase = np.exp(1j * q * phi)

@@ -432,8 +432,25 @@ def norm_legendre_table_loop(k_max, x):
 
 @pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64])
 def test_norm_legendre_table_equals_loop(k_max, rng):
+    # the q >= 0 half, columns k_max + q, is the recurrence itself
     x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 13)])
-    assert np.array_equal(_norm_legendre_table(k_max, x), norm_legendre_table_loop(k_max, x))
+    table = _norm_legendre_table(k_max, x)
+    assert np.array_equal(table[:, k_max:], norm_legendre_table_loop(k_max, x))
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64])
+def test_norm_legendre_table_signed_layout(k_max, rng):
+    # T[k, k_max + q] = Y_kq(theta, 0): column k_max - q is (-1)^q times
+    # column k_max + q, exactly, and every entry with |q| > k is zero
+    x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 13)])
+    table = _norm_legendre_table(k_max, x)
+    assert table.shape == (k_max + 1, 2 * k_max + 1, x.size)
+    for q in range(1, k_max + 1):
+        sign = -1.0 if q % 2 else 1.0
+        assert np.array_equal(table[:, k_max - q], sign * table[:, k_max + q]), q
+    k = np.arange(k_max + 1)[:, None]
+    q = np.arange(-k_max, k_max + 1)
+    assert np.all(table[np.abs(q) > k] == 0.0)
 
 
 @pytest.mark.parametrize("k", range(21))

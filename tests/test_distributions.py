@@ -676,13 +676,34 @@ def joint_matrix_correlation(kind, ts, a, b, grid):
 @pytest.mark.parametrize("kind", list(DistributionKind))
 @pytest.mark.parametrize("ts", [1, 2, 3, 5, 8])
 def test_correlation_equals_joint_matrix_route(kind, ts, rng):
-    # band 2 lies below 2s for 2s = 3, 5, 8, where the phi DFT aliases
-    for band in sorted({2, max(2, ts), ts + 3}):
+    # band 2 lies below 2s for 2s = 3, where the phi DFT aliases; grids of
+    # band < s are refused (test_correlation_refuses_grids_below_band_s)
+    for band in sorted(b for b in {2, max(2, ts), ts + 3} if 2 * b >= ts):
         grid = build_grid(band)
         a, b = random_direction(rng), random_direction(rng)
         ref = joint_matrix_correlation(kind, ts, a, b, grid)
         got = correlation(kind, ts / 2, a, b, grid)
         assert abs(got - ref) <= 1e-12 * abs(ref), (band, got, ref)
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind))
+@pytest.mark.parametrize("ts, band", [(5, 2), (8, 3), (64, 2)])
+def test_correlation_refuses_grids_below_band_s(kind, ts, band):
+    # band < s aliases the band-2s x band-1 product, so the sum would be
+    # wrong: for a = b = z, F at 2s = 64 on band 2 would give -7758 against
+    # the closed form -352, and P at 2s = 8 on band 3 -8321 against -6.67
+    with pytest.raises(BandLimitError) as exc:
+        correlation(kind, ts / 2, [0, 0, 1.0], [0, 0, 1.0], build_grid(band))
+    message = str(exc.value)
+    assert f"band limit {band}" in message and f"2s = {ts}" in message
+    assert "2 * band >= 2s" in message
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind))
+def test_correlation_accepts_band_s(kind, rng):
+    a, b = random_direction(rng), random_direction(rng)
+    got = correlation(kind, 4.0, a, b, build_grid(4))
+    assert abs(got - correlation_exact(4.0, a, b)) <= 1e-9 * 4 * 5 / 3
 
 
 @pytest.mark.parametrize("kind", list(DistributionKind))
@@ -737,14 +758,27 @@ def test_correlation_memory_at_spin_thirty_two(kind):
     assert peak < 100e6
 
 
+@pytest.mark.scale
+def test_correlation_memory_at_spin_sixty_four():
+    # 39 MB with the one signed table that project builds; a signed table
+    # built beside a q >= 0 copy of it reads 55 MB
+    grid = build_grid(128)
+    tracemalloc.start()
+    try:
+        correlation(F, 64.0, [0, 0, 1.0], [0, 1.0, 0], grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6
+
+
 def sign_matrix_loop(kind, ts):
-    out = np.ones((ts + 1, 2 * ts + 1))
     if kind is F:
-        return out
+        return np.ones((ts + 1, 2 * ts + 1))
+    out = np.zeros((ts + 1, 2 * ts + 1))
     for k in range(ts + 1):
         for q in range(-k, k + 1):
-            if (k + q) % 2:
-                out[k, ts + q] = -1.0
+            out[k, ts + q] = -1.0 if (k + q) % 2 else 1.0
     return out
 
 
