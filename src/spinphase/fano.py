@@ -143,15 +143,39 @@ def _first_label(bad: np.ndarray, spins: tuple[int, ...]) -> str:
     return "(" + ", ".join(f"{n}={v}" for n, v in zip(names, ints)) + ")"
 
 
+def _accepts(a: np.ndarray, spins: tuple[int, ...]) -> bool:
+    """True only if `a` passes `_validate_set`'s full-array rule, tested one k1
+    block at a time (a single set is one block) with each factor's |q| > k mask
+    and (-1)^q signs broadcast from [k, 2s + q].  NaN fails every test."""
+    ts1, ts2 = (*spins, 0)[:2]
+    a4 = a.reshape(ts1 + 1, 2 * ts1 + 1, ts2 + 1, 2 * ts2 + 1)
+    q1, q2 = np.arange(-ts1, ts1 + 1), np.arange(-ts2, ts2 + 1)
+    out1, out2 = abs(q1) > np.arange(ts1 + 1)[:, None], abs(q2) > np.arange(ts2 + 1)[:, None]
+    sign = 1 - 2 * ((q1[:, None, None] + q2) % 2)
+    blocks = [(0, ts1 + 1)] if len(spins) == 1 else [(k, k + 1) for k in range(ts1 + 1)]
+    for lo, hi in blocks:
+        b = a4[lo:hi]
+        # q1 = 0..hi-1 against (-q1, -q2): each q1 pair once; q1 >= hi is out of range
+        pair = b[:, ts1 : ts1 + hi].conj() - sign[ts1 : ts1 + hi] * b[:, ts1::-1, :, ::-1][:, :hi]
+        if b.any(where=out1[lo:hi, :, None, None] | out2) or not np.all(abs(pair) <= TENSOR_TOL):
+            return False
+    return abs(a4[0, ts1, 0, ts2] - 1.0) <= TENSOR_TOL
+
+
 def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return a
-    read-only copy.  The comparisons are written so that NaN fails them."""
+    read-only copy.  A valid set is accepted by `_accepts`, whose temporaries
+    are one k1 block; only a set it refuses reruns the full-array rule below,
+    so every error is unchanged.  NaN fails every comparison."""
     a = np.array(values, dtype=complex)
+    a.setflags(write=False)
     expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
     if a.shape != expected:
         raise ValidationError(
             f"{what} incomplete, missing or extra labels: shape {a.shape}, expected {expected}"
         )
+    if _accepts(a, spins):
+        return a
     axes = np.ogrid[tuple(slice(0, d) for d in expected)]
     qs = [col - ts for col, ts in zip(axes[1::2], spins)]
     nonzero_outside = (sum(abs(q) > k for k, q in zip(axes[0::2], qs)) > 0) & (a != 0)
@@ -175,7 +199,6 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
             f"{_first_label(bad, spins)}: largest |conj(t) - (-1)^q t_(-q)| = "
             f"{np.max(defect[bad]):.3e} exceeds tolerance {TENSOR_TOL:g}"
         )
-    a.setflags(write=False)
     return a
 
 
@@ -333,12 +356,9 @@ def singlet_density(s) -> BipartiteDensityMatrix:
     ts = require_spin(s)
     n = ts + 1
     out = np.zeros((n * n, n * n), dtype=complex)
-    for ip in range(n):
-        jp = ts - ip  # m2' = -m1'
-        for i in range(n):
-            j = ts - i  # m2 = -m1
-            sign = -1.0 if (ip - i) % 2 else 1.0
-            out[ip * n + jp, i * n + j] = sign / n
+    i = np.arange(n)
+    rows = i * n + ts - i  # row (m1, m2) with m2 = -m1
+    out[np.ix_(rows, rows)] = np.where((i[:, None] - i) % 2, -1.0, 1.0) / n
     return BipartiteDensityMatrix(HalfInteger(ts), HalfInteger(ts), out)
 
 

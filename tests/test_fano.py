@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,72 @@ def partial_trace_oracle(rho_matrix, n1, n2, which):
                 for i in range(n1):
                     out[j, l] += rho_matrix[i * n2 + j, i * n2 + l]
     return out
+
+
+def full_array_rule(values, spins, what):
+    """The tensor-set check as one computation over the whole array (the rule
+    before blockwise validation): every label mask, the reversed conjugate
+    and the defect are full-size.  Returns the accepted array or raises."""
+    a = np.array(values, dtype=complex)
+    expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
+    if a.shape != expected:
+        raise ValidationError(
+            f"{what} incomplete, missing or extra labels: shape {a.shape}, expected {expected}"
+        )
+    flip = tuple(slice(None, None, -1 if ax % 2 else 1) for ax in range(a.ndim))
+
+    def first_label(bad):
+        index = np.argwhere(bad[flip])[0]
+        names = ("k", "q") if len(spins) == 1 else ("k1", "q1", "k2", "q2")
+        ints = [int(i) if ax % 2 == 0 else spins[ax // 2] - int(i) for ax, i in enumerate(index)]
+        return "(" + ", ".join(f"{n}={v}" for n, v in zip(names, ints)) + ")"
+
+    axes = np.ogrid[tuple(slice(0, d) for d in expected)]
+    qs = [col - ts for col, ts in zip(axes[1::2], spins)]
+    nonzero_outside = (sum(abs(q) > k for k, q in zip(axes[0::2], qs)) > 0) & (a != 0)
+    if np.any(nonzero_outside):
+        raise ValidationError(
+            f"{what} has out-of-range labels: {first_label(nonzero_outside)} "
+            "is nonzero, expected exactly 0"
+        )
+    origin = sum(((0, ts) for ts in spins), ())
+    norm_defect = abs(a[origin] - 1.0)
+    if not norm_defect <= 1e-12:
+        raise ValidationError(
+            f"{what}: normalization violated: rank-0 coefficient = {a[origin]:.15g}, "
+            f"expected 1 (defect {norm_defect:.3e}, tolerance 1e-12)"
+        )
+    defect = np.abs(np.conj(a) - (1 - 2 * (sum(qs) % 2)) * a[flip])
+    bad = ~(defect <= 1e-12)
+    if np.any(bad):
+        raise ValidationError(
+            f"{what}: hermiticity (conjugation symmetry) violated, first at "
+            f"{first_label(bad)}: largest |conj(t) - (-1)^q t_(-q)| = "
+            f"{np.max(defect[bad]):.3e} exceeds tolerance 1e-12"
+        )
+    return a
+
+
+def build_set(values, spins):
+    if len(spins) == 1:
+        return FanoTensorSet(spins[0] / 2, values)
+    return CoupledFanoTensorSet(spins[0] / 2, spins[1] / 2, values)
+
+
+def assert_same_verdict(values, spins):
+    """The library's check and the full-array rule accept the same arrays
+    and raise the same messages."""
+    what = "tensor set" if len(spins) == 1 else "coupled tensor set"
+    try:
+        expected = full_array_rule(values, spins, what)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            build_set(values, spins)
+        assert str(info.value) == str(exc)
+        return
+    got = build_set(values, spins).values
+    assert np.array_equal(got, expected)
+    assert not got.flags.writeable
 
 
 # ------------------------------------------------------------- validation
@@ -139,6 +206,113 @@ def test_tensor_set_rejects_bad_normalization():
     vals = np.array([[0.0, 0.9, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValidationError, match="normalization"):
         FanoTensorSet(0.5, vals)
+
+
+def valid_set(spins, seed=7):
+    rng = np.random.default_rng(seed)
+    if len(spins) == 1:
+        return np.array(decompose(random_density(rng, spins[0])).values)
+    return np.array(decompose_bipartite(random_bipartite_density(rng, *spins)).values)
+
+
+def column_index(spins, label):
+    """Array index of a label (k, q) or (k1, q1, k2, q2), in range or not."""
+    return tuple(v if ax % 2 == 0 else spins[ax // 2] + v for ax, v in enumerate(label))
+
+
+# NaN placed at q1 >= 0 and q1 < 0, in the first k1 block and the last, and
+# at an out-of-range label; the coupled cases take equal and unequal spins
+NAN_LABELS = [
+    ((3,), (0, 0)),  # the single set's first block holds only t^0_0
+    ((3,), (1, 1)),
+    ((3,), (3, -2)),
+    ((3,), (3, 3)),
+    ((3,), (0, 2)),  # out of range
+    ((2, 2), (0, 0, 1, 1)),
+    ((2, 2), (0, 0, 2, -2)),
+    ((2, 2), (2, 1, 0, 0)),
+    ((2, 2), (2, -2, 2, 1)),
+    ((2, 2), (0, 1, 0, 0)),  # out of range in q1
+    ((2, 2), (2, 0, 1, -2)),  # out of range in q2
+    ((1, 3), (0, 0, 3, -1)),
+    ((1, 3), (1, 1, 2, 2)),
+    ((1, 3), (1, -1, 0, 0)),
+    ((1, 3), (0, -1, 3, 3)),  # out of range in q1
+    ((3, 1), (0, 0, 1, 1)),
+    ((3, 1), (3, -3, 1, 0)),
+    ((3, 1), (3, 2, 0, 0)),
+    ((3, 1), (2, 1, 0, -1)),  # out of range in q2
+]
+
+
+@pytest.mark.parametrize("spins, label", NAN_LABELS)
+def test_tensor_set_rejects_nan(spins, label):
+    vals = valid_set(spins)
+    vals[column_index(spins, label)] = np.nan
+    with pytest.raises(ValidationError):
+        build_set(vals, spins)
+    assert_same_verdict(vals, spins)
+
+
+@pytest.mark.parametrize("spins", [(3,), (2, 2), (1, 3), (3, 1)])
+def test_tensor_set_nan_defect_outlives_later_finite_defects(spins):
+    # a NaN in the first block and a finite defect in the last: the largest
+    # defect reported stays nan, as a running maximum that drops NaN would not
+    vals = valid_set(spins)
+    first = (1, 1) if len(spins) == 1 else (0, 0, 1, 1)
+    last = (spins[0], -1) if len(spins) == 1 else (spins[0], -1, spins[1], 0)
+    vals[column_index(spins, first)] = np.nan
+    vals[column_index(spins, last)] += 1e-6
+    with pytest.raises(ValidationError, match=r"first at .* = nan exceeds"):
+        build_set(vals, spins)
+    assert_same_verdict(vals, spins)
+
+
+PERTURBATIONS = [0.0, -0.0, 1e-300, 4e-13, 2e-12, 1e-6j, 0.25 - 0.5j, np.nan, np.inf]
+
+
+@given(
+    ts1=st.integers(0, 6),
+    ts2=st.integers(0, 6),
+    seed=st.integers(0, 2**31 - 1),
+    where=st.sampled_from(["in_range", "out_of_range", "mirror"]),
+    delta=st.sampled_from(PERTURBATIONS),
+    pick=st.floats(0, 1, exclude_max=True),
+)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_coupled_validation_matches_full_array_rule(ts1, ts2, seed, where, delta, pick):
+    spins = (ts1, ts2)
+    vals = valid_set(spins, seed)
+    assert_same_verdict(vals, spins)
+    k1, c1, k2, c2 = np.indices(vals.shape)
+    outside = (abs(c1 - ts1) > k1) | (abs(c2 - ts2) > k2)
+    candidates = np.argwhere(outside if where == "out_of_range" else ~outside)
+    if len(candidates) == 0:
+        return
+    index = tuple(candidates[int(pick * len(candidates))])
+    vals[index] += delta
+    if where == "mirror":
+        # the conjugation-symmetric partner at (-q1, -q2) moves with it
+        mirror = (index[0], 2 * ts1 - index[1], index[2], 2 * ts2 - index[3])
+        sign = -1 if (index[1] + index[3] - ts1 - ts2) % 2 else 1
+        vals[mirror] += sign * np.conj(delta)
+    assert_same_verdict(vals, spins)
+
+
+@given(
+    ts=st.integers(0, 8),
+    seed=st.integers(0, 2**31 - 1),
+    delta=st.sampled_from(PERTURBATIONS),
+    pick=st.floats(0, 1, exclude_max=True),
+)
+@settings(max_examples=100, deadline=None)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_single_validation_matches_full_array_rule(ts, seed, delta, pick):
+    vals = valid_set((ts,), seed)
+    index = np.unravel_index(int(pick * vals.size), vals.shape)
+    vals[index] += delta
+    assert_same_verdict(vals, (ts,))
 
 
 # -------------------------------------------------------------- decompose
@@ -353,6 +527,36 @@ def test_rotate_matches_d_matrix_route_over_beta(ts, rng):
 
 
 # ---------------------------------------------------------------- singlet
+
+
+def singlet_density_loop(ts):
+    """The singlet matrix written one entry at a time."""
+    n = ts + 1
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for ip in range(n):
+        jp = ts - ip  # m2' = -m1'
+        for i in range(n):
+            j = ts - i  # m2 = -m1
+            sign = -1.0 if (ip - i) % 2 else 1.0
+            out[ip * n + jp, i * n + j] = sign / n
+    return out
+
+
+@pytest.mark.parametrize("ts", range(13))
+def test_singlet_density_matches_loop(ts):
+    assert np.array_equal(singlet_density(ts / 2).matrix, singlet_density_loop(ts))
+
+
+def test_singlet_tensors_memory_peak():
+    # validation reads one k1 block at a time: the peak is the built array
+    # and its defensive copy, not several full-size label arrays
+    tracemalloc.start()
+    try:
+        t12 = singlet_tensors(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * t12.values.nbytes
 
 
 def test_singlet_density_spin_half_entries():
