@@ -16,9 +16,9 @@ sum, d(beta) the per-rank J_y eigenbasis, and harmonics one real, signed
 table T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
 (_norm_legendre_table): spherical_harmonic reads one entry, the ring-wise
 synthesis and quadrature.project build it on distinct colatitudes.  All
-functions here are pure; the factorial table is immutable after import and
-the eigenbasis lives in a lock-guarded, byte-bounded _RankCache (the cache
-kind tensor_ops' bands share), so everything is safe to call concurrently.
+functions here are pure; the factorial table is immutable after import, and
+the eigenbases and Legendre recurrence coefficients live in lock-guarded,
+byte-bounded _RankCaches (as tensor_ops' bands do): safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _TABLE_MAX = 500
+_SYNTHESIS_BLOCK_BYTES = 16_000_000  # _synthesize's two gathers, per block of points
 
 
 def _build_log_factorials(n_max):
@@ -217,6 +218,19 @@ def legendre_sequence(k_max: int, x) -> np.ndarray:
     return out
 
 
+def _build_legendre_coefficients(k_max: int) -> tuple[np.ndarray, ...]:
+    """_norm_legendre_table's coefficients: sectoral 1/sqrt(4 pi), then
+    -sqrt((2q+1)/(2q)); sub-diagonal sqrt(2q+3); degree recurrence a[k, q] and
+    b[k, q], zero unless q < k - 1; the sign (-1)^q of columns q = -k_max..-1."""
+    q = np.arange(1, k_max + 1)
+    k, p = np.tril_indices(k_max + 1, -2)  # every (k, q) with q < k - 1
+    a, b = np.zeros((2, k_max + 1, k_max + 1, 1))
+    a[k, p, 0] = np.sqrt((4.0 * k * k - 1.0) / (k * k - p * p))
+    b[k, p, 0] = np.sqrt(((k - 1.0) ** 2 - p * p) / (4.0 * (k - 1.0) ** 2 - 1.0))
+    sectoral = np.append(1.0 / math.sqrt(4.0 * math.pi), -np.sqrt((2.0 * q + 1.0) / (2.0 * q)))
+    return sectoral, np.sqrt(2.0 * q + 1.0), a, b, np.where(q[::-1] % 2, -1.0, 1.0)
+
+
 def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
     """Signed harmonic table T[k, k_max + q, point] = Y_kq(theta, 0), x = cos(theta).
 
@@ -224,28 +238,23 @@ def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
     (Condon-Shortley phase and 1/sqrt(4 pi) included), times (-1)^q for
     q < 0, and zero where |q| > k.  Being real, it gives Y_kq = T exp(i q phi)
     and conj(Y_kq) = T exp(-i q phi) at every q.  The degree recurrence on
-    the normalized functions (O(1) values at high k) fills the q >= 0 half:
-    the sectoral diagonal by a loop over q, then once per k for all q < k - 1
-    at once, with the same scalar operations in the same order.  The q < 0
-    half is then filled once, in place.
+    the normalized functions (coefficients cached per k_max) fills q >= 0: the
+    sectoral diagonal as one cumprod, the sub-diagonal in one step, then once
+    per k for all q < k - 1, with the scalar operations of the entry-by-entry
+    recurrence in the same order.  The q < 0 half is then filled in place.
     """
-    n = x.shape[0]
-    out = np.zeros((k_max + 1, 2 * k_max + 1, n), dtype=float)
+    sectoral, sub, a, b, sign = _legendre_coefficients(k_max)
+    out = np.zeros((k_max + 1, 2 * k_max + 1, x.shape[0]), dtype=float)
     pbar = out[:, k_max:]
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    pbar[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for q in range(k_max + 1):
-        if q > 0:
-            pbar[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * sin_t * pbar[q - 1, q - 1]
-        if q + 1 <= k_max:
-            pbar[q + 1, q] = math.sqrt(2.0 * q + 3.0) * x * pbar[q, q]
+    diag = np.cumprod(np.vstack([np.full_like(x, sectoral[0]), sectoral[1:, None] * sin_t]), 0)
+    q = np.arange(k_max + 1)
+    pbar[q, q] = diag
+    pbar[q[1:], q[:-1]] = sub[:, None] * x * diag[:-1]
     for k in range(2, k_max + 1):
-        q = np.arange(k - 1)
-        a = np.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))[:, None]
-        b = np.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
-        pbar[k, : k - 1] = a * (x * pbar[k - 1, : k - 1] - b * pbar[k - 2, : k - 1])
+        low = slice(k - 1)
+        pbar[k, low] = a[k, low] * (x * pbar[k - 1, low] - b[k, low] * pbar[k - 2, low])
     # Y_{k,-q}(theta, 0) = (-1)^q Y_kq(theta, 0), for columns q = -k_max..-1
-    sign = np.where(np.arange(k_max, 0, -1) % 2, -1.0, 1.0)
     np.multiply(pbar[:, :0:-1], sign[:, None], out=out[:, :k_max])
     return out
 
@@ -258,8 +267,8 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
     by ring: the signed table T[k, K + q, ring] = Y_kq(theta, 0) is built on
     the distinct cos(theta) only, the sum over k gives one g[..., q, ring],
     and the sum over q takes exp(-i q phi) from the distinct phi only.
-    O(K^2 R + K N) work for R distinct colatitudes among N points, instead of
-    the O(K^2 N) of a full harmonic table.
+    O(K^2 R + K N) work for R distinct colatitudes among N points; the q sum
+    runs over blocks of points whose two gathers fit in _SYNTHESIS_BLOCK_BYTES.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -267,11 +276,15 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
         raise DomainError("theta and phi must be equal-length 1-d arrays")
     k_max = a.shape[-2] - 1
     x, ring = np.unique(np.cos(theta), return_inverse=True)
-    # the table [k, K + q, ring] is freed before the [2K + 1, N] gathers below
+    # the table [k, K + q, ring] is freed before the [2K + 1, block] gathers below
     g = np.einsum("...kq,kqr->...qr", a, _norm_legendre_table(k_max, x))
     phis, column = np.unique(phi, return_inverse=True)
     phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
-    return np.einsum("...qn,qn->...n", g[..., ring], phase[:, column])
+    out = np.empty(g.shape[:-2] + theta.shape, dtype=complex)
+    step = max(1, _SYNTHESIS_BLOCK_BYTES // (16 * (math.prod(g.shape[:-1]) + phase.shape[0])))
+    for pts in (slice(p, p + step) for p in range(0, theta.shape[0], step)):
+        out[..., pts] = np.einsum("...qn,qn->...n", g[..., ring[pts]], phase[:, column[pts]])
+    return out
 
 
 def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
@@ -291,9 +304,10 @@ def _require_rank_pair(rank, comp) -> tuple[int, int]:
 
 
 class _RankCache:
-    """LRU map from an integer key (a twice-rank or twice-spin) to a tuple of
-    read-only arrays, bounded by the bytes it holds rather than by its number
-    of entries.  Holds the J_y eigenbases here and tensor_ops' bands.
+    """LRU map from an integer key (a twice-rank, twice-spin or k_max) to a
+    tuple of arrays, frozen read-only on entry and bounded by the bytes held
+    rather than by the number of entries.  Holds the J_y eigenbases and the
+    Legendre recurrence coefficients here, and tensor_ops' bands.
 
     A miss builds the entry; the oldest entries are then evicted until the
     held bytes are back under max_bytes (the newest entry always stays).
@@ -317,6 +331,8 @@ class _RankCache:
                 return entry
             self._misses += 1
         entry = self._build(key)
+        for a in entry:
+            a.setflags(write=False)
         with self._lock:
             if key not in self._entries:
                 self._entries[key] = entry
@@ -358,7 +374,7 @@ def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
         d[a, b] = sum_mu G_{a mu} G_{b mu} cos(beta mu)    a, b of one parity,
         d[a, b] = +-sum_mu G_{a mu} G_{b mu} sin(beta mu)  + for odd a, - for odd b.
 
-    Returns (G[even a], G[odd a]), read-only.
+    Returns (G[even a], G[odd a]); the cache makes them read-only.
     """
     n = tk + 1
     j = tk / 2.0
@@ -368,15 +384,15 @@ def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
     _, vecs = np.linalg.eigh(np.diag(half_jp, 1) + np.diag(half_jp, -1))
     sigma = np.where(np.arange(n) % 4 < 2, 1.0, -1.0)
     g = sigma[:, None] * vecs
-    out = (np.ascontiguousarray(g[::2]), np.ascontiguousarray(g[1::2]))
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return np.ascontiguousarray(g[::2]), np.ascontiguousarray(g[1::2])
 
 
 # integer-keyed by twice-rank; an entry is n^2 doubles for n = tk + 1, so
 # every integer rank k <= 200 (one rotation at 2s = 200) takes 86.6 MB
 _jy_eigenbasis = _RankCache(_build_jy_eigenbasis, max_bytes=100_000_000)
+
+# integer-keyed by k_max; an entry is about 2 (k_max + 1)^2 doubles, 0.65 MB at 200
+_legendre_coefficients = _RankCache(_build_legendre_coefficients, max_bytes=10_000_000)
 
 
 def _small_d(tk: int, beta: float) -> np.ndarray:

@@ -162,12 +162,15 @@ def _accepts(a: np.ndarray, spins: tuple[int, ...]) -> bool:
     return abs(a4[0, ts1, 0, ts2] - 1.0) <= TENSOR_TOL
 
 
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf and 0 * inf: refused, not warned
 def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
-    """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return a
-    read-only copy.  A valid set is accepted by `_accepts`, whose temporaries
-    are one k1 block; only a set it refuses reruns the full-array rule below,
-    so every error is unchanged.  NaN fails every comparison."""
-    a = np.array(values, dtype=complex)
+    """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return it
+    read-only: a read-only complex128 ndarray owning its data (see _frozen) is
+    adopted, anything else copied.  `_accepts`, with one k1 block of temporaries,
+    passes a valid set; only a refused set reruns the full-array rule below, so
+    every error is unchanged.  NaN fails every comparison, and inf raises no warning."""
+    adopt = type(values) is np.ndarray and values.dtype == complex and values.flags.owndata
+    a = values if adopt and not values.flags.writeable else np.array(values, dtype=complex)
     a.setflags(write=False)
     expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
     if a.shape != expected:
@@ -199,6 +202,12 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
             f"{_first_label(bad, spins)}: largest |conj(t) - (-1)^q t_(-q)| = "
             f"{np.max(defect[bad]):.3e} exceeds tolerance {TENSOR_TOL:g}"
         )
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Freeze an array just built, so that _validate_set adopts it uncopied."""
+    a.setflags(write=False)
     return a
 
 
@@ -269,7 +278,7 @@ class CoupledFanoTensorSet:
 
 def decompose(rho: DensityMatrix) -> FanoTensorSet:
     """Multipole coefficients t^k_q = Tr(rho tau^k_q)."""
-    return FanoTensorSet(rho.s, operator_components(rho.matrix))
+    return FanoTensorSet(rho.s, _frozen(operator_components(rho.matrix)))
 
 
 def reconstruct(t: FanoTensorSet) -> DensityMatrix:
@@ -283,8 +292,8 @@ def decompose_bipartite(rho12: BipartiteDensityMatrix) -> CoupledFanoTensorSet:
     # (m1, m2, m1', m2') -> (m1, m1', m2, m2'), trace factor 2, then factor 1
     mat4 = rho12.matrix.reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3)
     partial = operator_components(mat4).transpose(2, 3, 0, 1)
-    t4 = operator_components(partial).transpose(2, 3, 0, 1)
-    return CoupledFanoTensorSet(rho12.s1, rho12.s2, t4)
+    t4 = np.ascontiguousarray(operator_components(partial).transpose(2, 3, 0, 1))
+    return CoupledFanoTensorSet(rho12.s1, rho12.s2, _frozen(t4))
 
 
 def reconstruct_bipartite(t12: CoupledFanoTensorSet) -> BipartiteDensityMatrix:
@@ -343,7 +352,7 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
         cols = slice(ts - k, ts + k + 1)
         # d orders q = k..-k, the reverse of the array columns
         out[k, cols] = (_small_d(2 * k, beta) @ out[k, cols][::-1])[::-1]
-    return FanoTensorSet(t.s, np.exp(1j * q * float(alpha)) * out)
+    return FanoTensorSet(t.s, _frozen(np.exp(1j * q * float(alpha)) * out))
 
 
 def singlet_density(s) -> BipartiteDensityMatrix:
@@ -382,4 +391,4 @@ def singlet_tensors(s) -> CoupledFanoTensorSet:
     t4 = np.zeros((n, 2 * ts + 1, n, 2 * ts + 1), dtype=complex)
     # column 2s + q pairs with column 2s - q
     t4[k, col, k, 2 * ts - col] = diagonal[k, col]
-    return CoupledFanoTensorSet(HalfInteger(ts), HalfInteger(ts), t4)
+    return CoupledFanoTensorSet(HalfInteger(ts), HalfInteger(ts), _frozen(t4))

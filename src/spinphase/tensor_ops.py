@@ -42,7 +42,6 @@ def _build_bands(ts: int) -> tuple[np.ndarray, ...]:
                 tm = ts - 2 * (j + max(q, 0))  # column holds m = s - col
                 # <s m; k q | s m+q>: every label here passes the selection rules
                 band[k - abs(q), j] = scale * _racah_cg(ts, 2 * k, ts, tm, 2 * q, tm + 2 * q)
-        band.setflags(write=False)
         out.append(band)
     return tuple(out)
 

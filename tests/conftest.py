@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,30 @@ def random_direction(rng) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)
+
+
+def norm_legendre_table_oracle(k_max: int, x: np.ndarray) -> np.ndarray:
+    """The signed table T[k, k_max + q, point] = Y_kq(theta, 0) as built
+    before its recurrence coefficients were cached: every coefficient computed
+    per call, the sectoral diagonal by a loop over q, then the degree
+    recurrence once per k for all q < k - 1, and the q < 0 half by sign."""
+    out = np.zeros((k_max + 1, 2 * k_max + 1, x.shape[0]), dtype=float)
+    pbar = out[:, k_max:]
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    pbar[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for q in range(k_max + 1):
+        if q > 0:
+            pbar[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * sin_t * pbar[q - 1, q - 1]
+        if q + 1 <= k_max:
+            pbar[q + 1, q] = math.sqrt(2.0 * q + 3.0) * x * pbar[q, q]
+    for k in range(2, k_max + 1):
+        q = np.arange(k - 1)
+        a = np.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))[:, None]
+        b = np.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
+        pbar[k, : k - 1] = a * (x * pbar[k - 1, : k - 1] - b * pbar[k - 2, : k - 1])
+    sign = np.where(np.arange(k_max, 0, -1) % 2, -1.0, 1.0)
+    np.multiply(pbar[:, :0:-1], sign[:, None], out=out[:, :k_max])
+    return out
 
 
 def harmonic_table(k_max: int, theta, phi) -> np.ndarray:

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spinphase import (
     DomainError,
     FanoTensorSet,
     HalfInteger,
+    build_grid,
     clebsch_gordan,
     legendre_sequence,
     log_factorial,
@@ -21,8 +23,15 @@ from spinphase import (
     wigner_D_matrix,
     wigner_d,
 )
-from conftest import harmonic_table
-from spinphase.angular import _jy_eigenbasis, _norm_legendre_table, _RankCache
+from conftest import harmonic_table, norm_legendre_table_oracle
+from spinphase import angular
+from spinphase.angular import (
+    _jy_eigenbasis,
+    _legendre_coefficients,
+    _norm_legendre_table,
+    _RankCache,
+    _synthesize,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -438,6 +447,26 @@ def test_norm_legendre_table_equals_loop(k_max, rng):
     assert np.array_equal(table[:, k_max:], norm_legendre_table_loop(k_max, x))
 
 
+@pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64, 200])
+def test_norm_legendre_table_equals_oracle(k_max, rng):
+    # the whole signed table, bit for bit, against the per-call build; twice,
+    # so the second call reads the cached recurrence coefficients
+    x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 13), np.cos(rng.uniform(0, 3, 8))])
+    expected = norm_legendre_table_oracle(k_max, x)
+    assert np.array_equal(_norm_legendre_table(k_max, x), expected)
+    assert np.array_equal(_norm_legendre_table(k_max, x), expected)
+    assert k_max in _legendre_coefficients.cache_info()["keys"]
+
+
+def test_legendre_coefficient_cache_is_bounded_and_read_only():
+    assert isinstance(_legendre_coefficients, _RankCache)
+    # one entry at k_max = 200 is about 0.65 MB: a spin sweep keeps ~15 of them
+    assert _legendre_coefficients.max_bytes == 10_000_000
+    entry = _legendre_coefficients(200)
+    assert 0.6e6 < sum(c.nbytes for c in entry) < 0.7e6
+    assert not any(c.flags.writeable for c in entry)
+
+
 @pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64])
 def test_norm_legendre_table_signed_layout(k_max, rng):
     # T[k, k_max + q] = Y_kq(theta, 0): column k_max - q is (-1)^q times
@@ -627,3 +656,52 @@ def test_wigner_domain():
         wigner_D(1, 2, 0, 0.1, 0.2, 0.3)
     with pytest.raises(DomainError):
         wigner_d(1, 0.5, 0, 0.1)  # parity mismatch with integer rank
+
+
+def unblocked_synthesis(a, theta, phi):
+    """_synthesize's q sum in one step, both [2K + 1, N] gathers at once."""
+    k_max = a.shape[-2] - 1
+    x, ring = np.unique(np.cos(theta), return_inverse=True)
+    g = np.einsum("...kq,kqr->...qr", a, _norm_legendre_table(k_max, x))
+    phis, column = np.unique(phi, return_inverse=True)
+    phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
+    return np.einsum("...qn,qn->...n", g[..., ring], phase[:, column])
+
+
+def random_coefficients(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("budget", [1, 16 * 5 * 7, 16 * 5 * 40, 16_000_000])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_synthesize_blocks_equal_one_step(budget, batch, rng, monkeypatch):
+    # budgets of one point per block, blocks that do not divide N, and one block
+    k_max = 2
+    a = random_coefficients(rng, batch + (k_max + 1, 2 * k_max + 1))
+    grid = build_grid(4)
+    theta = np.concatenate([grid.node_thetas, rng.uniform(0, math.pi, 7)])
+    phi = np.concatenate([grid.node_phis, rng.uniform(0, 2 * math.pi, 7)])
+    monkeypatch.setattr(angular, "_SYNTHESIS_BLOCK_BYTES", budget)
+    got = _synthesize(a, theta, phi)
+    assert got.shape == batch + theta.shape
+    assert np.array_equal(got, unblocked_synthesis(a, theta, phi))
+
+
+def test_synthesize_no_points():
+    assert _synthesize(np.ones((3, 5), dtype=complex), [], []).shape == (0,)
+
+
+@pytest.mark.scale
+def test_synthesize_memory_at_spin_one_twenty_eight(rng):
+    # the two [2K + 1, N] gathers of the one-step sum alone take 2 x 137 MB here
+    k_max = 128
+    a = random_coefficients(rng, (k_max + 1, 2 * k_max + 1))
+    grid = build_grid(k_max)
+    tracemalloc.start()
+    try:
+        got = _synthesize(a, grid.node_thetas, grid.node_phis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80e6
+    assert np.array_equal(got, unblocked_synthesis(a, grid.node_thetas, grid.node_phis))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -106,25 +107,40 @@ def full_array_rule(values, spins, what):
 
 
 def build_set(values, spins):
-    if len(spins) == 1:
-        return FanoTensorSet(spins[0] / 2, values)
-    return CoupledFanoTensorSet(spins[0] / 2, spins[1] / 2, values)
+    """The tensor set of `values`, with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if len(spins) == 1:
+            return FanoTensorSet(spins[0] / 2, values)
+        return CoupledFanoTensorSet(spins[0] / 2, spins[1] / 2, values)
+
+
+def frozen_copy(values):
+    out = np.array(values, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
 def assert_same_verdict(values, spins):
     """The library's check and the full-array rule accept the same arrays
-    and raise the same messages."""
+    and raise the same messages, for the values passed writeable (copied)
+    and as a read-only array of their own (adopted); the library warns
+    nothing on the way."""
     what = "tensor set" if len(spins) == 1 else "coupled tensor set"
     try:
-        expected = full_array_rule(values, spins, what)
+        with np.errstate(invalid="ignore", over="ignore"):  # the oracle's inf - inf
+            expected = full_array_rule(values, spins, what)
     except ValidationError as exc:
-        with pytest.raises(ValidationError) as info:
-            build_set(values, spins)
-        assert str(info.value) == str(exc)
+        for given_values in (values, frozen_copy(values)):
+            with pytest.raises(ValidationError) as info:
+                build_set(given_values, spins)
+            assert str(info.value) == str(exc)
         return
     got = build_set(values, spins).values
     assert np.array_equal(got, expected)
     assert not got.flags.writeable
+    adopted = frozen_copy(values)
+    assert build_set(adopted, spins).values is adopted
 
 
 # ------------------------------------------------------------- validation
@@ -280,7 +296,6 @@ PERTURBATIONS = [0.0, -0.0, 1e-300, 4e-13, 2e-12, 1e-6j, 0.25 - 0.5j, np.nan, np
     pick=st.floats(0, 1, exclude_max=True),
 )
 @settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 def test_coupled_validation_matches_full_array_rule(ts1, ts2, seed, where, delta, pick):
     spins = (ts1, ts2)
     vals = valid_set(spins, seed)
@@ -307,12 +322,97 @@ def test_coupled_validation_matches_full_array_rule(ts1, ts2, seed, where, delta
     pick=st.floats(0, 1, exclude_max=True),
 )
 @settings(max_examples=100, deadline=None)
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 def test_single_validation_matches_full_array_rule(ts, seed, delta, pick):
     vals = valid_set((ts,), seed)
     index = np.unravel_index(int(pick * vals.size), vals.shape)
     vals[index] += delta
     assert_same_verdict(vals, (ts,))
+
+
+NON_FINITE = [np.inf, -np.inf, np.nan, complex(0, np.inf), complex(np.inf, -np.inf)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("spins, label", NAN_LABELS[:2] + NAN_LABELS[4:7] + NAN_LABELS[9:11])
+def test_tensor_set_rejects_non_finite_without_warnings(spins, label, value):
+    vals = valid_set(spins)
+    vals[column_index(spins, label)] = value
+    with pytest.raises(ValidationError):
+        build_set(vals, spins)
+    with pytest.raises(ValidationError):
+        build_set(frozen_copy(vals), spins)
+    assert_same_verdict(vals, spins)
+
+
+# ------------------------------------------------------ ownership of values
+
+
+def test_writeable_values_are_copied():
+    vals = valid_set((3,))
+    t = FanoTensorSet(1.5, vals)
+    before = t.values.copy()
+    vals[2, 3] = 99.0
+    assert t.values is not vals
+    assert np.array_equal(t.values, before)
+    assert not t.values.flags.writeable
+
+
+def test_list_values_are_copied():
+    vals = valid_set((2,))
+    t = FanoTensorSet(1.0, vals.tolist())
+    assert np.array_equal(t.values, vals)
+    assert not t.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: v.real.copy(),  # float64: converted
+        lambda v: v.astype(np.complex64).astype(np.dtype(">c16")),  # not native complex128
+        lambda v: np.concatenate([v, v])[: len(v)],  # a view: does not own its data
+    ],
+)
+def test_read_only_values_not_adoptable_are_copied(make):
+    vals = make(np.array(singlet_tensors(1).values))
+    vals.setflags(write=False)
+    t = CoupledFanoTensorSet(1, 1, vals)
+    assert t.values is not vals
+    assert t.values.dtype == complex and t.values.flags.owndata
+    assert np.array_equal(t.values, vals)
+
+
+def test_read_only_owned_complex_values_are_adopted():
+    vals = frozen_copy(valid_set((2, 1)))
+    assert CoupledFanoTensorSet(1, 0.5, vals).values is vals
+
+
+@pytest.mark.parametrize("spins", [(2,), (2, 3)])
+def test_adopted_symmetry_defect_reports_as_copied(spins):
+    vals = valid_set(spins)
+    label = (2, 1) if len(spins) == 1 else (2, 1, 1, -1)
+    vals[column_index(spins, label)] += 3e-9
+    with pytest.raises(ValidationError, match="hermiticity") as copied:
+        build_set(vals, spins)
+    with pytest.raises(ValidationError) as adopted:
+        build_set(frozen_copy(vals), spins)
+    assert str(adopted.value) == str(copied.value)
+
+
+def test_builders_hand_over_read_only_values(rng):
+    t = decompose(random_density(rng, 3))
+    sets = [
+        t,
+        rotate_tensors(t, 0.3, 1.2, -0.4),
+        decompose_bipartite(random_bipartite_density(rng, 2, 1)),
+        singlet_tensors(1.5),
+    ]
+    for tensor_set in sets:
+        values = tensor_set.values
+        assert not values.flags.writeable
+        assert values.flags.owndata and values.flags.c_contiguous
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
 
 
 # -------------------------------------------------------------- decompose
@@ -548,15 +648,15 @@ def test_singlet_density_matches_loop(ts):
 
 
 def test_singlet_tensors_memory_peak():
-    # validation reads one k1 block at a time: the peak is the built array
-    # and its defensive copy, not several full-size label arrays
+    # validation reads one k1 block at a time and adopts the built array
+    # without a copy: the peak is that array and one block's temporaries
     tracemalloc.start()
     try:
         t12 = singlet_tensors(12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * t12.values.nbytes
+    assert peak <= 1.3 * t12.values.nbytes
 
 
 def test_singlet_density_spin_half_entries():
