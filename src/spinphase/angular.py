@@ -93,10 +93,9 @@ class HalfInteger:
         if isinstance(value, HalfInteger):
             return value
         doubled = 2.0 * float(value)
-        rounded = round(doubled)
-        if abs(doubled - rounded) > 1e-9:
+        if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
             raise DomainError(f"{value!r} is not a half-integer")
-        return cls(int(rounded))
+        return cls(round(doubled))
 
     @property
     def value(self) -> float:

@@ -34,9 +34,7 @@ from .fano import (
     decompose,
     decompose_bipartite,
 )
-from .quadrature import build_grid
-
-_KINDS = {"p": DistributionKind.P, "q": DistributionKind.Q, "f": DistributionKind.F}
+from .quadrature import build_grid, integrate
 
 
 def _fmt(x: float) -> str:
@@ -95,23 +93,17 @@ def load_density_file(path: str):
         raise ValidationError(f"{path}: missing field 'matrix'")
     matrix = _parse_matrix(doc["matrix"], path)
     bipartite = "twice_spin_1" in doc or "twice_spin_2" in doc
+    spins = []
+    for key in ("twice_spin_1", "twice_spin_2") if bipartite else ("twice_spin",):
+        if key not in doc:
+            hint = "" if bipartite else " (or 'twice_spin_1'/'twice_spin_2')"
+            raise ValidationError(f"{path}: missing field {key!r}{hint}")
+        # a JSON boolean loads as a Python int, but it is no spin
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            raise ValidationError(f"{path}: {key!r} must be an integer, got {doc[key]!r}")
+        spins.append(doc[key] / 2.0)
     try:
-        if bipartite:
-            for key in ("twice_spin_1", "twice_spin_2"):
-                if key not in doc:
-                    raise ValidationError(f"{path}: missing field {key!r}")
-            ts1, ts2 = doc["twice_spin_1"], doc["twice_spin_2"]
-            if not isinstance(ts1, int) or not isinstance(ts2, int):
-                raise ValidationError(f"{path}: twice_spin fields must be integers")
-            return BipartiteDensityMatrix(ts1 / 2.0, ts2 / 2.0, matrix)
-        if "twice_spin" not in doc:
-            raise ValidationError(
-                f"{path}: missing field 'twice_spin' (or 'twice_spin_1'/'twice_spin_2')"
-            )
-        ts = doc["twice_spin"]
-        if not isinstance(ts, int):
-            raise ValidationError(f"{path}: 'twice_spin' must be an integer")
-        return DensityMatrix(ts / 2.0, matrix)
+        return (BipartiteDensityMatrix if bipartite else DensityMatrix)(*spins, matrix)
     except DomainError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -162,7 +154,7 @@ def _cmd_singlet(args, parser) -> int:
     kinds = ["p", "q", "f"] if args.kind == "all" else [args.kind]
     columns: list[tuple[str, np.ndarray]] = []
     for name in kinds:
-        vals = singlet_profile(_KINDS[name], s, rad)
+        vals = singlet_profile(DistributionKind.from_string(name), s, rad)
         columns.append((name, vals))
         if name == "p":
             columns.append(("p_normalized", vals / (args.twice_spin + 1) ** 2))
@@ -192,7 +184,7 @@ def _cmd_correlation(args, parser) -> int:
     print("kind,quadrature,exact,abs_error")
     worst = 0.0
     for name in ("p", "q", "f"):
-        value = correlation(_KINDS[name], s, a, b, grid)
+        value = correlation(DistributionKind.from_string(name), s, a, b, grid)
         err = abs(value - exact)
         worst = max(worst, err)
         print(f"{name},{_fmt(value)},{_fmt(exact)},{_fmt(err)}")
@@ -207,7 +199,7 @@ def _cmd_limit(args, parser) -> int:
         if ts < args.k:
             parser.error(f"listed twice-spin {ts} violates k <= 2s for k={args.k}")
     spins = [ts / 2.0 for ts in args.twice_spins]
-    values = classical_limit_table(_KINDS[args.kind], args.k, spins)
+    values = classical_limit_table(DistributionKind.from_string(args.kind), args.k, spins)
     print("twice_spin,coefficient,abs_gap")
     for ts, value in zip(args.twice_spins, values):
         print(f"{ts},{_fmt(value)},{_fmt(abs(value - 1.0))}")
@@ -222,7 +214,7 @@ def _cmd_dist(args, parser) -> int:
     band = args.band_limit if args.band_limit is not None else max(ts, 0)
     if band < ts:
         parser.error(f"--band-limit must be >= 2s = {ts} for an exact normalization")
-    kind = _KINDS[args.kind]
+    kind = DistributionKind.from_string(args.kind)
     grid = build_grid(band)
     t = decompose(state)
     vals = evaluate_many(kind, t, grid.node_thetas, grid.node_phis)
@@ -231,7 +223,7 @@ def _cmd_dist(args, parser) -> int:
         lines.append(
             f"{_fmt(math.degrees(theta))},{_fmt(math.degrees(phi))},{_fmt(w)},{_fmt(v)}"
         )
-    norm = math.fsum(grid.weights * vals)
+    norm = integrate(grid, vals)
     lines.append(f"# normalization,{_fmt(norm)}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -54,7 +54,7 @@ from .angular import (
 )
 from .errors import BandLimitError, ConsistencyError, DomainError
 from .fano import CoupledFanoTensorSet, DensityMatrix, FanoTensorSet, _singlet_coefficients
-from .quadrature import SphereGrid, project
+from .quadrature import SphereGrid, integrate, project
 from .tensor_ops import operator_components
 
 __all__ = [
@@ -363,10 +363,7 @@ def expectation(
     # so the two share one Legendre table
     w_vals, a_classical = _synthesize(weighted, grid.node_thetas, grid.node_phis)
     integrand = _require_real(w_vals / _SQRT4PI, f"evaluate({kind.value})") * a_classical
-    total = complex(
-        math.fsum(grid.weights * integrand.real),
-        math.fsum(grid.weights * integrand.imag),
-    )
+    total = integrate(grid, integrand)
     if abs(total.imag) > _IMAG_TOL:
         raise ConsistencyError(
             f"expectation({kind.value}): imaginary residue {total.imag:.3e}"

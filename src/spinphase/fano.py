@@ -11,9 +11,11 @@ A tensor set holds one read-only dense array: [k, 2s + q] for one spin and
 reconstruct, single and bipartite, all go through the one trace/resolution
 pair of tensor_ops; the bipartite forms apply it along each factor's axes.
 
-All containers are immutable after construction and validate their
-invariants on ingestion.  An error names the violated invariant, the first
-offending label, the measured defect and the tolerance.
+All four containers are immutable and validate their invariants on
+ingestion, where NaN and inf are refused.  Each adopts a read-only complex128
+ndarray that owns its data and copies anything else (_owned).  An error names
+the violated invariant, the first offending label, the measured defect and
+the tolerance.
 """
 
 from __future__ import annotations
@@ -49,8 +51,26 @@ EIGENVALUE_FLOOR = -1e-10
 TENSOR_TOL = 1e-12
 
 
-def _validate_state_matrix(matrix: np.ndarray, dim: int, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+def _owned(values) -> np.ndarray:
+    """`values` itself if a read-only complex128 ndarray owning its data,
+    else a read-only complex copy."""
+    adopt = type(values) is np.ndarray and values.dtype == complex and values.flags.owndata
+    a = values if adopt and not values.flags.writeable else np.array(values, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Freeze an array just built, so that _owned adopts it uncopied."""
+    a.setflags(write=False)
+    return a
+
+
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf: refused, not warned
+def _validate_state_matrix(matrix, dim: int, what: str) -> np.ndarray:
+    """Check a density matrix and return it read-only (see _owned).  Every
+    test reads `not defect <= tol`, which NaN fails."""
+    m = _owned(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what}: matrix must be square, got shape {m.shape}")
     if m.shape[0] != dim:
@@ -59,25 +79,23 @@ def _validate_state_matrix(matrix: np.ndarray, dim: int, what: str) -> np.ndarra
             f"spin, got {m.shape[0]}"
         )
     herm_defect = float(np.max(np.abs(m - m.conj().T)))
-    if herm_defect > HERMITICITY_TOL:
+    if not herm_defect <= HERMITICITY_TOL:
         raise ValidationError(
             f"{what}: hermiticity violated (max |M - M^dag| = {herm_defect:.3e}, "
             f"tolerance {HERMITICITY_TOL:g})"
         )
     trace = complex(np.trace(m))
-    if abs(trace - 1.0) > TRACE_TOL:
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise ValidationError(
             f"{what}: unit trace violated (measured trace = {trace.real:.15g}"
             f"{trace.imag:+.3e}j, |trace - 1| = {abs(trace - 1.0):.3e}, tolerance {TRACE_TOL:g})"
         )
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-    if min_eig < EIGENVALUE_FLOOR:
+    if not min_eig >= EIGENVALUE_FLOOR:
         raise ValidationError(
             f"{what}: positivity violated (smallest eigenvalue = {min_eig:.3e}, "
             f"floor {EIGENVALUE_FLOOR:g})"
         )
-    m = m.copy()
-    m.setflags(write=False)
     return m
 
 
@@ -130,84 +148,66 @@ class BipartiteDensityMatrix:
         return self.s2.twice_value + 1
 
 
-def _q_reversed(ndim: int) -> tuple:
-    """Index that reverses every q axis of a tensor-set array (q -> -q)."""
-    return tuple(slice(None, None, -1 if ax % 2 else 1) for ax in range(ndim))
-
-
-def _first_label(bad: np.ndarray, spins: tuple[int, ...]) -> str:
-    """Label of the first True entry, in label order (k ascending, q descending)."""
-    index = np.argwhere(bad[_q_reversed(bad.ndim)])[0]
+def _first_label(bad: np.ndarray, k1: int, spins: tuple[int, ...]) -> str:
+    """Label of the first True entry, in label order (k ascending, q
+    descending), of a [k1, 2s1 + q1, k2, 2s2 + q2] block that starts at k1."""
+    ts1, ts2 = (*spins, 0)[:2]
+    dk, i1, k2, i2 = np.argwhere(bad[:, ::-1, :, ::-1])[0]
     names = ("k", "q") if len(spins) == 1 else ("k1", "q1", "k2", "q2")
-    ints = [int(i) if ax % 2 == 0 else spins[ax // 2] - int(i) for ax, i in enumerate(index)]
-    return "(" + ", ".join(f"{n}={v}" for n, v in zip(names, ints)) + ")"
+    ints = (k1 + dk, ts1 - i1, k2, ts2 - i2)
+    return "(" + ", ".join(f"{n}={int(v)}" for n, v in zip(names, ints)) + ")"
 
 
-def _accepts(a: np.ndarray, spins: tuple[int, ...]) -> bool:
-    """True only if `a` passes `_validate_set`'s full-array rule, tested one k1
-    block at a time (a single set is one block) with each factor's |q| > k mask
-    and (-1)^q signs broadcast from [k, 2s + q].  NaN fails every test."""
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf and 0 * inf: refused, not warned
+def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
+    """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return it
+    read-only (see _owned), in one pass over k1 blocks; a single set is one
+    block, viewed as [k, 2s + q, 1, 1].  Masks and (-1)^q signs broadcast from
+    each factor's [k, 2s + q].  Conjugation symmetry is tested with q1 = 0..k1
+    against (-q1, -q2), each pair once; only a block that breaks it is
+    measured in full for its first label and largest defect.  Errors come in
+    the order out-of-range, normalization, hermiticity.  NaN fails every
+    comparison and keeps the largest defect NaN; inf raises no warning."""
+    a = _owned(values)
+    expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
+    if a.shape != expected:
+        raise ValidationError(
+            f"{what} incomplete, missing or extra labels: shape {a.shape}, expected {expected}"
+        )
     ts1, ts2 = (*spins, 0)[:2]
     a4 = a.reshape(ts1 + 1, 2 * ts1 + 1, ts2 + 1, 2 * ts2 + 1)
     q1, q2 = np.arange(-ts1, ts1 + 1), np.arange(-ts2, ts2 + 1)
     out1, out2 = abs(q1) > np.arange(ts1 + 1)[:, None], abs(q2) > np.arange(ts2 + 1)[:, None]
     sign = 1 - 2 * ((q1[:, None, None] + q2) % 2)
     blocks = [(0, ts1 + 1)] if len(spins) == 1 else [(k, k + 1) for k in range(ts1 + 1)]
+    broken = []  # (first label, largest defect) of each block that breaks symmetry
     for lo, hi in blocks:
         b = a4[lo:hi]
+        outside = out1[lo:hi, :, None, None] | out2
+        if b.any(where=outside):
+            raise ValidationError(
+                f"{what} has out-of-range labels: {_first_label(outside & (b != 0), lo, spins)} "
+                "is nonzero, expected exactly 0"
+            )
         # q1 = 0..hi-1 against (-q1, -q2): each q1 pair once; q1 >= hi is out of range
         pair = b[:, ts1 : ts1 + hi].conj() - sign[ts1 : ts1 + hi] * b[:, ts1::-1, :, ::-1][:, :hi]
-        if b.any(where=out1[lo:hi, :, None, None] | out2) or not np.all(abs(pair) <= TENSOR_TOL):
-            return False
-    return abs(a4[0, ts1, 0, ts2] - 1.0) <= TENSOR_TOL
-
-
-@np.errstate(invalid="ignore", over="ignore")  # inf - inf and 0 * inf: refused, not warned
-def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
-    """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return it
-    read-only: a read-only complex128 ndarray owning its data (see _frozen) is
-    adopted, anything else copied.  `_accepts`, with one k1 block of temporaries,
-    passes a valid set; only a refused set reruns the full-array rule below, so
-    every error is unchanged.  NaN fails every comparison, and inf raises no warning."""
-    adopt = type(values) is np.ndarray and values.dtype == complex and values.flags.owndata
-    a = values if adopt and not values.flags.writeable else np.array(values, dtype=complex)
-    a.setflags(write=False)
-    expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
-    if a.shape != expected:
-        raise ValidationError(
-            f"{what} incomplete, missing or extra labels: shape {a.shape}, expected {expected}"
-        )
-    if _accepts(a, spins):
-        return a
-    axes = np.ogrid[tuple(slice(0, d) for d in expected)]
-    qs = [col - ts for col, ts in zip(axes[1::2], spins)]
-    nonzero_outside = (sum(abs(q) > k for k, q in zip(axes[0::2], qs)) > 0) & (a != 0)
-    if np.any(nonzero_outside):
-        raise ValidationError(
-            f"{what} has out-of-range labels: {_first_label(nonzero_outside, spins)} "
-            "is nonzero, expected exactly 0"
-        )
-    origin = sum(((0, ts) for ts in spins), ())
-    norm_defect = abs(a[origin] - 1.0)
+        if not np.all(abs(pair) <= TENSOR_TOL):
+            defect = np.abs(b.conj() - sign * b[:, ::-1, :, ::-1])
+            bad = ~(defect <= TENSOR_TOL)
+            broken.append((_first_label(bad, lo, spins), np.max(defect[bad])))
+    t00 = a4[0, ts1, 0, ts2]
+    norm_defect = abs(t00 - 1.0)
     if not norm_defect <= TENSOR_TOL:
         raise ValidationError(
-            f"{what}: normalization violated: rank-0 coefficient = {a[origin]:.15g}, "
+            f"{what}: normalization violated: rank-0 coefficient = {t00:.15g}, "
             f"expected 1 (defect {norm_defect:.3e}, tolerance {TENSOR_TOL:g})"
         )
-    defect = np.abs(np.conj(a) - (1 - 2 * (sum(qs) % 2)) * a[_q_reversed(a.ndim)])
-    bad = ~(defect <= TENSOR_TOL)
-    if np.any(bad):
+    if broken:
         raise ValidationError(
             f"{what}: hermiticity (conjugation symmetry) violated, first at "
-            f"{_first_label(bad, spins)}: largest |conj(t) - (-1)^q t_(-q)| = "
-            f"{np.max(defect[bad]):.3e} exceeds tolerance {TENSOR_TOL:g}"
+            f"{broken[0][0]}: largest |conj(t) - (-1)^q t_(-q)| = "
+            f"{np.max([d for _, d in broken]):.3e} exceeds tolerance {TENSOR_TOL:g}"
         )
-    return a
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Freeze an array just built, so that _validate_set adopts it uncopied."""
-    a.setflags(write=False)
     return a
 
 
@@ -283,7 +283,7 @@ def decompose(rho: DensityMatrix) -> FanoTensorSet:
 
 def reconstruct(t: FanoTensorSet) -> DensityMatrix:
     """Invert decompose: rho = (1/(2s+1)) sum_kq tau^k_q^dag t^k_q."""
-    return DensityMatrix(t.s, operator_from_components(t.s, t.values))
+    return DensityMatrix(t.s, _frozen(operator_from_components(t.s, t.values)))
 
 
 def decompose_bipartite(rho12: BipartiteDensityMatrix) -> CoupledFanoTensorSet:
@@ -368,7 +368,7 @@ def singlet_density(s) -> BipartiteDensityMatrix:
     i = np.arange(n)
     rows = i * n + ts - i  # row (m1, m2) with m2 = -m1
     out[np.ix_(rows, rows)] = np.where((i[:, None] - i) % 2, -1.0, 1.0) / n
-    return BipartiteDensityMatrix(HalfInteger(ts), HalfInteger(ts), out)
+    return BipartiteDensityMatrix(HalfInteger(ts), HalfInteger(ts), _frozen(out))
 
 
 def _singlet_coefficients(ts: int) -> np.ndarray:

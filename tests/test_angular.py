@@ -102,6 +102,14 @@ def test_half_integer_rejects_non_half():
         HalfInteger.from_value(0.3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_half_integer_rejects_non_finite_naming_value(value):
+    with pytest.raises(DomainError, match=f"^{value!r} is not a half-integer"):
+        HalfInteger.from_value(value)
+    with pytest.raises(DomainError, match=repr(value)):
+        angular.require_spin(value)
+
+
 @given(st.integers(min_value=-200, max_value=200))
 def test_half_integer_roundtrip(tv):
     h = HalfInteger(tv)

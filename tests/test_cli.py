@@ -329,3 +329,29 @@ def test_missing_spin_field_is_validation_error(tmp_path, capsys):
     path.write_text('{"matrix": [[[1.0, 0.0]]]}')
     assert main(["tensors", str(path)]) == 3
     assert "twice_spin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"twice_spin": True}, "twice_spin"),
+        ({"twice_spin_1": False, "twice_spin_2": 1}, "twice_spin_1"),
+        ({"twice_spin_1": 1, "twice_spin_2": True}, "twice_spin_2"),
+    ],
+)
+def test_boolean_spin_field_is_validation_error(tmp_path, capsys, fields, key):
+    # a JSON boolean loads as a Python int; it must not load as spin 1/2 or 0
+    path = tmp_path / "bool.json"
+    matrix = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    path.write_text(json.dumps({**fields, "matrix": matrix}))
+    assert main(["tensors", str(path)]) == 3
+    assert f"{key!r} must be an integer" in capsys.readouterr().err
+
+
+def test_nan_matrix_entry_is_validation_error(tmp_path, capsys):
+    matrix = np.eye(2, dtype=complex) / 2
+    matrix[1, 1] = np.nan
+    path = write_state(tmp_path / "nan.json", 1, matrix)
+    assert "NaN" in open(path).read()
+    assert main(["tensors", path]) == 3
+    assert "hermiticity violated (max |M - M^dag| = nan" in capsys.readouterr().err

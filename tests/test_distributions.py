@@ -122,6 +122,18 @@ def test_coefficient_domain():
         coefficient(P, 0.5, -1)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_coefficient_non_finite_spin_is_domain_error(s):
+    with pytest.raises(DomainError, match=repr(s)):
+        coefficient(P, s, 1)
+
+
+def test_kind_from_string():
+    assert [DistributionKind.from_string(n) for n in ("p", "Q", "f")] == [P, Q, F]
+    with pytest.raises(DomainError, match="unknown distribution kind 'x'"):
+        DistributionKind.from_string("x")
+
+
 def test_spin_zero_degenerate_state():
     t0 = decompose(DensityMatrix(0, np.eye(1)))
     for kind in DistributionKind:

@@ -196,6 +196,21 @@ def test_density_rejects_dimension_mismatch():
         DensityMatrix(0.5, np.eye(3) / 3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 1), (0, 2)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("bipartite", [False, True], ids=["single", "bipartite"])
+def test_density_rejects_non_finite_without_warnings(bipartite, where, value):
+    # placed Hermitian, so only a check that NaN fails can refuse it
+    m = np.array((singlet_density(0.5) if bipartite else DensityMatrix(1, np.eye(3) / 3)).matrix)
+    m[where] = value
+    m[where[::-1]] = np.conj(value)
+    with pytest.raises(
+        ValidationError, match=r"hermiticity violated \(max \|M - M\^dag\| = nan, tolerance 1e-12\)"
+    ):
+        BipartiteDensityMatrix(0.5, 0.5, m) if bipartite else DensityMatrix(1, m)
+
+
 # tensor-set arrays are [k, 2s + q]: for s = 1/2 the columns are q = -1, 0, 1
 
 
@@ -348,21 +363,37 @@ def test_tensor_set_rejects_non_finite_without_warnings(spins, label, value):
 # ------------------------------------------------------ ownership of values
 
 
+# every container, with a fresh writeable, valid, real-valued array of its
+# values and the route from such an array to the container's own array; all
+# four share one rule: adopt a read-only owned complex128 array, copy the rest
+CONTAINERS = [
+    (lambda: valid_set((3,)).real.astype(complex), lambda v: FanoTensorSet(1.5, v).values),
+    (lambda: np.array(singlet_tensors(1).values), lambda v: CoupledFanoTensorSet(1, 1, v).values),
+    (lambda: np.diag([0.125, 0.125, 0.25, 0.5]) + 0j, lambda v: DensityMatrix(1.5, v).matrix),
+    (
+        lambda: np.array(singlet_density(0.5).matrix),
+        lambda v: BipartiteDensityMatrix(0.5, 0.5, v).matrix,
+    ),
+]
+
+
 def test_writeable_values_are_copied():
-    vals = valid_set((3,))
-    t = FanoTensorSet(1.5, vals)
-    before = t.values.copy()
-    vals[2, 3] = 99.0
-    assert t.values is not vals
-    assert np.array_equal(t.values, before)
-    assert not t.values.flags.writeable
+    for make_values, build in CONTAINERS:
+        vals = make_values()
+        held = build(vals)
+        before = held.copy()
+        vals[(1,) * vals.ndim] = 99.0
+        assert held is not vals
+        assert np.array_equal(held, before)
+        assert not held.flags.writeable
 
 
 def test_list_values_are_copied():
-    vals = valid_set((2,))
-    t = FanoTensorSet(1.0, vals.tolist())
-    assert np.array_equal(t.values, vals)
-    assert not t.values.flags.writeable
+    for make_values, build in CONTAINERS:
+        vals = make_values()
+        held = build(vals.tolist())
+        assert np.array_equal(held, vals)
+        assert not held.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -374,17 +405,19 @@ def test_list_values_are_copied():
     ],
 )
 def test_read_only_values_not_adoptable_are_copied(make):
-    vals = make(np.array(singlet_tensors(1).values))
-    vals.setflags(write=False)
-    t = CoupledFanoTensorSet(1, 1, vals)
-    assert t.values is not vals
-    assert t.values.dtype == complex and t.values.flags.owndata
-    assert np.array_equal(t.values, vals)
+    for make_values, build in CONTAINERS:
+        vals = make(make_values())
+        vals.setflags(write=False)
+        held = build(vals)
+        assert held is not vals
+        assert held.dtype == complex and held.flags.owndata
+        assert np.array_equal(held, vals)
 
 
 def test_read_only_owned_complex_values_are_adopted():
-    vals = frozen_copy(valid_set((2, 1)))
-    assert CoupledFanoTensorSet(1, 0.5, vals).values is vals
+    for make_values, build in CONTAINERS:
+        vals = frozen_copy(make_values())
+        assert build(vals) is vals
 
 
 @pytest.mark.parametrize("spins", [(2,), (2, 3)])
@@ -657,6 +690,22 @@ def test_singlet_tensors_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * t12.values.nbytes
+
+
+def test_refused_coupled_set_memory_peak():
+    # a symmetry defect only in the last k1 block is found block by block:
+    # the peak is the validated copy and one block's temporaries, not the
+    # full-size label masks and defect of a second pass
+    vals = np.array(singlet_tensors(12).values)
+    vals[24, 24 + 1, 0, 24] = 1e-6  # (k1=24, q1=1, k2=0, q2=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"first at \(k1=24, q1=1, k2=0, q2=0\)"):
+            CoupledFanoTensorSet(12, 12, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * vals.nbytes
 
 
 def test_singlet_density_spin_half_entries():
