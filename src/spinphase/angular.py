@@ -305,8 +305,8 @@ def _require_rank_pair(rank, comp) -> tuple[int, int]:
 class _RankCache:
     """LRU map from an integer key (a twice-rank, twice-spin or k_max) to a
     tuple of arrays, frozen read-only on entry and bounded by the bytes held
-    rather than by the number of entries.  Holds the J_y eigenbases and the
-    Legendre recurrence coefficients here, and tensor_ops' bands.
+    rather than by the number of entries.  Holds the J_y eigenbases and Legendre
+    coefficients here, tensor_ops' bands and distributions' coefficient tables.
 
     A miss builds the entry; the oldest entries are then evicted until the
     held bytes are back under max_bytes (the newest entry always stays).

@@ -13,12 +13,14 @@ everything is radians and half-integers internally.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
+from .angular import HalfInteger
 from .distributions import (
     DistributionKind,
     classical_limit_table,
@@ -51,7 +53,12 @@ def _entry_to_complex(entry, row: int, col: int) -> complex:
             f"matrix entry at row {row}, col {col} must be a [re, im] number pair, "
             f"got {entry!r}"
         )
-    return complex(float(entry[0]), float(entry[1]))
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValidationError(
+            f"matrix entry at row {row}, col {col} is outside the float range"
+        ) from None
 
 
 def _parse_matrix(raw, what: str) -> np.ndarray:
@@ -87,6 +94,8 @@ def load_density_file(path: str):
         raise ValidationError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past the digit limit
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
     if "matrix" not in doc:
@@ -101,35 +110,34 @@ def load_density_file(path: str):
         # a JSON boolean loads as a Python int, but it is no spin
         if isinstance(doc[key], bool) or not isinstance(doc[key], int):
             raise ValidationError(f"{path}: {key!r} must be an integer, got {doc[key]!r}")
-        spins.append(doc[key] / 2.0)
+        if doc[key] >= len(matrix):  # no factor's dimension 2s + 1 exceeds the matrix's
+            raise ValidationError(
+                f"{path}: {key!r} = {doc[key]} declares dimension {doc[key] + 1}, "
+                f"more than the matrix's {len(matrix)} rows"
+            )
+        spins.append(HalfInteger(doc[key]))
     try:
         return (BipartiteDensityMatrix if bipartite else DensityMatrix)(*spins, matrix)
     except DomainError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _labels(ts: int) -> list[tuple[str, tuple[int, int]]]:
+    """One factor's printed "k,q" and [k, 2s + q] index, k ascending, q descending."""
+    return [(f"{k},{q}", (k, ts + q)) for k in range(ts + 1) for q in range(k, -k - 1, -1)]
+
+
 def _cmd_tensors(args) -> int:
     state = load_density_file(args.input)
-    out = sys.stdout
     if isinstance(state, DensityMatrix):
-        t = decompose(state)
-        out.write("k,q,re,im\n")
-        ts = state.s.twice_value
-        for k in range(ts + 1):
-            for q in range(k, -k - 1, -1):
-                v = t.value(k, q)
-                out.write(f"{k},{q},{_fmt(v.real)},{_fmt(v.imag)}\n")
+        t, spins, header = decompose(state), (state.s,), "k,q"
     else:
-        t12 = decompose_bipartite(state)
-        out.write("k1,q1,k2,q2,re,im\n")
-        ts1 = state.s1.twice_value
-        ts2 = state.s2.twice_value
-        for k1 in range(ts1 + 1):
-            for q1 in range(k1, -k1 - 1, -1):
-                for k2 in range(ts2 + 1):
-                    for q2 in range(k2, -k2 - 1, -1):
-                        v = t12.value(k1, q1, k2, q2)
-                        out.write(f"{k1},{q1},{k2},{q2},{_fmt(v.real)},{_fmt(v.imag)}\n")
+        t, spins, header = decompose_bipartite(state), (state.s1, state.s2), "k1,q1,k2,q2"
+    out = sys.stdout
+    out.write(f"{header},re,im\n")
+    for labels in itertools.product(*(_labels(s.twice_value) for s in spins)):
+        v = t.values[sum((index for _, index in labels), ())]
+        out.write(f"{','.join(text for text, _ in labels)},{_fmt(v.real)},{_fmt(v.imag)}\n")
     return 0
 
 

@@ -24,8 +24,9 @@ Bipartite distributions take the squared prefactor 1/(4 pi) and one
 only and the azimuthal sum on the distinct azimuths, O(K^2 R + K N) for R
 distinct colatitudes among N points with K = 2s, so O(K^3) on a band-K
 grid; no harmonic table over all points is built.  The joint form applies
-it along side 2's labels, then side 1's.  Coefficient tables are cached per
-(kind, s) and immutable, so everything here is safe for concurrent use.
+it along side 2's labels, then side 1's.  Coefficient tables are immutable
+and cached per spin, all three kinds in one entry of a byte-bounded
+_RankCache, so everything here is safe for concurrent use.
 
 The singlet correlation never forms the joint distribution on the grid: it
 projects each side's classical vector (classical_spin_vector, the one
@@ -42,12 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .angular import (
     HalfInteger,
+    _RankCache,
     _synthesize,
     legendre_sequence,
     require_spin,
@@ -109,30 +110,32 @@ def coefficient(kind: DistributionKind, s, k: int) -> float:
         raise DomainError(f"rank k must be an integer, got {k!r}")
     if k < 0 or k > ts:
         raise DomainError(f"rank k={k} outside 0..2s={ts}")
-    return float(_table_cached(kind, ts)[k])
+    return float(_table(kind, ts)[k])
 
 
-@lru_cache(maxsize=4096)
-def _table_cached(kind: DistributionKind, ts: int) -> np.ndarray:
+@np.errstate(over="ignore")  # P's c_k reach inf from 2s = 1027; Q and F share the entry
+def _build_tables(ts: int) -> tuple[np.ndarray, ...]:
+    """The P, Q and F tables of one spin, in DistributionKind order."""
     # exact ratios r_k = (c_k / c_{k-1})^2, rational in 2s; the product of
     # square roots keeps c^2 from overflowing
     k = np.arange(1, ts + 1)
     up, down = ts + k + 1, ts - k + 1
-    if kind is DistributionKind.P:
-        ratio = up / down
-    elif kind is DistributionKind.Q:
-        ratio = down / up
-    else:
-        # s(s+1) = 2s(2s+2)/4, so r_1 = 1 exactly
-        ratio = (up * down) / (ts * (ts + 2))
-    table = np.concatenate(([1.0], np.cumprod(np.sqrt(ratio))))
-    table.setflags(write=False)
-    return table
+    # s(s+1) = 2s(2s+2)/4, so F's r_1 = 1 exactly
+    ratios = (up / down, down / up, (up * down) / (ts * (ts + 2)))
+    return tuple(np.concatenate(([1.0], np.cumprod(np.sqrt(r)))) for r in ratios)
+
+
+# keyed by twice-spin; one entry holds all three kinds, 24 (2s + 1) bytes
+_tables = _RankCache(_build_tables, max_bytes=10_000_000)
+
+
+def _table(kind: DistributionKind, ts: int) -> np.ndarray:
+    return _tables(ts)["PQF".index(kind.value)]
 
 
 def coefficient_table(kind: DistributionKind, s) -> np.ndarray:
     """Read-only coefficients c_k, k = 0..2s, for one (kind, spin) pair."""
-    return _table_cached(kind, require_spin(s))
+    return _table(kind, require_spin(s))
 
 
 @dataclass(frozen=True)
@@ -237,14 +240,16 @@ def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
 
 def _weights(kind: DistributionKind, ts: int) -> np.ndarray:
     """The kind's label weights sigma(k, q) c_k as a [k, 2s + q] array."""
-    return _sign_matrix(kind, ts) * _table_cached(kind, ts)[:, None]
+    return _sign_matrix(kind, ts) * _table(kind, ts)[:, None]
 
 
-def _require_real(values: np.ndarray, context: str) -> np.ndarray:
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
+def _require_real(values, context: str):
+    """Real part of an array or scalar whose imaginary residue is within
+    _IMAG_TOL (ConsistencyError otherwise)."""
+    residue = float(np.max(np.abs(np.imag(values)), initial=0.0))
     if residue > _IMAG_TOL:
         raise ConsistencyError(f"{context}: imaginary residue {residue:.3e} exceeds {_IMAG_TOL}")
-    return values.real
+    return np.real(values)
 
 
 def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.ndarray:
@@ -352,7 +357,7 @@ def expectation(
         raise DomainError(
             f"operator shape {a.shape} does not match the spin-{ts}/2 space"
         )
-    table = _table_cached(kind, ts)
+    table = _table(kind, ts)
     # the operator resolution carries 1/(2s+1); its classical image inherits it
     inverse_weight = _SQRT4PI / (table * (ts + 1.0))
     weighted = np.stack([
@@ -363,12 +368,7 @@ def expectation(
     # so the two share one Legendre table
     w_vals, a_classical = _synthesize(weighted, grid.node_thetas, grid.node_phis)
     integrand = _require_real(w_vals / _SQRT4PI, f"evaluate({kind.value})") * a_classical
-    total = integrate(grid, integrand)
-    if abs(total.imag) > _IMAG_TOL:
-        raise ConsistencyError(
-            f"expectation({kind.value}): imaginary residue {total.imag:.3e}"
-        )
-    return total.real
+    return float(_require_real(integrate(grid, integrand), f"expectation({kind.value})"))
 
 
 def singlet_profile(kind: DistributionKind, s, theta12):
@@ -386,7 +386,7 @@ def singlet_profile(kind: DistributionKind, s, theta12):
     scalar = theta12.ndim == 0
     x = np.cos(np.atleast_1d(theta12))
     p = legendre_sequence(ts, x)
-    c = _table_cached(kind, ts)
+    c = _table(kind, ts)
     k = np.arange(ts + 1)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     coeffs = signs * (2 * k + 1) * c**2
@@ -441,7 +441,7 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     # side 1's column 2s + q meets side 2's column 2s - q
     right, right_err = right[:, ::-1], right_err[:, ::-1]
     # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
-    c_squared = _table_cached(kind, ts)[:, None] ** 2
+    c_squared = _table(kind, ts)[:, None] ** 2
     coupling = _singlet_coefficients(ts) * c_squared / (4.0 * math.pi)
     terms = coupling * left * right
     # per term |LR - L'R'| <= |L'| dR + dL |R'| + dL dR, plus the sum's rounding

@@ -9,13 +9,15 @@ descending (m1 outer), matching the single-system convention.
 A tensor set holds one read-only dense array: [k, 2s + q] for one spin and
 [k1, 2s1 + q1, k2, 2s2 + q2] for two, zero where |q| > k.  decompose and
 reconstruct, single and bipartite, all go through the one trace/resolution
-pair of tensor_ops; the bipartite forms apply it along each factor's axes.
+pair of tensor_ops, which the bipartite forms apply one factor at a time:
+decompose_bipartite traces factor 1 first, so the second trace lands in the
+[k1, q1, k2, q2] layout, and reconstruct_bipartite resolves factor 2 first.
 
 All four containers are immutable and validate their invariants on
 ingestion, where NaN and inf are refused.  Each adopts a read-only complex128
-ndarray that owns its data and copies anything else (_owned).  An error names
-the violated invariant, the first offending label, the measured defect and
-the tolerance.
+ndarray that owns its data and copies anything else (_owned); every builder
+here hands over such an array (_frozen).  An error names the violated
+invariant, the first offending label, the measured defect and the tolerance.
 """
 
 from __future__ import annotations
@@ -289,11 +291,11 @@ def reconstruct(t: FanoTensorSet) -> DensityMatrix:
 def decompose_bipartite(rho12: BipartiteDensityMatrix) -> CoupledFanoTensorSet:
     """Coupled coefficients Tr(rho12 tau^{k1}_{q1} x tau^{k2}_{q2})."""
     n1, n2 = rho12.dim1, rho12.dim2
-    # (m1, m2, m1', m2') -> (m1, m1', m2, m2'), trace factor 2, then factor 1
-    mat4 = rho12.matrix.reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3)
+    # trace factor 1 on the (m2, m2', m1, m1') view, then factor 2 on the
+    # [k1, q1, m2, m2'] view of that, which leaves [k1, q1, k2, q2] in place
+    mat4 = rho12.matrix.reshape(n1, n2, n1, n2).transpose(1, 3, 0, 2)
     partial = operator_components(mat4).transpose(2, 3, 0, 1)
-    t4 = np.ascontiguousarray(operator_components(partial).transpose(2, 3, 0, 1))
-    return CoupledFanoTensorSet(rho12.s1, rho12.s2, _frozen(t4))
+    return CoupledFanoTensorSet(rho12.s1, rho12.s2, _frozen(operator_components(partial)))
 
 
 def reconstruct_bipartite(t12: CoupledFanoTensorSet) -> BipartiteDensityMatrix:
@@ -303,10 +305,12 @@ def reconstruct_bipartite(t12: CoupledFanoTensorSet) -> BipartiteDensityMatrix:
             (tau^{k1}_{q1} x tau^{k2}_{q2})^dag.
     """
     n1, n2 = t12.s1.twice_value + 1, t12.s2.twice_value + 1
-    # [k1, q1, k2, q2] -> (k1, q1, m2, m2') -> (m2, m2', m1, m1')
+    # [k1, q1, k2, q2] -> (k1, q1, m2, m2') -> (m2, m2', m1, m1'), written once
     partial = operator_from_components(t12.s2, t12.values).transpose(2, 3, 0, 1)
-    mat4 = operator_from_components(t12.s1, partial).transpose(2, 0, 3, 1)
-    return BipartiteDensityMatrix(t12.s1, t12.s2, mat4.reshape(n1 * n2, n1 * n2))
+    out = np.empty((n1 * n2, n1 * n2), dtype=complex)
+    mat4 = out.reshape(n1, n2, n1, n2)  # (m1, m2, m1', m2') view of out
+    mat4.transpose(1, 3, 0, 2)[...] = operator_from_components(t12.s1, partial)
+    return BipartiteDensityMatrix(t12.s1, t12.s2, _frozen(out))
 
 
 def reduce(rho12: BipartiteDensityMatrix, which: int) -> DensityMatrix:
@@ -316,8 +320,8 @@ def reduce(rho12: BipartiteDensityMatrix, which: int) -> DensityMatrix:
     n1, n2 = rho12.dim1, rho12.dim2
     mat4 = rho12.matrix.reshape(n1, n2, n1, n2)
     if which == 1:
-        return DensityMatrix(rho12.s1, np.einsum("ijkj->ik", mat4))
-    return DensityMatrix(rho12.s2, np.einsum("ijil->jl", mat4))
+        return DensityMatrix(rho12.s1, _frozen(np.einsum("ijkj->ik", mat4)))
+    return DensityMatrix(rho12.s2, _frozen(np.einsum("ijil->jl", mat4)))
 
 
 def is_product(t12: CoupledFanoTensorSet, tol: float) -> bool:

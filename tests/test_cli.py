@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from spinphase import singlet_density
+from spinphase import BipartiteDensityMatrix, decompose_bipartite, singlet_density
 from spinphase.cli import main
+from conftest import random_bipartite_density
 
 FOUR_PI = 4.0 * math.pi
 
@@ -79,6 +80,27 @@ def test_tensors_ordering_is_k_ascending_q_descending(tmp_path, capsys):
         (1, 1), (1, 0), (1, -1),
         (2, 2), (2, 1), (2, 0), (2, -1), (2, -2),
     ]
+
+
+def test_tensors_unequal_spins_rows_match_decomposition(tmp_path, capsys, rng):
+    rho12 = random_bipartite_density(rng, 2, 1)
+    path = write_bipartite(tmp_path / "unequal.json", 2, 1, rho12.matrix)
+    assert main(["tensors", path]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "k1,q1,k2,q2,re,im"
+    # JSON round-trips the floats exactly, so every printed digit must match
+    t12 = decompose_bipartite(BipartiteDensityMatrix(1, 0.5, rho12.matrix))
+    labels = [
+        (k1, q1, k2, q2)
+        for k1 in range(3)
+        for q1 in range(k1, -k1 - 1, -1)
+        for k2 in range(2)
+        for q2 in range(k2, -k2 - 1, -1)
+    ]
+    assert len(lines) == 1 + len(labels) == 1 + 9 * 4
+    for line, label in zip(lines[1:], labels):
+        v = t12.value(*label)
+        assert line == ",".join(map(str, label)) + f",{v.real:.12e},{v.imag:.12e}"
 
 
 def test_tensors_rejects_non_hermitian(tmp_path, capsys):
@@ -355,3 +377,38 @@ def test_nan_matrix_entry_is_validation_error(tmp_path, capsys):
     assert "NaN" in open(path).read()
     assert main(["tensors", path]) == 3
     assert "hermiticity violated (max |M - M^dag| = nan" in capsys.readouterr().err
+
+
+def test_oversized_matrix_entry_is_validation_error(tmp_path, capsys):
+    # 10^400 is a JSON integer that no float holds
+    path = tmp_path / "huge.json"
+    big = "1" + "0" * 400
+    path.write_text(f'{{"twice_spin": 1, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, {big}]]]}}')
+    assert main(["tensors", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "row 1, col 1" in err and "outside the float range" in err
+
+
+@pytest.mark.parametrize("twice_spin", [10**400, 10**19 + 1], ids=["1e400", "1e19+1"])
+@pytest.mark.parametrize("key", ["twice_spin", "twice_spin_2"])
+def test_oversized_spin_field_is_validation_error(tmp_path, capsys, twice_spin, key):
+    # read exactly: as a float, 10^400 overflows and 10^19 + 1 loses its parity
+    path = tmp_path / "huge.json"
+    fields = {key: twice_spin} if key == "twice_spin" else {"twice_spin_1": 0, key: twice_spin}
+    matrix = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    path.write_text(json.dumps({**fields, "matrix": matrix}))
+    assert main(["tensors", str(path)]) == 3
+    expected = f"{key!r} = {twice_spin} declares dimension {twice_spin + 1}, more than"
+    assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"twice_spin": %s, "matrix": [[[1.0, 0.0]]]}' % (b"1" * 5000), b'{"twice_spin": \xff}'],
+    ids=["5000-digit integer", "not UTF-8"],
+)
+def test_unreadable_json_is_validation_error(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["tensors", str(path)]) == 3
+    assert str(path) in capsys.readouterr().err

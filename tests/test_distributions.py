@@ -38,7 +38,8 @@ from spinphase import (
     tau_matrix,
 )
 from conftest import harmonic_table, random_bipartite_density, random_density, random_direction
-from spinphase.distributions import _bloch_vector, _sign_matrix
+from spinphase.angular import _RankCache
+from spinphase.distributions import _bloch_vector, _sign_matrix, _tables
 
 P, Q, F = DistributionKind.P, DistributionKind.Q, DistributionKind.F
 FOUR_PI = 4.0 * math.pi
@@ -550,6 +551,22 @@ def test_expectation_band_limit_error(rng):
     t = decompose(random_density(rng, 4))
     with pytest.raises(BandLimitError):
         expectation(P, t, np.eye(5), build_grid(3))
+
+
+def test_expectation_names_imaginary_residue_and_tolerance(rng):
+    # A = i I has Tr(rho A) = i: a residue of 1, far above the 1e-9 limit
+    t = decompose(random_density(rng, 2))
+    with pytest.raises(
+        ConsistencyError, match=r"expectation\(Q\): imaginary residue 1\.000e\+00 exceeds 1e-09"
+    ):
+        expectation(Q, t, 1j * np.eye(3), build_grid(2))
+
+
+def test_coefficient_tables_share_one_cache_entry_per_spin():
+    assert isinstance(_tables, _RankCache)
+    entry = _tables(7)
+    for table, kind in zip(entry, DistributionKind):
+        assert coefficient_table(kind, 3.5) is table
 
 
 # ----------------------------------------------------------------- profile

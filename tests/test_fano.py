@@ -448,6 +448,48 @@ def test_builders_hand_over_read_only_values(rng):
             values[0, 0] = 0.0
 
 
+def test_builders_values_are_adopted_uncopied(rng, monkeypatch):
+    # each builder's array passes _owned itself: one allocation of the final
+    # array and no copy at ingestion
+    from spinphase import fano
+
+    rho, rho12 = random_density(rng, 3), random_bipartite_density(rng, 2, 1)
+    t, t12 = decompose(rho), decompose_bipartite(rho12)
+    builders = {
+        "reconstruct": lambda: reconstruct(t),
+        "reconstruct_bipartite": lambda: reconstruct_bipartite(t12),
+        "reduce(1)": lambda: reduce(rho12, 1),
+        "reduce(2)": lambda: reduce(rho12, 2),
+        "singlet_density": lambda: singlet_density(1.5),
+        "decompose": lambda: decompose(rho),
+        "decompose_bipartite": lambda: decompose_bipartite(rho12),
+        "rotate_tensors": lambda: rotate_tensors(t, 0.3, 1.2, -0.4),
+        "singlet_tensors": lambda: singlet_tensors(1.5),
+    }
+    owned = fano._owned
+    adopted = []
+    monkeypatch.setattr(fano, "_owned", lambda values: adopted.append(values) or owned(values))
+    for name, build in builders.items():
+        adopted.clear()
+        held = build()
+        assert len(adopted) == 1, name
+        assert (held.values if hasattr(held, "values") else held.matrix) is adopted[0], name
+
+
+def test_decompose_bipartite_memory_peak(rng):
+    # factor 1 is traced first, so the second trace returns the final
+    # [k1, q1, k2, q2] array: no transposed intermediate and no copy
+    rho12 = random_bipartite_density(rng, 16, 16)
+    decompose_bipartite(rho12)  # builds the spin-8 bands outside the trace
+    tracemalloc.start()
+    try:
+        t12 = decompose_bipartite(rho12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * t12.values.nbytes
+
+
 # -------------------------------------------------------------- decompose
 
 
@@ -759,11 +801,11 @@ def test_singlet_tensors_closed_form_values():
     assert np.all(t12.values[off_pattern] == 0.0)
 
 
-@pytest.mark.parametrize("ts", [1, 2])
+@pytest.mark.parametrize("ts", [1, 2, 24, 28])
 def test_singlet_tensors_match_decomposition(ts):
     closed = singlet_tensors(ts / 2)
     brute = decompose_bipartite(singlet_density(ts / 2))
-    assert closed.values == pytest.approx(brute.values, abs=1e-12)
+    np.testing.assert_allclose(brute.values, closed.values, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ts", [1, 2, 3])

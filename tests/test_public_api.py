@@ -85,8 +85,9 @@ def test_removed_methods_are_absent():
 
 
 def test_no_lru_cache_left_for_cg_or_bands():
-    from spinphase import tensor_ops
+    from spinphase import distributions, tensor_ops
 
     assert not hasattr(angular, "_cg_core")
     assert not hasattr(angular, "lru_cache")
     assert not hasattr(tensor_ops, "lru_cache")
+    assert not hasattr(distributions, "lru_cache")
