@@ -3,120 +3,25 @@
 Multipole decomposition of spin density matrices, the P/Q/F distributions
 built on it, deterministic spherical quadrature, and the singlet-state
 correlation results, with a small CLI front end (`spinphase`).
+
+The public names are each module's __all__, re-exported here in one list.
 """
 
-from .angular import (
-    HalfInteger,
-    clebsch_gordan,
-    legendre_sequence,
-    log_factorial,
-    spherical_harmonic,
-    wigner_D,
-    wigner_D_matrix,
-    wigner_d,
-)
-from .distributions import (
-    DirectionVector,
-    DistributionKind,
-    SpinCoherentState,
-    classical_limit_table,
-    classical_spin_vector,
-    coefficient,
-    coefficient_table,
-    coherent_state,
-    correlation,
-    correlation_exact,
-    evaluate,
-    evaluate_bipartite,
-    evaluate_bipartite_many,
-    evaluate_many,
-    expectation,
-    q_direct,
-    singlet_profile,
-)
-from .errors import (
-    BandLimitError,
-    ConsistencyError,
-    DomainError,
-    SpinPhaseError,
-    ValidationError,
-)
-from .fano import (
-    BipartiteDensityMatrix,
-    CoupledFanoTensorSet,
-    DensityMatrix,
-    FanoTensorSet,
-    decompose,
-    decompose_bipartite,
-    is_product,
-    reconstruct,
-    reconstruct_bipartite,
-    reduce,
-    rotate_tensors,
-    singlet_density,
-    singlet_tensors,
-)
-from .quadrature import SphereGrid, build_grid, integrate, integrate_product, project
-from .tensor_ops import (
-    operator_components,
-    operator_from_components,
-    spin_operators,
-    tau_matrix,
-)
+from . import angular, distributions, errors, fano, quadrature, tensor_ops
+from .angular import *  # noqa: F403
+from .distributions import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fano import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .tensor_ops import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HalfInteger",
-    "log_factorial",
-    "clebsch_gordan",
-    "legendre_sequence",
-    "spherical_harmonic",
-    "wigner_d",
-    "wigner_D",
-    "wigner_D_matrix",
-    "tau_matrix",
-    "operator_components",
-    "operator_from_components",
-    "spin_operators",
-    "DensityMatrix",
-    "BipartiteDensityMatrix",
-    "FanoTensorSet",
-    "CoupledFanoTensorSet",
-    "decompose",
-    "reconstruct",
-    "decompose_bipartite",
-    "reconstruct_bipartite",
-    "reduce",
-    "is_product",
-    "rotate_tensors",
-    "singlet_density",
-    "singlet_tensors",
-    "DistributionKind",
-    "SpinCoherentState",
-    "DirectionVector",
-    "coefficient",
-    "coefficient_table",
-    "coherent_state",
-    "q_direct",
-    "evaluate",
-    "evaluate_many",
-    "evaluate_bipartite",
-    "evaluate_bipartite_many",
-    "classical_spin_vector",
-    "expectation",
-    "singlet_profile",
-    "correlation",
-    "correlation_exact",
-    "classical_limit_table",
-    "SphereGrid",
-    "build_grid",
-    "integrate",
-    "integrate_product",
-    "project",
-    "SpinPhaseError",
-    "DomainError",
-    "ValidationError",
-    "ConsistencyError",
-    "BandLimitError",
+    *angular.__all__,
+    *tensor_ops.__all__,
+    *fano.__all__,
+    *distributions.__all__,
+    *quadrature.__all__,
+    *errors.__all__,
 ]

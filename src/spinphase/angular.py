@@ -11,6 +11,10 @@ which makes R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'} for irreducible
 tensor operators.  Spins and projections are carried as twice-value integers
 so half-integer arithmetic stays exact.
 
+Every public integer, spin, projection and angle argument of the package
+passes one rule here (require_int, require_spin, require_projection,
+require_angle): a refusal is a DomainError naming the argument and its value.
+
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum, d(beta) the per-rank J_y eigenbasis, and harmonics one real, signed
 table T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
@@ -24,6 +28,7 @@ byte-bounded _RankCaches (as tensor_ops' bands do): safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -65,13 +70,11 @@ def log_factorial(n: int) -> float:
 
     Table-backed (exact-integer logarithms) for n <= 500, lgamma beyond.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"log_factorial expects an integer, got {n!r}")
-    if n < 0:
-        raise DomainError(f"log_factorial expects n >= 0, got {n}")
-    if n <= _TABLE_MAX:
-        return _LOG_FACTORIAL[n]
-    return math.lgamma(n + 1.0)
+    return _log_factorial(require_int(n, "n", 0))
+
+
+def _log_factorial(n: int) -> float:
+    return _LOG_FACTORIAL[n] if n <= _TABLE_MAX else math.lgamma(n + 1.0)
 
 
 @dataclass(frozen=True, order=True)
@@ -81,21 +84,12 @@ class HalfInteger:
     twice_value: int
 
     def __post_init__(self):
-        if isinstance(self.twice_value, bool) or not isinstance(
-            self.twice_value, (int, np.integer)
-        ):
-            raise DomainError(f"twice_value must be an integer, got {self.twice_value!r}")
-        object.__setattr__(self, "twice_value", int(self.twice_value))
+        object.__setattr__(self, "twice_value", require_int(self.twice_value, "twice_value"))
 
     @classmethod
     def from_value(cls, value) -> "HalfInteger":
         """Coerce a number (or HalfInteger) whose double is an integer."""
-        if isinstance(value, HalfInteger):
-            return value
-        doubled = 2.0 * float(value)
-        if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
-            raise DomainError(f"{value!r} is not a half-integer")
-        return cls(round(doubled))
+        return cls(_twice(value, "value"))
 
     @property
     def value(self) -> float:
@@ -114,25 +108,68 @@ class HalfInteger:
         return f"{self.twice_value}/2"
 
 
-def require_spin(s) -> int:
-    """Validate a spin value and return its twice-value integer."""
-    ts = HalfInteger.from_value(s).twice_value
-    if ts < 0:
-        raise DomainError(f"spin must be nonnegative, got {ts / 2.0}")
+def require_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` as an int: a Python or numpy integer, never a bool, in lo..hi
+    (None leaves that side open)."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and (lo is None or lo <= value) and (hi is None or value <= hi)):
+        span = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise DomainError(f"{name}={value!r}: expected an integer{span}")
+    return int(value)
+
+
+def _twice(value, name: str) -> int:
+    """Twice a half-integer: an integer (never a bool), a HalfInteger, or a
+    real number within 1e-9 of a half-integer."""
+    if isinstance(value, HalfInteger):
+        return value.twice_value
+    if isinstance(value, (int, np.integer)):
+        return 2 * require_int(value, name)
+    doubled = 2.0 * float(value) if isinstance(value, numbers.Real) else math.nan
+    if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
+        raise DomainError(f"{name}={value!r}: expected a half-integer")
+    return round(doubled)
+
+
+def require_spin(s, name: str = "s", lo: int = 0) -> int:
+    """Validate a spin value, at least lo / 2, and return its twice-value integer."""
+    ts = _twice(s, name)
+    if ts < lo:
+        raise DomainError(f"{name}={s!r}: expected a spin >= {lo / 2:g}")
     return ts
 
 
-def require_projection(ts: int, m) -> int:
+def require_projection(ts: int, m, name: str = "m") -> int:
     """Validate a projection against spin twice-value ts; return twice-value."""
-    tm = HalfInteger.from_value(m).twice_value
+    tm = _twice(m, name)
     if (tm - ts) % 2 != 0:
         raise DomainError(
-            f"projection {tm}/2 has wrong parity for spin {ts}/2 (both must be "
-            "integers or both half-odd-integers)"
+            f"{name}={m!r}: wrong parity for spin {ts}/2 (both must be integers "
+            "or both half-odd-integers)"
         )
     if abs(tm) > ts:
-        raise DomainError(f"projection {tm}/2 exceeds spin {ts}/2 in magnitude")
+        raise DomainError(f"{name}={m!r}: exceeds spin {ts}/2 in magnitude")
     return tm
+
+
+def require_angle(value, name: str) -> np.ndarray:
+    """A finite angle in radians, scalar or array, as a float array (0-d for
+    a scalar); a refusal names the first non-finite entry."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name}={value!r}: expected a finite angle") from None
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        where = "" if a.ndim == 0 else f"{list(map(int, np.unravel_index(bad[0], a.shape)))}"
+        raise DomainError(f"{name}{where}={float(a.flat[bad[0]])!r}: expected a finite angle")
+    return a
+
+
+def _euler_angles(alpha, beta, gamma) -> tuple[float, ...]:
+    """Three scalar z-y-z Euler angles as floats, each through require_angle."""
+    angles = zip((alpha, beta, gamma), ("alpha", "beta", "gamma"))
+    return tuple(float(require_angle(v, name)) for v, name in angles)
 
 
 def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:
@@ -143,11 +180,11 @@ def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:
     violations (m != m1 + m2, triangle rule) return 0 by contract; an invalid
     spin/projection pairing raises DomainError.
     """
-    ts1 = require_spin(s1)
-    ts2 = require_spin(s2)
+    ts1 = require_spin(s1, "s1")
+    ts2 = require_spin(s2, "s2")
     ts = require_spin(s)
-    tm1 = require_projection(ts1, m1)
-    tm2 = require_projection(ts2, m2)
+    tm1 = require_projection(ts1, m1, "m1")
+    tm2 = require_projection(ts2, m2, "m2")
     tm = require_projection(ts, m)
     if tm1 + tm2 != tm:
         return 0.0
@@ -160,7 +197,7 @@ def _racah_cg(ts1, ts2, ts, tm1, tm2, tm):
     """Racah single sum for twice-value labels that already pass every
     selection rule.  Uncached: its one bulk caller, the tensor band build,
     evaluates each label once and caches the bands."""
-    lf = log_factorial
+    lf = _log_factorial
     half_log_pref = 0.5 * (
         math.log(ts + 1.0)
         + lf((ts1 + ts2 - ts) // 2)
@@ -203,10 +240,9 @@ def legendre_sequence(k_max: int, x) -> np.ndarray:
 
     Returns shape (k_max + 1,) + shape(x).
     """
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
-        raise DomainError(f"legendre_sequence expects integer k_max >= 0, got {k_max!r}")
+    k_max = require_int(k_max, "k_max", 0)
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):
         raise DomainError("legendre_sequence expects |x| <= 1")
     out = np.empty((k_max + 1,) + x.shape, dtype=float)
     out[0] = 1.0
@@ -288,18 +324,11 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
 
 def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
     """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"spherical_harmonic expects integer k >= 0, got {k!r}")
-    if not isinstance(q, (int, np.integer)) or abs(q) > k:
-        raise DomainError(f"spherical_harmonic expects integer |q| <= k, got q={q!r}")
-    y = _norm_legendre_table(k, np.cos(np.array([float(theta)])))[k, k + q, 0]
-    return complex(y * np.exp(1j * q * float(phi)))
-
-
-def _require_rank_pair(rank, comp) -> tuple[int, int]:
-    tk = require_spin(rank)
-    tq = require_projection(tk, comp)
-    return tk, tq
+    k = require_int(k, "k", 0)
+    q = require_int(q, "q", -k, k)
+    theta, phi = float(require_angle(theta, "theta")), float(require_angle(phi, "phi"))
+    y = _norm_legendre_table(k, np.cos(np.array([theta])))[k, k + q, 0]
+    return complex(y * np.exp(1j * q * phi))
 
 
 class _RankCache:
@@ -359,6 +388,14 @@ class _RankCache:
             self._hits = self._misses = 0
 
 
+def _ladder(tk: int) -> np.ndarray:
+    """<m + 1| J_+ |m> = sqrt(j(j+1) - m(m+1)) for m = j-1..-j at j = tk / 2:
+    the superdiagonal of J_+ in the descending-m basis."""
+    j = tk / 2.0
+    m = j - np.arange(1, tk + 1)
+    return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+
+
 def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
     """The J_y eigenbasis at twice-rank tk, as d(beta) consumes it.
 
@@ -376,10 +413,8 @@ def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (G[even a], G[odd a]); the cache makes them read-only.
     """
     n = tk + 1
-    j = tk / 2.0
-    m = j - np.arange(1, n)
     # <m + 1| J_x |m> = J_+(m) / 2
-    half_jp = 0.5 * np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+    half_jp = 0.5 * _ladder(tk)
     _, vecs = np.linalg.eigh(np.diag(half_jp, 1) + np.diag(half_jp, -1))
     sigma = np.where(np.arange(n) % 4 < 2, 1.0, -1.0)
     g = sigma[:, None] * vecs
@@ -430,17 +465,18 @@ def _wigner_d_core(tk: int, tqp: int, tq: int, beta: float) -> float:
 
 def wigner_d(k, qp, q, beta: float) -> float:
     """Wigner small-d element d^k_{q'q}(beta); k may be half-integer."""
-    tk, tqp = _require_rank_pair(k, qp)
-    _, tq = _require_rank_pair(k, q)
-    return _wigner_d_core(tk, tqp, tq, float(beta))
+    tk = require_spin(k, "k")
+    tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
+    return _wigner_d_core(tk, tqp, tq, float(require_angle(beta, "beta")))
 
 
 def wigner_D(k, qp, q, alpha: float, beta: float, gamma: float) -> complex:
     """Rotation-matrix element D^k_{q'q}(alpha, beta, gamma), z-y-z convention."""
-    tk, tqp = _require_rank_pair(k, qp)
-    _, tq = _require_rank_pair(k, q)
-    d = _wigner_d_core(tk, tqp, tq, float(beta))
-    phase = -0.5 * (tqp * float(alpha) + tq * float(gamma))
+    tk = require_spin(k, "k")
+    tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
+    alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
+    d = _wigner_d_core(tk, tqp, tq, beta)
+    phase = -0.5 * (tqp * alpha + tq * gamma)
     return complex(d * (math.cos(phase) + 1j * math.sin(phase)))
 
 
@@ -450,12 +486,12 @@ def wigner_D_matrix(k, alpha: float, beta: float, gamma: float) -> np.ndarray:
     With this ordering the rank-s matrix acts directly on spin states in the
     descending-m basis used everywhere in this package.  Unitary to roundoff.
     """
-    tk = require_spin(k)
-    n = tk + 1
-    d = _small_d(tk, float(beta))
-    tq_axis = tk - 2 * np.arange(n)
-    left = np.exp(-0.5j * tq_axis * float(alpha))
-    right = np.exp(-0.5j * tq_axis * float(gamma))
+    tk = require_spin(k, "k")
+    alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
+    d = _small_d(tk, beta)
+    tq_axis = tk - 2 * np.arange(tk + 1)
+    left = np.exp(-0.5j * tq_axis * alpha)
+    right = np.exp(-0.5j * tq_axis * gamma)
     out = left[:, None] * d * right[None, :]
     out.setflags(write=False)
     return out

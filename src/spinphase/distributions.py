@@ -29,13 +29,16 @@ and cached per spin, all three kinds in one entry of a byte-bounded
 _RankCache, so everything here is safe for concurrent use.
 
 The singlet correlation never forms the joint distribution on the grid: it
-projects each side's classical vector (classical_spin_vector, the one
-statement of each kind's magnitude and orientation) onto harmonics ring by
+projects each side's classical vector (_spin_vector, behind
+classical_spin_vector, the one statement of each kind's magnitude and
+orientation) onto harmonics ring by
 ring (quadrature.project) and contracts the two [k, 2s + q] arrays with the
 singlet's coefficients, O(K^3) for a grid of band K.  It needs band >= s
 (BandLimitError otherwise; coarser grids alias).  Its roundoff bound
 travels with it, and a result the bound cannot certify to 1e-9 s(s+1)/3
-raises ConsistencyError (P from 2s = 26 on, on band-2s grids).
+raises ConsistencyError (P from 2s = 26 on, on band-2s grids).  A P
+coefficient that a call would return or use and that overflows the float
+range is refused with DomainError (_finite).
 """
 
 from __future__ import annotations
@@ -51,10 +54,19 @@ from .angular import (
     _RankCache,
     _synthesize,
     legendre_sequence,
+    require_angle,
+    require_int,
     require_spin,
 )
-from .errors import BandLimitError, ConsistencyError, DomainError
-from .fano import CoupledFanoTensorSet, DensityMatrix, FanoTensorSet, _singlet_coefficients
+from .errors import BandLimitError, ConsistencyError, DomainError, ValidationError
+from .fano import (
+    CoupledFanoTensorSet,
+    DensityMatrix,
+    FanoTensorSet,
+    _frozen,
+    _owned,
+    _singlet_coefficients,
+)
 from .quadrature import SphereGrid, integrate, project
 from .tensor_ops import operator_components
 
@@ -106,14 +118,11 @@ def coefficient(kind: DistributionKind, s, k: int) -> float:
     are positive.  Every kind tends to 1 as s grows at fixed k.
     """
     ts = require_spin(s)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"rank k must be an integer, got {k!r}")
-    if k < 0 or k > ts:
-        raise DomainError(f"rank k={k} outside 0..2s={ts}")
-    return float(_table(kind, ts)[k])
+    k = require_int(k, "k", 0, ts)
+    return float(_table(kind, ts, k)[k])
 
 
-@np.errstate(over="ignore")  # P's c_k reach inf from 2s = 1027; Q and F share the entry
+@np.errstate(over="ignore")  # P's c_k reach inf from 2s = 1027; _table refuses them
 def _build_tables(ts: int) -> tuple[np.ndarray, ...]:
     """The P, Q and F tables of one spin, in DistributionKind order."""
     # exact ratios r_k = (c_k / c_{k-1})^2, rational in 2s; the product of
@@ -129,8 +138,28 @@ def _build_tables(ts: int) -> tuple[np.ndarray, ...]:
 _tables = _RankCache(_build_tables, max_bytes=10_000_000)
 
 
-def _table(kind: DistributionKind, ts: int) -> np.ndarray:
-    return _tables(ts)["PQF".index(kind.value)]
+def _require_kind(kind) -> DistributionKind:
+    if not isinstance(kind, DistributionKind):
+        raise DomainError(f"kind={kind!r}: expected a DistributionKind (P, Q or F)")
+    return kind
+
+
+def _finite(kind: DistributionKind, ts: int, c: np.ndarray) -> np.ndarray:
+    """c (c_k, or a power of it, indexed by k) if finite, else DomainError
+    naming the first k that is not.  Only P's c_k grow, and they grow with k,
+    so the last entry decides: P's c_k overflow from 2s = 1027 on."""
+    if not math.isfinite(c[-1]):
+        raise DomainError(
+            f"{kind.value} coefficients at 2s = {ts} overflow the float range "
+            f"from k={np.argmax(~np.isfinite(c))} on"
+        )
+    return c
+
+
+def _table(kind, ts: int, k_max: int | None = None) -> np.ndarray:
+    """The cached c_0..c_k_max (default 2s) of one kind and spin, all finite."""
+    c = _tables(ts)["PQF".index(_require_kind(kind).value)]
+    return _finite(kind, ts, c if k_max is None else c[: k_max + 1])
 
 
 def coefficient_table(kind: DistributionKind, s) -> np.ndarray:
@@ -148,10 +177,19 @@ class SpinCoherentState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        ts = require_spin(self.s)
+        amplitudes = _owned(self.amplitudes)
+        if amplitudes.shape != (ts + 1,):
+            raise ValidationError(
+                f"coherent state amplitudes of shape {amplitudes.shape}, expected ({ts + 1},)"
+            )
+        norm = float(np.sum(np.abs(amplitudes) ** 2))
+        if not abs(norm - 1.0) <= 1e-12:
             raise ConsistencyError(f"coherent state norm {norm} deviates from 1")
-        self.amplitudes.setflags(write=False)
+        object.__setattr__(self, "s", HalfInteger(ts))
+        object.__setattr__(self, "theta", float(require_angle(self.theta, "theta")))
+        object.__setattr__(self, "phi", float(require_angle(self.phi, "phi")))
+        object.__setattr__(self, "amplitudes", amplitudes)
 
 
 def coherent_state(s, theta: float, phi: float) -> SpinCoherentState:
@@ -161,20 +199,28 @@ def coherent_state(s, theta: float, phi: float) -> SpinCoherentState:
                        exp(-i (s+m) phi)
 
     in the descending-m ordering.  theta = 0 gives |s, -s>; theta = pi gives
-    |s, +s> up to the phase exp(-i 2s phi).
+    |s, +s> up to the phase exp(-i 2s phi).  Works at any spin.
     """
     ts = require_spin(s)
-    theta = float(theta) % (2.0 * math.pi)
-    phi = float(phi) % (2.0 * math.pi)
-    c = math.cos(0.5 * theta)
-    sn = math.sin(0.5 * theta)
-    amps = np.empty(ts + 1, dtype=complex)
-    for i in range(ts + 1):
-        # index i holds m = s - i, so s - m = i and s + m = 2s - i
-        mag = math.sqrt(math.comb(ts, i)) * c**i * sn ** (ts - i)
-        ang = -(ts - i) * phi
-        amps[i] = mag * (math.cos(ang) + 1j * math.sin(ang))
-    return SpinCoherentState(HalfInteger(ts), theta, phi, amps)
+    theta = float(require_angle(theta, "theta")) % (2.0 * math.pi)
+    phi = float(require_angle(phi, "phi")) % (2.0 * math.pi)
+    c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)  # sn >= 0: theta / 2 < pi
+    # index i holds m = s - i, so s - m = i and s + m = 2s - i.  The magnitudes
+    # squared are binomial in p = c^2, and their ratios |a_(i+1) / a_i| =
+    # sqrt((2s - i) / (i + 1)) |c| / sn multiply outward from the binomial mode,
+    # the largest: nothing overflows at any spin and the tails underflow to 0.
+    # A step up needs c^2 < 2s / (2s + 1), a step down c^2 >= 1 / (2s + 1)
+    i = np.arange(ts + 1)
+    mode = min(ts, math.floor((ts + 1) * c * c))
+    up, down = i[mode:-1], i[mode:0:-1]
+    mag = np.concatenate((
+        np.cumprod(np.sqrt(down / (ts + 1.0 - down)) * (sn / abs(c)))[::-1],
+        [1.0],
+        np.cumprod(np.sqrt((ts - up) / (up + 1.0)) * (abs(c) / sn if up.size else 0.0)),
+    ))
+    # c^i carries the sign and exp(-i (s + m) phi) the phase
+    amps = mag / np.linalg.norm(mag) * np.copysign(1.0, c) ** i * np.exp(-1j * (ts - i) * phi)
+    return SpinCoherentState(HalfInteger(ts), theta, phi, _frozen(amps))
 
 
 @dataclass(frozen=True)
@@ -247,7 +293,7 @@ def _require_real(values, context: str):
     """Real part of an array or scalar whose imaginary residue is within
     _IMAG_TOL (ConsistencyError otherwise)."""
     residue = float(np.max(np.abs(np.imag(values)), initial=0.0))
-    if residue > _IMAG_TOL:
+    if not residue <= _IMAG_TOL:
         raise ConsistencyError(f"{context}: imaginary residue {residue:.3e} exceeds {_IMAG_TOL}")
     return np.real(values)
 
@@ -260,6 +306,7 @@ def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.nd
     rather than O(K^2 N).  The full complex sum is formed and its imaginary
     residue must stay within 1e-9 (ConsistencyError otherwise).
     """
+    theta, phi = require_angle(theta, "theta"), require_angle(phi, "phi")
     weighted = t.as_array() * _weights(kind, t.s.twice_value)
     vals = _synthesize(weighted, theta, phi) / _SQRT4PI
     return _require_real(vals, f"evaluate({kind.value})")
@@ -282,6 +329,8 @@ def evaluate_bipartite_many(
 
     Returns shape (len(theta1), len(theta2)).
     """
+    theta1, phi1 = require_angle(theta1, "theta1"), require_angle(phi1, "phi1")
+    theta2, phi2 = require_angle(theta2, "theta2"), require_angle(phi2, "phi2")
     w1 = _weights(kind, t12.s1.twice_value)
     w2 = _weights(kind, t12.s2.twice_value)
     t4w = t12.as_array() * w1[:, :, None, None] * w2[None, None, :, :]
@@ -305,9 +354,7 @@ def evaluate_bipartite(
     )
 
 
-def _bloch_vector(theta, phi, flip_z: bool) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+def _bloch_vector(theta: np.ndarray, phi: np.ndarray, flip_z: bool) -> np.ndarray:
     sin_t = np.sin(theta)
     z = -np.cos(theta) if flip_z else np.cos(theta)
     return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z], axis=-1)
@@ -321,9 +368,14 @@ def classical_spin_vector(kind: DistributionKind, s, theta, phi) -> np.ndarray:
     (sin t cos p, sin t sin p, -cos t).  theta and phi may be equal-shape
     arrays; the vector is then the last axis.
     """
-    ts = require_spin(s)
+    theta, phi = require_angle(theta, "theta"), require_angle(phi, "phi")
+    return _spin_vector(kind, require_spin(s), theta, phi)
+
+
+def _spin_vector(kind: DistributionKind, ts: int, theta, phi) -> np.ndarray:
+    """classical_spin_vector at twice-spin ts, for angle arrays already checked."""
     s_val = ts / 2.0
-    if kind is DistributionKind.P:
+    if _require_kind(kind) is DistributionKind.P:
         return s_val * _bloch_vector(theta, phi, flip_z=True)
     if kind is DistributionKind.Q:
         return (s_val + 1.0) * _bloch_vector(theta, phi, flip_z=True)
@@ -379,18 +431,17 @@ def singlet_profile(kind: DistributionKind, s, theta12):
 
     Accepts a scalar or array of angles.
     """
-    ts = require_spin(s)
-    if ts < 1:
-        raise DomainError("singlet profile requires 2s >= 1")
-    theta12 = np.asarray(theta12, dtype=float)
+    ts = require_spin(s, lo=1)
+    theta12 = require_angle(theta12, "theta12")
     scalar = theta12.ndim == 0
     x = np.cos(np.atleast_1d(theta12))
     p = legendre_sequence(ts, x)
     c = _table(kind, ts)
     k = np.arange(ts + 1)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
-    coeffs = signs * (2 * k + 1) * c**2
-    vals = (coeffs @ p) / (4.0 * math.pi) ** 2
+    with np.errstate(over="ignore"):
+        coeffs = signs * (2 * k + 1) * c**2
+    vals = (_finite(kind, ts, coeffs) @ p) / (4.0 * math.pi) ** 2
     return float(vals[0]) if scalar else vals
 
 
@@ -423,9 +474,7 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     when the result's bound exceeds 1e-9 s(s+1)/3.  P reaches it from
     2s = 26 on band-2s grids, because its c_k^2 grow like 16^s.
     """
-    ts = require_spin(s)
-    if ts < 1:
-        raise DomainError("correlation requires 2s >= 1")
+    ts = require_spin(s, lo=1)
     if grid.band_limit < 2 or 2 * grid.band_limit < ts:
         raise BandLimitError(
             f"grid band limit {grid.band_limit} is too coarse for 2s = {ts}; "
@@ -434,14 +483,16 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     av = DirectionVector.from_any(a).as_array()
     bv = DirectionVector.from_any(b).as_array()
     s_val = ts / 2.0
-    vectors = classical_spin_vector(kind, s, grid.node_thetas, grid.node_phis)
+    # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2,
+    # refused before the projections if they overflow
+    with np.errstate(over="ignore"):
+        c_squared = _finite(kind, ts, _table(kind, ts) ** 2)[:, None]
+    vectors = _spin_vector(kind, ts, grid.node_thetas, grid.node_phis)
     (left, right), (left_err, right_err) = project(
         grid, np.stack([vectors @ av, vectors @ bv]), ts
     )
     # side 1's column 2s + q meets side 2's column 2s - q
     right, right_err = right[:, ::-1], right_err[:, ::-1]
-    # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
-    c_squared = _table(kind, ts)[:, None] ** 2
     coupling = _singlet_coefficients(ts) * c_squared / (4.0 * math.pi)
     terms = coupling * left * right
     # per term |LR - L'R'| <= |L'| dR + dL |R'| + dL dR, plus the sum's rounding
@@ -461,10 +512,4 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
 
 def classical_limit_table(kind: DistributionKind, k: int, s_list) -> list[float]:
     """coefficient(kind, s, k) for each listed spin; approaches 1 as s grows."""
-    out = []
-    for s in s_list:
-        ts = require_spin(s)
-        if k > ts:
-            raise DomainError(f"rank k={k} exceeds 2s={ts} for listed spin {ts}/2")
-        out.append(coefficient(kind, HalfInteger(ts), k))
-    return out
+    return [coefficient(kind, s, k) for s in s_list]

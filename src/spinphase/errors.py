@@ -1,5 +1,13 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "SpinPhaseError",
+    "DomainError",
+    "ValidationError",
+    "ConsistencyError",
+    "BandLimitError",
+]
+
 
 class SpinPhaseError(Exception):
     """Base class for all errors raised by this package."""

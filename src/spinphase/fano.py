@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import HalfInteger, _small_d, require_spin
-from .errors import DomainError, ValidationError
+from .angular import HalfInteger, _euler_angles, _small_d, require_int, require_spin
+from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
 
 __all__ = [
@@ -109,9 +109,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        s = HalfInteger.from_value(self.s)
-        ts = require_spin(s)
-        object.__setattr__(self, "s", s)
+        ts = require_spin(self.s)
+        object.__setattr__(self, "s", HalfInteger(ts))
         object.__setattr__(
             self, "matrix", _validate_state_matrix(self.matrix, ts + 1, "density matrix")
         )
@@ -130,11 +129,10 @@ class BipartiteDensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        s1 = HalfInteger.from_value(self.s1)
-        s2 = HalfInteger.from_value(self.s2)
-        dim = (require_spin(s1) + 1) * (require_spin(s2) + 1)
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
+        ts1, ts2 = require_spin(self.s1, "s1"), require_spin(self.s2, "s2")
+        dim = (ts1 + 1) * (ts2 + 1)
+        object.__setattr__(self, "s1", HalfInteger(ts1))
+        object.__setattr__(self, "s2", HalfInteger(ts2))
         object.__setattr__(
             self,
             "matrix",
@@ -213,10 +211,10 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     return a
 
 
-def _column(ts: int, k: int, q: int) -> int:
-    if not 0 <= k <= ts or abs(q) > k:
-        raise KeyError(f"label (k={k}, q={q}) outside the spin-{ts}/2 tensor set")
-    return ts + q
+def _column(ts: int, k, q, suffix: str = "") -> tuple[int, int]:
+    """Array indices [k, 2s + q] of one factor's label (k, q) at twice-spin ts."""
+    k = require_int(k, "k" + suffix, 0, ts)
+    return k, ts + require_int(q, "q" + suffix, -k, k)
 
 
 @dataclass(frozen=True)
@@ -232,14 +230,12 @@ class FanoTensorSet:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        s = HalfInteger.from_value(self.s)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(
-            self, "values", _validate_set(self.values, (require_spin(s),), "tensor set")
-        )
+        ts = require_spin(self.s)
+        object.__setattr__(self, "s", HalfInteger(ts))
+        object.__setattr__(self, "values", _validate_set(self.values, (ts,), "tensor set"))
 
     def value(self, k: int, q: int) -> complex:
-        return complex(self.values[k, _column(self.s.twice_value, k, q)])
+        return complex(self.values[_column(self.s.twice_value, k, q)])
 
     def as_array(self) -> np.ndarray:
         """Dense layout [k, 2s + q], zero where |q| > k (read-only)."""
@@ -259,19 +255,16 @@ class CoupledFanoTensorSet:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        s1 = HalfInteger.from_value(self.s1)
-        s2 = HalfInteger.from_value(self.s2)
-        spins = (require_spin(s1), require_spin(s2))
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
+        ts1, ts2 = require_spin(self.s1, "s1"), require_spin(self.s2, "s2")
+        object.__setattr__(self, "s1", HalfInteger(ts1))
+        object.__setattr__(self, "s2", HalfInteger(ts2))
         object.__setattr__(
-            self, "values", _validate_set(self.values, spins, "coupled tensor set")
+            self, "values", _validate_set(self.values, (ts1, ts2), "coupled tensor set")
         )
 
     def value(self, k1: int, q1: int, k2: int, q2: int) -> complex:
-        col1 = _column(self.s1.twice_value, k1, q1)
-        col2 = _column(self.s2.twice_value, k2, q2)
-        return complex(self.values[k1, col1, k2, col2])
+        labels = _column(self.s1.twice_value, k1, q1, "1")
+        return complex(self.values[labels + _column(self.s2.twice_value, k2, q2, "2")])
 
     def as_array(self) -> np.ndarray:
         """Dense layout [k1, 2s1 + q1, k2, 2s2 + q2] (read-only)."""
@@ -310,13 +303,13 @@ def reconstruct_bipartite(t12: CoupledFanoTensorSet) -> BipartiteDensityMatrix:
     out = np.empty((n1 * n2, n1 * n2), dtype=complex)
     mat4 = out.reshape(n1, n2, n1, n2)  # (m1, m2, m1', m2') view of out
     mat4.transpose(1, 3, 0, 2)[...] = operator_from_components(t12.s1, partial)
+    del partial  # about 2x the matrix: not held while the container validates
     return BipartiteDensityMatrix(t12.s1, t12.s2, _frozen(out))
 
 
 def reduce(rho12: BipartiteDensityMatrix, which: int) -> DensityMatrix:
     """Partial trace onto subsystem 1 or 2."""
-    if which not in (1, 2):
-        raise DomainError(f"subsystem selector must be 1 or 2, got {which!r}")
+    which = require_int(which, "which", 1, 2)
     n1, n2 = rho12.dim1, rho12.dim2
     mat4 = rho12.matrix.reshape(n1, n2, n1, n2)
     if which == 1:
@@ -349,14 +342,14 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
     decompose(R rho R^dag) to roundoff.
     """
     ts = t.s.twice_value
-    beta = float(beta)
+    alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
     q = np.arange(-ts, ts + 1)
-    out = t.values * np.exp(1j * q * float(gamma))
+    out = t.values * np.exp(1j * q * gamma)
     for k in range(1, ts + 1):
         cols = slice(ts - k, ts + k + 1)
         # d orders q = k..-k, the reverse of the array columns
         out[k, cols] = (_small_d(2 * k, beta) @ out[k, cols][::-1])[::-1]
-    return FanoTensorSet(t.s, _frozen(np.exp(1j * q * float(alpha)) * out))
+    return FanoTensorSet(t.s, _frozen(np.exp(1j * q * alpha) * out))
 
 
 def singlet_density(s) -> BipartiteDensityMatrix:

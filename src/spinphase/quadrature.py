@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import _norm_legendre_table
+from .angular import _norm_legendre_table, require_int
 from .errors import DomainError
 
 __all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product", "project"]
@@ -76,10 +76,7 @@ class SphereGrid:
 
 def build_grid(band_limit: int) -> SphereGrid:
     """Build the Gauss-Legendre x uniform-phi grid for the given band limit."""
-    if isinstance(band_limit, bool) or not isinstance(band_limit, (int, np.integer)):
-        raise DomainError(f"band_limit must be an integer, got {band_limit!r}")
-    if band_limit < 0:
-        raise DomainError(f"band_limit must be >= 0, got {band_limit}")
+    band_limit = require_int(band_limit, "band_limit", 0)
     n_theta = band_limit + 1
     n_phi = 2 * band_limit + 2
     x, w = np.polynomial.legendre.leggauss(n_theta)
@@ -90,7 +87,7 @@ def build_grid(band_limit: int) -> SphereGrid:
     for arr in (thetas, theta_weights, phis):
         arr.setflags(write=False)
     return SphereGrid(
-        band_limit=int(band_limit),
+        band_limit=band_limit,
         thetas=thetas,
         theta_weights=theta_weights,
         phis=phis,
@@ -136,6 +133,8 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
     """Integrate over the product of two spheres.
 
     values[i, j] holds the integrand at (node i of grid1, node j of grid2).
+    The sum over grid2's nodes goes first; integrate then refuses a NaN
+    partial sum, naming its grid1 node.
     """
     values = np.asarray(values)
     if values.shape != (grid1.n_nodes, grid2.n_nodes):
@@ -143,13 +142,7 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
             f"expected values of shape {(grid1.n_nodes, grid2.n_nodes)}, "
             f"got {values.shape}"
         )
-    partial = values @ grid2.weights
-    if np.iscomplexobj(partial):
-        return complex(
-            math.fsum(grid1.weights * partial.real),
-            math.fsum(grid1.weights * partial.imag),
-        )
-    return math.fsum(grid1.weights * partial)
+    return integrate(grid1, values @ grid2.weights)
 
 
 def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +161,7 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     T exp(-i q phi) at every q: O(k_max^2 n_theta) work and memory instead
     of the O(k_max^2 N) of a full harmonic table.
     """
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
-        raise DomainError(f"k_max must be an integer >= 0, got {k_max!r}")
+    k_max = require_int(k_max, "k_max", 0)
     vals = _node_values(grid, values)
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
     ring_weights = grid.theta_weights * grid.phi_weight

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .angular import _racah_cg, _RankCache, require_spin
+from .angular import _ladder, _racah_cg, _RankCache, require_int, require_spin
 from .errors import DomainError
 
 __all__ = [
@@ -64,16 +64,10 @@ def tau_matrix(s, k: int, q: int) -> np.ndarray:
     this phase convention), built from the stored band on each call.
     """
     ts = require_spin(s)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise DomainError(f"rank k must be an integer, got {k!r}")
-    if not isinstance(q, (int, np.integer)):
-        raise DomainError(f"component q must be an integer, got {q!r}")
-    if k < 0 or k > ts:
-        raise DomainError(f"rank k={k} outside 0..2s={ts}")
-    if abs(q) > k:
-        raise DomainError(f"component q={q} outside -k..k for k={k}")
+    k = require_int(k, "k", 0, ts)
+    q = require_int(q, "q", -k, k)
     out = np.zeros((ts + 1, ts + 1), dtype=complex)
-    out[_band_index(ts + 1, int(q))] = _bands(ts)[ts + q][k - abs(q)]
+    out[_band_index(ts + 1, q)] = _bands(ts)[ts + q][k - abs(q)]
     out.setflags(write=False)
     return out
 
@@ -111,28 +105,21 @@ def operator_from_components(s, comps: np.ndarray) -> np.ndarray:
     for q, band in enumerate(_bands(ts), start=-ts):
         rows, cols = _band_index(n, -q)
         out[..., rows, cols] = comps[..., abs(q):, ts + q] @ band
-    return out / n
+    out /= n
+    return out
 
 
 def spin_operators(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cartesian spin matrices (Sx, Sy, Sz) built from the rank-1 tensors.
+    """Cartesian spin matrices (Sx, Sy, Sz) from the ladder operators:
 
-    Sx = sqrt(s(s+1)/6) (tau^1_{-1} - tau^1_{1}),
-    Sy = i sqrt(s(s+1)/6) (tau^1_{-1} + tau^1_{1}),
-    Sz = sqrt(s(s+1)/3) tau^1_0.
+    Sx = (J+ + J-)/2, Sy = (J+ - J-)/(2i), Sz = diag(m),
 
-    Hermitian, satisfy [Sx, Sy] = i Sz cyclically and Sx^2+Sy^2+Sz^2 =
-    s(s+1) I.  For s = 0 the three matrices are 1x1 zeros.
+    with J- = J+^T and <m+1| J+ |m> = sqrt(s(s+1) - m(m+1)).  O(n^2) at any
+    spin, with no tensor bands built.  Hermitian, satisfy [Sx, Sy] = i Sz
+    cyclically and Sx^2+Sy^2+Sz^2 = s(s+1) I.  For s = 0 the three matrices
+    are 1x1 zeros.
     """
     ts = require_spin(s)
-    if ts == 0:
-        zero = np.zeros((1, 1), dtype=complex)
-        return zero, zero.copy(), zero.copy()
-    casimir = (ts / 2.0) * (ts / 2.0 + 1.0)
-    t_m1 = tau_matrix(s, 1, -1)
-    t_p1 = tau_matrix(s, 1, 1)
-    t_0 = tau_matrix(s, 1, 0)
-    sx = math.sqrt(casimir / 6.0) * (t_m1 - t_p1)
-    sy = 1j * math.sqrt(casimir / 6.0) * (t_m1 + t_p1)
-    sz = math.sqrt(casimir / 3.0) * t_0
-    return sx, sy, sz
+    j_plus = np.diag(_ladder(ts), 1).astype(complex)
+    sz = np.diag(ts / 2.0 - np.arange(ts + 1)).astype(complex)
+    return (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j, sz

@@ -104,7 +104,7 @@ def test_half_integer_rejects_non_half():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_half_integer_rejects_non_finite_naming_value(value):
-    with pytest.raises(DomainError, match=f"^{value!r} is not a half-integer"):
+    with pytest.raises(DomainError, match=f"^value={value!r}: expected a half-integer"):
         HalfInteger.from_value(value)
     with pytest.raises(DomainError, match=repr(value)):
         angular.require_spin(value)

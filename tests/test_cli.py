@@ -292,6 +292,13 @@ def test_limit_violating_entry_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_limit_p_overflow_is_usage_error(capsys):
+    # c_2s of P leaves the float range at 2s = 1027; 2s = 1026 still fits
+    assert main(["limit", "--kind", "p", "--k", "1026", "--twice-spins", "1026"]) == 0
+    assert main(["limit", "--kind", "p", "--k", "1027", "--twice-spins", "1027"]) == 2
+    assert "P coefficients at 2s = 1027" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- dist
 
 

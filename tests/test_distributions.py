@@ -15,6 +15,8 @@ from spinphase import (
     DistributionKind,
     DomainError,
     FanoTensorSet,
+    SpinCoherentState,
+    ValidationError,
     build_grid,
     classical_limit_table,
     classical_spin_vector,
@@ -39,7 +41,7 @@ from spinphase import (
 )
 from conftest import harmonic_table, random_bipartite_density, random_density, random_direction
 from spinphase.angular import _RankCache
-from spinphase.distributions import _bloch_vector, _sign_matrix, _tables
+from spinphase.distributions import _bloch_vector, _require_real, _sign_matrix, _tables
 
 P, Q, F = DistributionKind.P, DistributionKind.Q, DistributionKind.F
 FOUR_PI = 4.0 * math.pi
@@ -220,6 +222,76 @@ def test_scs_tensor_expectation_closed_form(rng):
                     * spherical_harmonic(k, q, theta, phi)
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def _coherent_amplitudes_by_binomial(ts, theta, phi):
+    # the closed form term by term, exact binomials; overflows from 2s ~ 1030
+    theta, phi = theta % (2 * math.pi), phi % (2 * math.pi)
+    c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return np.array([
+        math.sqrt(math.comb(ts, i)) * c**i * sn ** (ts - i) * np.exp(-1j * (ts - i) * phi)
+        for i in range(ts + 1)
+    ])
+
+
+@pytest.mark.parametrize("ts", [0, 1, 2, 7, 40, 121, 200])
+def test_coherent_state_matches_binomial_closed_form(ts):
+    for theta, phi in ((0.0, 0.3), (0.4, 1.1), (1.6, 2.9), (math.pi, 0.5), (4.1, 5.9)):
+        amplitudes = coherent_state(ts / 2, theta, phi).amplitudes
+        expected = _coherent_amplitudes_by_binomial(ts, theta, phi)
+        assert np.max(np.abs(amplitudes - expected)) <= 1e-14
+
+
+@pytest.mark.parametrize("ts", [1100, 2000, 20000])
+def test_coherent_state_at_large_spin_against_mpmath(ts):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for theta, phi in ((0.3, 0.7), (1.9, 2.0), (4.4, 5.5)):
+        amplitudes = coherent_state(ts / 2, theta, phi).amplitudes
+        assert abs(np.sum(np.abs(amplitudes) ** 2) - 1.0) <= 1e-15
+        c, sn = mpmath.cos(mpmath.mpf(theta) / 2), mpmath.sin(mpmath.mpf(theta) / 2)
+        mode = int(np.argmax(np.abs(amplitudes)))
+        width = int(3 * math.sqrt(ts))
+        for i in {0, max(0, mode - width), mode, min(ts, mode + width), ts}:
+            exact = (
+                mpmath.sqrt(mpmath.binomial(ts, i)) * c**i * sn ** (ts - i)
+                * mpmath.expj(-(ts - i) * mpmath.mpf(phi))
+            )
+            assert abs(amplitudes[i] - complex(exact)) <= 1e-12, (theta, i)
+
+
+def test_coherent_state_container_checks_its_amplitudes():
+    amplitudes = coherent_state(1, 0.4, 0.2).amplitudes
+    with pytest.raises(ValidationError, match=r"shape \(7,\), expected \(3,\)"):
+        SpinCoherentState(1, 0.4, 0.2, np.ones(7) / math.sqrt(7))
+    with pytest.raises(ConsistencyError, match="norm nan"):
+        SpinCoherentState(1, 0.4, 0.2, np.array([math.nan, 0.0, 0.0]))
+    # a writeable array is copied, never frozen in place; a frozen owned one is adopted
+    caller = np.array(amplitudes)
+    scs = SpinCoherentState(1, 0.4, 0.2, caller)
+    assert caller.flags.writeable and scs.amplitudes is not caller
+    assert not scs.amplitudes.flags.writeable
+    assert SpinCoherentState(1, 0.4, 0.2, amplitudes).amplitudes is amplitudes
+
+
+def test_imaginary_residue_check_refuses_nan():
+    with pytest.raises(ConsistencyError, match="imaginary residue nan"):
+        _require_real(np.array([1.0, complex(0.0, math.nan)]), "evaluate(Q)")
+
+
+def test_p_coefficients_refused_where_they_overflow():
+    # c_2s of P overflows from 2s = 1027 on, c_2s^2 from 515 and (2k + 1) c_2s^2,
+    # a term of the singlet profile, from 510
+    assert math.isfinite(coefficient(P, 513, 1026))
+    assert math.isfinite(coefficient(P, 1000, 1))
+    for call in (lambda: coefficient(P, 513.5, 1027), lambda: coefficient_table(P, 513.5)):
+        with pytest.raises(DomainError, match="^P coefficients at 2s = 1027 .* k=1027 on"):
+            call()
+    assert np.all(np.isfinite(singlet_profile(P, 254.5, [0.0, 1.0])))
+    with pytest.raises(DomainError, match="^P coefficients at 2s = 510 .* k=510 on"):
+        singlet_profile(P, 255, [0.0, 1.0])
+    with pytest.raises(DomainError, match="^P coefficients at 2s = 515 .* k=515 on"):
+        correlation(P, 257.5, [0, 0, 1], [0, 0, 1], build_grid(258))
 
 
 # ------------------------------------------------------------------ Q / P

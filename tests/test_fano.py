@@ -490,6 +490,20 @@ def test_decompose_bipartite_memory_peak(rng):
     assert peak <= 1.75 * t12.values.nbytes
 
 
+def test_reconstruct_bipartite_memory_peak(rng):
+    # the output, the factor-2 partial (about 2x) and the factor-1 result;
+    # the partial is released before the container validates the matrix
+    t12 = decompose_bipartite(random_bipartite_density(rng, 16, 16))
+    reconstruct_bipartite(t12)  # builds the spin-8 bands outside the trace
+    tracemalloc.start()
+    try:
+        rho12 = reconstruct_bipartite(t12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * rho12.matrix.nbytes
+
+
 # -------------------------------------------------------------- decompose
 
 

@@ -110,6 +110,14 @@ def test_integrate_rejects_nan():
         integrate(grid, vals)
 
 
+def test_integrate_product_rejects_nan():
+    grid = build_grid(1)
+    vals = np.ones((grid.n_nodes, grid.n_nodes))
+    vals[3, 5] = float("nan")
+    with pytest.raises(DomainError, match="node 3"):
+        integrate_product(grid, grid, vals)
+
+
 def test_integrate_rejects_bad_shape():
     grid = build_grid(1)
     with pytest.raises(DomainError):

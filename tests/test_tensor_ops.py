@@ -249,6 +249,16 @@ def test_spin_algebra(ts):
         assert np.max(np.abs(op - op.conj().T)) < 1e-12
 
 
+def test_spin_operators_use_no_bands_and_hold_at_large_spin():
+    before = _bands.cache_info()["misses"]
+    s = 100.0  # 2s = 200
+    sx, sy, sz = spin_operators(s)
+    assert _bands.cache_info()["misses"] == before
+    assert np.array_equal(sz, np.diag(s - np.arange(201)).astype(complex))
+    casimir = sx @ sx + sy @ sy + sz @ sz
+    assert np.max(np.abs(casimir - s * (s + 1) * np.eye(201))) <= 1e-14 * s * (s + 1)
+
+
 def test_spin_zero_degenerates():
     sx, sy, sz = spin_operators(0)
     for op in (sx, sy, sz):
