@@ -11,16 +11,18 @@ which makes R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'} for irreducible
 tensor operators.  Spins and projections are carried as twice-value integers
 so half-integer arithmetic stays exact.
 
-Every public integer, spin, projection and angle argument of the package
-passes one rule here (require_int, require_spin, require_projection,
-require_angle): a refusal is a DomainError naming the argument and its value.
+Every public integer, spin, projection, real and angle argument of the
+package passes one rule here (require_int, require_spin, require_projection,
+require_real, require_angle): a refusal is a DomainError naming the argument
+and its value.
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
-sum, d(beta) the per-rank J_y eigenbasis, and harmonics one real, signed
-table T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
+sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
+the per-rank J_y eigenbasis, and harmonics one real, signed table
+T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
 (_norm_legendre_table): spherical_harmonic reads one entry, the ring-wise
 synthesis and quadrature.project build it on distinct colatitudes.  All
-functions here are pure; the factorial table is immutable after import, and
+functions here are pure; the factorial tables are immutable after import, and
 the eigenbases and Legendre recurrence coefficients live in lock-guarded,
 byte-bounded _RankCaches (as tensor_ops' bands do): safe to call concurrently.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -50,16 +53,19 @@ __all__ = [
 
 _TABLE_MAX = 500
 _SYNTHESIS_BLOCK_BYTES = 16_000_000  # _synthesize's two gathers, per block of points
+# _racah_many's terms per block of labels; must exceed one label's, 2 min(s1, s2) + 1 at most
+_RACAH_BLOCK_TERMS = 1 << 14
 
 
 def _build_log_factorials(n_max):
     # ln of the exact integer factorial; accurate to ~1 ulp of the result.
-    logs = [0.0] * (n_max + 1)
+    logs = np.zeros(n_max + 1)
     acc = 1
     for n in range(1, n_max + 1):
         acc *= n
         logs[n] = math.log(acc)
-    return tuple(logs)
+    logs.setflags(write=False)
+    return logs
 
 
 _LOG_FACTORIAL = _build_log_factorials(_TABLE_MAX)
@@ -74,7 +80,7 @@ def log_factorial(n: int) -> float:
 
 
 def _log_factorial(n: int) -> float:
-    return _LOG_FACTORIAL[n] if n <= _TABLE_MAX else math.lgamma(n + 1.0)
+    return float(_LOG_FACTORIAL[n]) if n <= _TABLE_MAX else math.lgamma(n + 1.0)
 
 
 @dataclass(frozen=True, order=True)
@@ -152,9 +158,21 @@ def require_projection(ts: int, m, name: str = "m") -> int:
     return tm
 
 
-def require_angle(value, name: str) -> np.ndarray:
-    """A finite angle in radians, scalar or array, as a float array (0-d for
-    a scalar); a refusal names the first non-finite entry."""
+def require_real(value, name: str, lo: float | None = None, strict: bool = False) -> float:
+    """`value` as a float: a finite real number, never a bool, >= lo (> lo
+    if strict; None leaves it open)."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ok = ok and abs(value) <= sys.float_info.max  # not nan, inf or an int beyond floats
+    if not (ok and (lo is None or value > lo or (value == lo and not strict))):
+        span = "" if lo is None else f" {'>' if strict else '>='} {lo:g}"
+        raise DomainError(f"{name}={value!r}: expected a finite real{span}")
+    return float(value)
+
+
+def require_angle(value, name: str, scalar: bool = False):
+    """A finite angle in radians as a float array (0-d for a scalar), or as a
+    float if `scalar`, which refuses an array; a refusal names the first
+    non-finite entry."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -163,13 +181,15 @@ def require_angle(value, name: str) -> np.ndarray:
     if bad.size:
         where = "" if a.ndim == 0 else f"{list(map(int, np.unravel_index(bad[0], a.shape)))}"
         raise DomainError(f"{name}{where}={float(a.flat[bad[0]])!r}: expected a finite angle")
-    return a
+    if scalar and a.ndim:
+        raise DomainError(f"{name}={value!r}: expected a scalar angle")
+    return float(a) if scalar else a
 
 
 def _euler_angles(alpha, beta, gamma) -> tuple[float, ...]:
     """Three scalar z-y-z Euler angles as floats, each through require_angle."""
     angles = zip((alpha, beta, gamma), ("alpha", "beta", "gamma"))
-    return tuple(float(require_angle(v, name)) for v, name in angles)
+    return tuple(require_angle(v, name, scalar=True) for v, name in angles)
 
 
 def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:
@@ -190,49 +210,80 @@ def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:
         return 0.0
     if ts < abs(ts1 - ts2) or ts > ts1 + ts2 or (ts1 + ts2 + ts) % 2 != 0:
         return 0.0
-    return _racah_cg(ts1, ts2, ts, tm1, tm2, tm)
+    return float(_racah_many(ts1, ts2, ts, tm1, tm2))
 
 
-def _racah_cg(ts1, ts2, ts, tm1, tm2, tm):
-    """Racah single sum for twice-value labels that already pass every
-    selection rule.  Uncached: its one bulk caller, the tensor band build,
-    evaluates each label once and caches the bands."""
-    lf = _log_factorial
-    half_log_pref = 0.5 * (
-        math.log(ts + 1.0)
-        + lf((ts1 + ts2 - ts) // 2)
-        + lf((ts1 - ts2 + ts) // 2)
-        + lf((ts2 + ts - ts1) // 2)
-        - lf((ts1 + ts2 + ts) // 2 + 1)
-        + lf((ts1 + tm1) // 2)
-        + lf((ts1 - tm1) // 2)
-        + lf((ts2 + tm2) // 2)
-        + lf((ts2 - tm2) // 2)
-        + lf((ts + tm) // 2)
-        + lf((ts - tm) // 2)
-    )
-    t_lo = max(0, (ts2 - ts - tm1) // 2, (ts1 - ts + tm2) // 2)
-    t_hi = min((ts1 + ts2 - ts) // 2, (ts1 - tm1) // 2, (ts2 + tm2) // 2)
-    if t_hi < t_lo:
-        return 0.0
-    logs = []
-    signs = []
-    for t in range(t_lo, t_hi + 1):
-        log_den = (
-            lf(t)
-            + lf((ts1 + ts2 - ts) // 2 - t)
-            + lf((ts1 - tm1) // 2 - t)
-            + lf((ts2 + tm2) // 2 - t)
-            + lf((ts - ts2 + tm1) // 2 + t)
-            + lf((ts - ts1 - tm2) // 2 + t)
-        )
-        logs.append(-log_den)
-        signs.append(-1.0 if t % 2 else 1.0)
-    peak = max(logs)
-    total = math.fsum(sg * math.exp(lg - peak) for sg, lg in zip(signs, logs))
-    if total == 0.0:
-        return 0.0
-    return math.copysign(math.exp(half_log_pref + peak + math.log(abs(total))), total)
+def _map(f, x: np.ndarray) -> np.ndarray:
+    """A math function over a 1-d array: numpy's SIMD exp and log can differ
+    from math's in the last bit, and the Racah sum's floats must not."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+# The Racah sum's factorial arguments, times two, as coefficients on the labels
+# (ts1, ts2, ts, tm1, tm2).  Rows 0-9: the prefactor's (s1+s2-s)! (s1-s2+s)!
+# (s2+s-s1)! / (s1+s2+s + 1)! (s1+-m1)! (s2+-m2)! (s+-m)!, row 3 the largest
+# argument of a label; rows 10-15: 0 and the a, b, c, d, e of the terms'
+# t! (a-t)! (b-t)! (c-t)! (d+t)! (e+t)!.
+_RACAH_ARGS = np.array([
+    [1, 1, -1, 0, 0], [1, -1, 1, 0, 0], [-1, 1, 1, 0, 0], [1, 1, 1, 0, 0],
+    [1, 0, 0, 1, 0], [1, 0, 0, -1, 0], [0, 1, 0, 0, 1], [0, 1, 0, 0, -1],
+    [0, 0, 1, 1, 1], [0, 0, 1, -1, -1], [0, 0, 0, 0, 0], [1, 1, -1, 0, 0],
+    [1, 0, 0, -1, 0], [0, 1, 0, 0, 1], [0, -1, 1, 1, 0], [-1, 0, 1, 0, -1],
+])
+_RACAH_ARGS.setflags(write=False)
+
+
+def _racah_total(log_scale: float, terms: list) -> float:
+    """A label's Racah sum from its terms, each divided by exp(log_scale)."""
+    total = math.fsum(terms)
+    return math.copysign(math.exp(log_scale + math.log(abs(total))), total) if total else 0.0
+
+
+def _racah_many(ts1, ts2, ts, tm1, tm2) -> np.ndarray:
+    """<s1 m1; s2 m2 | s m1+m2> for equal-shape arrays (or ints) of twice-value
+    labels that pass every selection rule, by the Racah single sum
+
+        sqrt(pref) sum_t (-1)^t / (t! (a-t)! (b-t)! (c-t)! (d+t)! (e+t)!)
+
+    over t = max(0, -d, -e)..min(a, b, c), never empty.  In log-factorial
+    space (each sum of logs taken left to right by np.add.accumulate), each
+    term is scaled by its label's largest, and a label's terms are summed
+    exactly.  Labels run in blocks of about _RACAH_BLOCK_TERMS terms, so the
+    temporaries stay bounded.  Every float is the label-by-label sum's.
+    """
+    labels = np.array((ts1, ts2, ts, tm1, tm2), dtype=np.int64)
+    shape, labels = labels.shape[1:], labels.reshape(5, -1)
+    args = _RACAH_ARGS @ labels // 2
+    args[3] += 1
+    n_max = args[3].max()
+    lf = _LOG_FACTORIAL if n_max <= _TABLE_MAX else _map(_log_factorial, np.arange(n_max + 1))
+    logs = lf[args[:10]]
+    logs[3] *= -1.0
+    logs[0] += _map(math.log, labels[2] + 1.0)  # ln(2s + 1) comes first
+    half_log_pref = 0.5 * np.add.accumulate(logs, out=logs)[-1]
+    bases = args[10:]  # 0, a, b, c, d, e
+    t_lo = np.maximum(0, -np.minimum(bases[4], bases[5]))
+    count = np.minimum.reduce(bases[1:4]) + 1 - t_lo
+    out = np.empty(count.size)
+    ends = count.cumsum()
+    cuts = ends.searchsorted(np.arange(_RACAH_BLOCK_TERMS, ends[-1], _RACAH_BLOCK_TERMS))
+    for block in map(slice, [0, *cuts], [*cuts, count.size]):
+        n_t = count[block]
+        ends_t = n_t.cumsum()
+        starts = ends_t - n_t
+        t = np.arange(ends_t[-1]) + (t_lo[block] - starts).repeat(n_t)
+        facs = bases[:, block].repeat(n_t, axis=1)  # t, a - t, b - t, c - t, d + t, e + t
+        facs[0] = t
+        facs[1:4] -= t
+        facs[4:] += t
+        logs = lf[facs]
+        log_term = -np.add.accumulate(logs, out=logs)[-1]
+        peak = np.maximum.reduceat(log_term, starts)
+        terms = _map(math.exp, log_term - peak.repeat(n_t))
+        terms *= 1 - 2 * (t & 1)  # (-1)^t
+        runs = map(terms.tolist().__getitem__, map(slice, starts.tolist(), ends_t.tolist()))
+        out[block] = list(map(_racah_total, (half_log_pref[block] + peak).tolist(), runs))
+    return out.reshape(shape)
 
 
 def legendre_sequence(k_max: int, x) -> np.ndarray:
@@ -326,7 +377,8 @@ def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
     """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase."""
     k = require_int(k, "k", 0)
     q = require_int(q, "q", -k, k)
-    theta, phi = float(require_angle(theta, "theta")), float(require_angle(phi, "phi"))
+    theta = require_angle(theta, "theta", scalar=True)
+    phi = require_angle(phi, "phi", scalar=True)
     y = _norm_legendre_table(k, np.cos(np.array([theta])))[k, k + q, 0]
     return complex(y * np.exp(1j * q * phi))
 
@@ -467,7 +519,7 @@ def wigner_d(k, qp, q, beta: float) -> float:
     """Wigner small-d element d^k_{q'q}(beta); k may be half-integer."""
     tk = require_spin(k, "k")
     tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
-    return _wigner_d_core(tk, tqp, tq, float(require_angle(beta, "beta")))
+    return _wigner_d_core(tk, tqp, tq, require_angle(beta, "beta", scalar=True))
 
 
 def wigner_D(k, qp, q, alpha: float, beta: float, gamma: float) -> complex:

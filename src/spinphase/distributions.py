@@ -56,6 +56,7 @@ from .angular import (
     legendre_sequence,
     require_angle,
     require_int,
+    require_real,
     require_spin,
 )
 from .errors import BandLimitError, ConsistencyError, DomainError, ValidationError
@@ -187,8 +188,8 @@ class SpinCoherentState:
         if not abs(norm - 1.0) <= 1e-12:
             raise ConsistencyError(f"coherent state norm {norm} deviates from 1")
         object.__setattr__(self, "s", HalfInteger(ts))
-        object.__setattr__(self, "theta", float(require_angle(self.theta, "theta")))
-        object.__setattr__(self, "phi", float(require_angle(self.phi, "phi")))
+        object.__setattr__(self, "theta", require_angle(self.theta, "theta", scalar=True))
+        object.__setattr__(self, "phi", require_angle(self.phi, "phi", scalar=True))
         object.__setattr__(self, "amplitudes", amplitudes)
 
 
@@ -202,8 +203,8 @@ def coherent_state(s, theta: float, phi: float) -> SpinCoherentState:
     |s, +s> up to the phase exp(-i 2s phi).  Works at any spin.
     """
     ts = require_spin(s)
-    theta = float(require_angle(theta, "theta")) % (2.0 * math.pi)
-    phi = float(require_angle(phi, "phi")) % (2.0 * math.pi)
+    theta = require_angle(theta, "theta", scalar=True) % (2.0 * math.pi)
+    phi = require_angle(phi, "phi", scalar=True) % (2.0 * math.pi)
     c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)  # sn >= 0: theta / 2 < pi
     # index i holds m = s - i, so s - m = i and s + m = 2s - i.  The magnitudes
     # squared are binomial in p = c^2, and their ratios |a_(i+1) / a_i| =
@@ -232,9 +233,8 @@ class DirectionVector:
     z: float
 
     def __post_init__(self):
-        for comp in (self.x, self.y, self.z):
-            if not math.isfinite(comp):
-                raise DomainError("direction components must be finite")
+        for name in "xyz":
+            require_real(getattr(self, name), name)
         norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"direction must be a unit vector, |v| = {norm:.15g}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import HalfInteger, _euler_angles, _small_d, require_int, require_spin
+from .angular import HalfInteger, _euler_angles, _small_d, require_int, require_real, require_spin
 from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
 
@@ -324,11 +324,12 @@ def is_product(t12: CoupledFanoTensorSet, tol: float) -> bool:
     True certifies an uncorrelated product state; this is not a general
     separability test.
     """
+    tol = require_real(tol, "tol", 0.0)
     t4 = t12.values
     ts1, ts2 = t12.s1.twice_value, t12.s2.twice_value
     # marginals t^{k1 0}_{q1 0} and t^{0 k2}_{0 q2}, broadcast to [k1, q1, k2, q2]
     product = t4[:, :, :1, ts2 : ts2 + 1] * t4[:1, ts1 : ts1 + 1, :, :]
-    return float(np.max(np.abs(t4 - product))) <= float(tol)
+    return float(np.max(np.abs(t4 - product))) <= tol
 
 
 def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) -> FanoTensorSet:

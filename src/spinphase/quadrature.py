@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import _norm_legendre_table, require_int
+from .angular import _norm_legendre_table, require_int, require_real
 from .errors import DomainError
 
 __all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product", "project"]
@@ -42,6 +42,17 @@ class SphereGrid:
     theta_weights: np.ndarray
     phis: np.ndarray
     phi_weight: float
+
+    def __post_init__(self):
+        require_int(self.band_limit, "band_limit", 0)
+        for name in ("thetas", "theta_weights", "phis"):
+            a = getattr(self, name)
+            ok = isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iuf"
+            if not (ok and np.isfinite(a).all()):
+                raise DomainError(f"{name}={a!r}: expected a 1-d array of finite reals")
+        if self.theta_weights.shape != self.thetas.shape:
+            raise DomainError(f"theta_weights={self.theta_weights!r}: expected one per theta")
+        require_real(self.phi_weight, "phi_weight", 0.0, strict=True)
 
     @property
     def n_theta(self) -> int:

@@ -13,11 +13,9 @@ routines broadcast over the leading axes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .angular import _ladder, _racah_cg, _RankCache, require_int, require_spin
+from .angular import _ladder, _racah_many, _RankCache, require_int, require_spin
 from .errors import DomainError
 
 __all__ = [
@@ -34,15 +32,11 @@ def _build_bands(ts: int) -> tuple[np.ndarray, ...]:
     n = ts + 1
     out = []
     for q in range(-ts, ts + 1):
-        size = n - abs(q)
-        band = np.zeros((size, size))
-        for k in range(abs(q), n):
-            scale = math.sqrt(2.0 * k + 1.0)
-            for j in range(size):
-                tm = ts - 2 * (j + max(q, 0))  # column holds m = s - col
-                # <s m; k q | s m+q>: every label here passes the selection rules
-                band[k - abs(q), j] = scale * _racah_cg(ts, 2 * k, ts, tm, 2 * q, tm + 2 * q)
-        out.append(band)
+        k = np.arange(abs(q), n)[:, None]
+        tm = ts - 2 * (np.arange(n - abs(q)) + max(q, 0))  # column holds m = s - col
+        # <s m; k q | s m+q>: every label here passes the selection rules
+        labels = np.broadcast_arrays(ts, 2 * k, ts, tm, 2 * q)
+        out.append(np.sqrt(2.0 * k + 1.0) * _racah_many(*labels))
     return tuple(out)
 
 

@@ -52,6 +52,48 @@ def ladder_spin_matrices(ts: int):
     return sz, sp_
 
 
+def racah_cg_scalar(ts1, ts2, ts, tm1, tm2, tm):
+    """The label-by-label Racah sum the array kernel replaced, transcribed as
+    it stood: the bit-identity oracle for clebsch_gordan and the tensor bands.
+    Twice-value labels that pass every selection rule."""
+    lf = angular._log_factorial
+    half_log_pref = 0.5 * (
+        math.log(ts + 1.0)
+        + lf((ts1 + ts2 - ts) // 2)
+        + lf((ts1 - ts2 + ts) // 2)
+        + lf((ts2 + ts - ts1) // 2)
+        - lf((ts1 + ts2 + ts) // 2 + 1)
+        + lf((ts1 + tm1) // 2)
+        + lf((ts1 - tm1) // 2)
+        + lf((ts2 + tm2) // 2)
+        + lf((ts2 - tm2) // 2)
+        + lf((ts + tm) // 2)
+        + lf((ts - tm) // 2)
+    )
+    t_lo = max(0, (ts2 - ts - tm1) // 2, (ts1 - ts + tm2) // 2)
+    t_hi = min((ts1 + ts2 - ts) // 2, (ts1 - tm1) // 2, (ts2 + tm2) // 2)
+    if t_hi < t_lo:
+        return 0.0
+    logs = []
+    signs = []
+    for t in range(t_lo, t_hi + 1):
+        log_den = (
+            lf(t)
+            + lf((ts1 + ts2 - ts) // 2 - t)
+            + lf((ts1 - tm1) // 2 - t)
+            + lf((ts2 + tm2) // 2 - t)
+            + lf((ts - ts2 + tm1) // 2 + t)
+            + lf((ts - ts1 - tm2) // 2 + t)
+        )
+        logs.append(-log_den)
+        signs.append(-1.0 if t % 2 else 1.0)
+    peak = max(logs)
+    total = math.fsum(sg * math.exp(lg - peak) for sg, lg in zip(signs, logs))
+    if total == 0.0:
+        return 0.0
+    return math.copysign(math.exp(half_log_pref + peak + math.log(abs(total))), total)
+
+
 def rotation_by_exponentials(ts: int, alpha: float, beta: float, gamma: float):
     """exp(-i a Sz) exp(-i b Sy) exp(-i g Sz) built by matrix exponentials."""
     sz, sp_ = ladder_spin_matrices(ts)
@@ -176,6 +218,49 @@ def test_cg_selection_rules_return_zero():
     assert clebsch_gordan(0.5, 0.5, 2, 0.5, -0.5, 0) == 0.0  # triangle violated
     assert clebsch_gordan(1, 1, 2, 1, 0, 0) == 0.0  # m != m1 + m2
     assert clebsch_gordan(1, 1, 3, 1, 1, 2) == 0.0  # s beyond s1 + s2
+
+
+def random_cg_labels(rng, count, ts_max=40):
+    """Twice-value labels (ts1, ts2, ts, tm1, tm2, tm) with valid pairings:
+    unequal and half-integer spins up to 2s = ts_max, about one in four
+    breaking a selection rule (m != m1 + m2, the triangle or its parity)."""
+    labels = []
+    while len(labels) < count:
+        ts1, ts2 = (int(v) for v in rng.integers(0, ts_max + 1, 2))
+        tm1 = ts1 - 2 * int(rng.integers(0, ts1 + 1))
+        tm2 = ts2 - 2 * int(rng.integers(0, ts2 + 1))
+        if rng.random() < 0.75:
+            ts = abs(ts1 - ts2) + 2 * int(rng.integers(0, min(ts1, ts2) + 1))
+            tm = tm1 + tm2
+        else:
+            ts = int(rng.integers(0, 2 * ts_max + 1))
+            tm = ts - 2 * int(rng.integers(0, ts + 1))
+        if abs(tm) <= ts and (tm - ts) % 2 == 0:
+            labels.append((ts1, ts2, ts, tm1, tm2, tm))
+    return labels
+
+
+# <s1 0; s2 0 | s 0> with s1 + s2 + s odd: zero only through the sum's cancellation
+CANCELLATION_ZEROS = [(2, 2, 2, 0, 0, 0), (4, 4, 2, 0, 0, 0), (2, 4, 4, 0, 0, 0), (6, 8, 8, 0, 0, 0)]
+
+
+def test_cg_bytes_equal_scalar_racah_sum():
+    rng = np.random.default_rng(1401)
+    # spins up to 2s = 1000 reach factorials beyond the 500-entry table (lgamma)
+    labels = random_cg_labels(rng, 2400) + random_cg_labels(rng, 60, 1000) + CANCELLATION_ZEROS
+    kinds = set()
+    for ts1, ts2, ts, tm1, tm2, tm in labels:
+        got = clebsch_gordan(ts1 / 2, ts2 / 2, ts / 2, tm1 / 2, tm2 / 2, tm / 2)
+        valid = tm1 + tm2 == tm and abs(ts1 - ts2) <= ts <= ts1 + ts2
+        valid = valid and (ts1 + ts2 + ts) % 2 == 0
+        expected = racah_cg_scalar(ts1, ts2, ts, tm1, tm2, tm) if valid else 0.0
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (ts1, ts2, ts, tm1, tm2)
+        kinds.add((valid, got == 0.0, ts1 % 2 == 1, ts1 != ts2))
+    # nonzero and zero values, half-integer and unequal spins all occur
+    assert {(True, False), (True, True), (False, True)} <= {k[:2] for k in kinds}
+    assert {k[2] for k in kinds} == {True, False} and {k[3] for k in kinds} == {True, False}
+    for ts1, ts2, ts, tm1, tm2, tm in CANCELLATION_ZEROS:
+        assert clebsch_gordan(ts1 / 2, ts2 / 2, ts / 2, 0, 0, 0) == 0.0
 
 
 def test_cg_pairing_domain_errors():

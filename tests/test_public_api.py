@@ -241,6 +241,41 @@ def _argument_cases():
                         pytest.param(refused, name, value, id=f"{label} {name}={value} {shape}")
                     )
 
+    # the functions of scalar angles refuse an array of finite ones
+    scalar_only = (
+        "spherical_harmonic", "wigner_d", "wigner_D", "wigner_D_matrix",
+        "rotate_tensors", "coherent_state", "SpinCoherentState", "q_direct",
+    )
+    for label in scalar_only:
+        names, call = angles[label]
+        for i, name in enumerate(names):
+
+            def refused_array(v, i=i, n=len(names), call=call):
+                args = [0.3] * n
+                args[i] = v
+                return call(*args)
+
+            cases.append(pytest.param(refused_array, name, [0.1, 0.2], id=f"{label} {name} array"))
+
+    z, SphereGrid = np.zeros(2), spinphase.SphereGrid
+    reals = {
+        "is_product tol": ("tol", (math.nan, -1.0, True, "x", 10**400), lambda v: spinphase.is_product(t12, v)),
+        "SphereGrid band_limit": ("band_limit", (True, 1.0), lambda v: SphereGrid(v, z, z, z, 1.0)),
+        "SphereGrid phi_weight": (
+            "phi_weight",
+            (0.0, -1.0, math.inf, True),
+            lambda v: SphereGrid(1, z, z, z, v),
+        ),
+        "SphereGrid thetas": ("thetas", ([0.0, 1.0], z[None]), lambda v: SphereGrid(1, v, z, z, 1.0)),
+        "SphereGrid theta_weights": ("theta_weights", (z[:1],), lambda v: SphereGrid(1, z, v, z, 1.0)),
+        "SphereGrid phis": ("phis", (np.array([0.0, math.nan]),), lambda v: SphereGrid(1, z, z, v, 1.0)),
+        "DirectionVector x": ("x", (True, "1", math.nan), lambda v: spinphase.DirectionVector(v, 0, 1)),
+        "DirectionVector z": ("z", (np.bool_(True),), lambda v: spinphase.DirectionVector(0, 0, v)),
+    }
+    for label, (name, values, call) in reals.items():
+        for value in values:
+            cases.append(pytest.param(call, name, value, id=f"{label}={value!r:.24}"))
+
     kinds = {
         "coefficient": lambda k: spinphase.coefficient(k, 1, 0),
         "coefficient_table": lambda k: spinphase.coefficient_table(k, 1),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from spinphase import (
     wigner_D,
     wigner_D_matrix,
 )
+from spinphase import angular
 from spinphase.angular import _RankCache
 from spinphase.tensor_ops import _bands, _build_bands
-from test_angular import ladder_spin_matrices
+from test_angular import ladder_spin_matrices, racah_cg_scalar
 
 # ---------------------------------------------------------------- oracles
 
@@ -57,6 +59,73 @@ def test_bands_equal_clebsch_gordan_build(ts):
     assert len(got) == len(expected)
     for band, ref in zip(got, expected):
         assert np.array_equal(band, ref)
+
+
+def bands_from_scalar_racah(ts):
+    """The band build the array kernel replaced, label by label, as it stood."""
+    n = ts + 1
+    out = []
+    for q in range(-ts, ts + 1):
+        size = n - abs(q)
+        band = np.zeros((size, size))
+        for k in range(abs(q), n):
+            scale = math.sqrt(2.0 * k + 1.0)
+            for j in range(size):
+                tm = ts - 2 * (j + max(q, 0))
+                band[k - abs(q), j] = scale * racah_cg_scalar(ts, 2 * k, ts, tm, 2 * q, tm + 2 * q)
+        out.append(band)
+    return out
+
+
+def assert_bands_bytes_equal(ts):
+    got, expected = _build_bands(ts), bands_from_scalar_racah(ts)
+    assert len(got) == len(expected)
+    for band, ref in zip(got, expected):
+        assert band.shape == ref.shape and band.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("ts", range(25))
+def test_bands_bytes_equal_scalar_racah_build(ts):
+    assert_bands_bytes_equal(ts)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("ts", [44, 64])
+def test_bands_bytes_equal_scalar_racah_build_at_scale(ts):
+    assert_bands_bytes_equal(ts)
+
+
+def band_terms(ts, q):
+    """Terms of the Racah sums of band q: t runs over max(0, -d, -e)..min(a, b, c)."""
+    k, j = np.meshgrid(np.arange(abs(q), ts + 1), np.arange(ts + 1 - abs(q)), indexing="ij")
+    tm = ts - 2 * (j + max(q, 0))
+    a, b, c, d, e = k, (ts - tm) // 2, k + q, (ts - 2 * k + tm) // 2, -q
+    return int(np.sum(np.minimum(np.minimum(a, b), c) - np.maximum(0, -np.minimum(d, e)) + 1))
+
+
+def test_blocked_band_build_bytes_equal(monkeypatch):
+    # a budget of 1000 terms splits the labels of the larger bands at 2s = 32
+    # into blocks, up to seven at q = 0 (6545 terms)
+    assert band_terms(32, 0) == 6545 and sum(band_terms(32, q) > 1000 for q in range(33)) > 10
+    monkeypatch.setattr(angular, "_RACAH_BLOCK_TERMS", 1000)
+    assert_bands_bytes_equal(32)
+
+
+def test_band_build_temporaries_follow_the_block_budget(monkeypatch):
+    # the largest 2s = 24 band holds 2925 terms, one block at the default
+    # budget; blocks of 300 terms hold a fraction of its temporaries
+    def peak_beyond_result():
+        tracemalloc.start()
+        try:
+            bands = _build_bands(24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(b.nbytes for b in bands)
+
+    whole = peak_beyond_result()
+    monkeypatch.setattr(angular, "_RACAH_BLOCK_TERMS", 300)
+    assert peak_beyond_result() < 0.5 * whole
 
 
 def band_bytes(ts):
