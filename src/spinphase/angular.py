@@ -350,27 +350,39 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
 
     a has shape [..., K+1, 2K+1] (leading axes batched); the result has shape
     [..., n_points].  This is the transpose of quadrature.project, done ring
-    by ring: the signed table T[k, K + q, ring] = Y_kq(theta, 0) is built on
-    the distinct cos(theta) only, the sum over k gives one g[..., q, ring],
-    and the sum over q takes exp(-i q phi) from the distinct phi only.
-    O(K^2 R + K N) work for R distinct colatitudes among N points; the q sum
-    runs over blocks of points whose two gathers fit in _SYNTHESIS_BLOCK_BYTES.
+    by ring in two BLAS products.  The signed table T[k, K + q, ring] =
+    Y_kq(theta, 0) is built on the R distinct cos(theta) only, and the k sum
+    g[q, ring] = sum_k a[k, q] T[k, q, ring] is one real product per q, the
+    real and imaginary parts of the batch stacked as rows.  When the R
+    distinct colatitudes and the C distinct azimuths make no more cells than
+    the N points (a product grid in any order, repeated points), the q sum is
+    one complex product of g^T with exp(-i q phi) onto the [R, C] cells, read
+    at each point's cell; otherwise it runs point by point, in blocks whose
+    two [2K + 1, block] gathers fit in _SYNTHESIS_BLOCK_BYTES.  O(K^2 R + K N)
+    work either way, the cells taking no more memory than the result.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if theta.shape != phi.shape or theta.ndim != 1:
         raise DomainError("theta and phi must be equal-length 1-d arrays")
-    k_max = a.shape[-2] - 1
+    k_max, batch = a.shape[-2] - 1, a.shape[:-2]
+    n_b = math.prod(batch)
     x, ring = np.unique(np.cos(theta), return_inverse=True)
-    # the table [k, K + q, ring] is freed before the [2K + 1, block] gathers below
-    g = np.einsum("...kq,kqr->...qr", a, _norm_legendre_table(k_max, x))
     phis, column = np.unique(phi, return_inverse=True)
     phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
-    out = np.empty(g.shape[:-2] + theta.shape, dtype=complex)
-    step = max(1, _SYNTHESIS_BLOCK_BYTES // (16 * (math.prod(g.shape[:-1]) + phase.shape[0])))
-    for pts in (slice(p, p + step) for p in range(0, theta.shape[0], step)):
-        out[..., pts] = np.einsum("...qn,qn->...n", g[..., ring[pts]], phase[:, column[pts]])
-    return out
+    a = np.moveaxis(a.reshape(n_b, k_max + 1, 2 * k_max + 1), -1, 0)  # [q, batch, k]
+    # the table, read as [q, k, ring] in place, is freed after the k sum
+    g = np.concatenate([a.real, a.imag], 1) @ _norm_legendre_table(k_max, x).transpose(1, 0, 2)
+    g = g[:, :n_b] + 1j * g[:, n_b:]  # [q, batch, ring]
+    if x.shape[0] * phis.shape[0] <= theta.shape[0]:
+        cells = (g.reshape(g.shape[0], -1).T @ phase).reshape(n_b, -1)  # [batch, R * C]
+        out = cells[:, ring * phis.shape[0] + column]
+    else:
+        out = np.empty((n_b,) + theta.shape, dtype=complex)
+        step = max(1, _SYNTHESIS_BLOCK_BYTES // (16 * (n_b + 1) * phase.shape[0]))
+        for pts in (slice(p, p + step) for p in range(0, theta.shape[0], step)):
+            out[:, pts] = np.einsum("qbn,qn->bn", g[:, :, ring[pts]], phase[:, column[pts]])
+    return out.reshape(batch + theta.shape)
 
 
 def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:

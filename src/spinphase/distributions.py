@@ -20,13 +20,14 @@ rational in 2s, so F's c_1 is exactly 1.
 
 Bipartite distributions take the squared prefactor 1/(4 pi) and one
 (c, sigma) factor per subsystem.  Evaluation is a ring-wise synthesis
-(angular._synthesize): the Legendre sum runs on the distinct colatitudes
-only and the azimuthal sum on the distinct azimuths, O(K^2 R + K N) for R
-distinct colatitudes among N points with K = 2s, so O(K^3) on a band-K
-grid; no harmonic table over all points is built.  The joint form applies
-it along side 2's labels, then side 1's.  Coefficient tables are immutable
-and cached per spin, all three kinds in one entry of a byte-bounded
-_RankCache, so everything here is safe for concurrent use.
+(angular._synthesize) in two BLAS products: the Legendre sum runs on the
+distinct colatitudes only and the azimuthal sum on the distinct azimuths,
+onto their cells when those are no more than the points (any grid's nodes),
+O(K^2 R + K N) for R distinct colatitudes among N points with K = 2s, so
+O(K^3) on a band-K grid; no harmonic table over all points is built.  The
+joint form applies it along side 2's labels, then side 1's.  Coefficient
+tables are immutable and cached per spin, all three kinds in one entry of a
+byte-bounded _RankCache, so everything here is safe for concurrent use.
 
 The singlet correlation never forms the joint distribution on the grid: it
 projects each side's classical vector (_spin_vector, behind
@@ -302,9 +303,10 @@ def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.nd
     """Vectorized distribution values at paired angle arrays.
 
     One ring-wise synthesis (angular._synthesize): the Legendre table is
-    built on the distinct colatitudes only, so a band-K grid costs O(K^3)
-    rather than O(K^2 N).  The full complex sum is formed and its imaginary
-    residue must stay within 1e-9 (ConsistencyError otherwise).
+    built on the distinct colatitudes only and both sums are BLAS products,
+    so a band-K grid's nodes, in any order, cost O(K^3) rather than
+    O(K^2 N).  The full complex sum is formed and its imaginary residue must
+    stay within 1e-9 (ConsistencyError otherwise).
     """
     theta, phi = require_angle(theta, "theta"), require_angle(phi, "phi")
     weighted = t.as_array() * _weights(kind, t.s.twice_value)

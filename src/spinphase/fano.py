@@ -92,7 +92,12 @@ def _validate_state_matrix(matrix, dim: int, what: str) -> np.ndarray:
             f"{what}: unit trace violated (measured trace = {trace.real:.15g}"
             f"{trace.imag:+.3e}j, |trace - 1| = {abs(trace - 1.0):.3e}, tolerance {TRACE_TOL:g})"
         )
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+    h = 0.5 * (m + m.conj().T)
+    try:  # h - floor I positive definite: accepted without the eigenvalues
+        np.linalg.cholesky(h - EIGENVALUE_FLOOR * np.eye(dim))
+        return m
+    except np.linalg.LinAlgError:
+        min_eig = float(np.min(np.linalg.eigvalsh(h)))
     if not min_eig >= EIGENVALUE_FLOOR:
         raise ValidationError(
             f"{what}: positivity violated (smallest eigenvalue = {min_eig:.3e}, "

@@ -53,6 +53,12 @@ class SphereGrid:
         if self.theta_weights.shape != self.thetas.shape:
             raise DomainError(f"theta_weights={self.theta_weights!r}: expected one per theta")
         require_real(self.phi_weight, "phi_weight", 0.0, strict=True)
+        # last, so that a malformed field is named first; coarser nodes alias
+        band = self.band_limit
+        needs = (("thetas", self.n_theta, band + 1), ("phis", self.n_phi, 2 * band + 2))
+        for name, n, least in needs:
+            if n < least:
+                raise DomainError(f"{name}: {n} nodes cannot carry band {band} (at least {least})")
 
     @property
     def n_theta(self) -> int:

@@ -752,7 +752,7 @@ def test_wigner_domain():
 
 
 def unblocked_synthesis(a, theta, phi):
-    """_synthesize's q sum in one step, both [2K + 1, N] gathers at once."""
+    """The einsum synthesis in one step, both [2K + 1, N] gathers at once."""
     k_max = a.shape[-2] - 1
     x, ring = np.unique(np.cos(theta), return_inverse=True)
     g = np.einsum("...kq,kqr->...qr", a, _norm_legendre_table(k_max, x))
@@ -761,27 +761,101 @@ def unblocked_synthesis(a, theta, phi):
     return np.einsum("...qn,qn->...n", g[..., ring], phase[:, column])
 
 
+def synthesis_bound(a, theta):
+    """Per-point roundoff bound c (3K + 2) eps sum_kq |a_kq| |T_kq(theta)|, c = 1.
+
+    The recursive-summation bound of a k sum of K + 1 terms followed by a q
+    sum of 2K + 1, so any two orders of the sums agree within it; the BLAS
+    and einsum routes differ by under 0.2 of it in the cases below."""
+    k_max = a.shape[-2] - 1
+    x, ring = np.unique(np.cos(theta), return_inverse=True)
+    t = np.abs(_norm_legendre_table(k_max, x))
+    per_ring = np.einsum("...kq,kqr->...r", np.abs(a), t)
+    return (3 * k_max + 2) * np.finfo(float).eps * per_ring[..., ring]
+
+
+def assert_within_synthesis_bound(got, a, theta, phi):
+    expected = unblocked_synthesis(a, theta, phi)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= synthesis_bound(a, theta))
+
+
 def random_coefficients(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def synthesis_points(rng, ts, kind):
+    """Point sets of both routes: the product-grid cells (a band-ts grid in
+    order, shuffled, with repeats, a single point) and the per-point gather
+    (scattered points, a grid plus 7 extra points)."""
+    grid = build_grid(ts)
+    theta, phi = grid.node_thetas, grid.node_phis
+    if kind == "shuffled":
+        order = rng.permutation(theta.shape[0])
+        return theta[order], phi[order]
+    if kind == "repeated":
+        pick = rng.integers(0, theta.shape[0], 2 * theta.shape[0])
+        return theta[pick], phi[pick]
+    if kind == "single":
+        return theta[-1:], phi[-1:]
+    if kind == "scattered":
+        return rng.uniform(0, math.pi, 40), rng.uniform(0, 2 * math.pi, 40)
+    if kind == "grid+7":
+        extra_theta, extra_phi = rng.uniform(0, math.pi, 7), rng.uniform(0, 2 * math.pi, 7)
+        return np.concatenate([theta, extra_theta]), np.concatenate([phi, extra_phi])
+    return theta, phi
+
+
+@pytest.mark.parametrize(
+    "kind", ["grid", "shuffled", "repeated", "single", "scattered", "grid+7"]
+)
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("ts", [0, 1, 2, 5, 24, pytest.param(64, marks=pytest.mark.scale)])
+def test_synthesize_matches_einsum_within_roundoff(ts, batch, kind, rng):
+    a = random_coefficients(rng, batch + (ts + 1, 2 * ts + 1))
+    theta, phi = synthesis_points(rng, ts, kind)
+    assert_within_synthesis_bound(_synthesize(a, theta, phi), a, theta, phi)
 
 
 @pytest.mark.parametrize("budget", [1, 16 * 5 * 7, 16 * 5 * 40, 16_000_000])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
 def test_synthesize_blocks_equal_one_step(budget, batch, rng, monkeypatch):
-    # budgets of one point per block, blocks that do not divide N, and one block
+    # a grid plus scattered points takes the per-point gather; budgets of one
+    # point per block, blocks that do not divide N, and one block, each
+    # against the one-block result
     k_max = 2
     a = random_coefficients(rng, batch + (k_max + 1, 2 * k_max + 1))
     grid = build_grid(4)
     theta = np.concatenate([grid.node_thetas, rng.uniform(0, math.pi, 7)])
     phi = np.concatenate([grid.node_phis, rng.uniform(0, 2 * math.pi, 7)])
+    one_block = _synthesize(a, theta, phi)
     monkeypatch.setattr(angular, "_SYNTHESIS_BLOCK_BYTES", budget)
     got = _synthesize(a, theta, phi)
     assert got.shape == batch + theta.shape
-    assert np.array_equal(got, unblocked_synthesis(a, theta, phi))
+    assert np.array_equal(got, one_block)
 
 
 def test_synthesize_no_points():
     assert _synthesize(np.ones((3, 5), dtype=complex), [], []).shape == (0,)
+
+
+def synthesis_peak(a, theta, phi):
+    tracemalloc.start()
+    try:
+        got = _synthesize(a, theta, phi)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synthesize_memory_at_spin_sixty_four(rng):
+    # the per-point gathers of the einsum route peaked at 17 MB here
+    k_max = 64
+    a = random_coefficients(rng, (2, k_max + 1, 2 * k_max + 1))
+    grid = build_grid(k_max)
+    got, peak = synthesis_peak(a, grid.node_thetas, grid.node_phis)
+    assert peak <= 8e6
+    assert_within_synthesis_bound(got, a, grid.node_thetas, grid.node_phis)
 
 
 @pytest.mark.scale
@@ -790,11 +864,6 @@ def test_synthesize_memory_at_spin_one_twenty_eight(rng):
     k_max = 128
     a = random_coefficients(rng, (k_max + 1, 2 * k_max + 1))
     grid = build_grid(k_max)
-    tracemalloc.start()
-    try:
-        got = _synthesize(a, grid.node_thetas, grid.node_phis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = synthesis_peak(a, grid.node_thetas, grid.node_phis)
     assert peak <= 80e6
-    assert np.array_equal(got, unblocked_synthesis(a, grid.node_thetas, grid.node_phis))
+    assert_within_synthesis_bound(got, a, grid.node_thetas, grid.node_phis)

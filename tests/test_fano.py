@@ -27,6 +27,7 @@ from spinphase import (
     wigner_D_matrix,
 )
 from conftest import random_bipartite_density, random_density
+from spinphase.fano import EIGENVALUE_FLOOR
 from test_tensor_ops import all_labels
 
 # ---------------------------------------------------------------- oracles
@@ -189,6 +190,47 @@ def test_density_rejects_negative_eigenvalue():
     bad = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValidationError, match="positivity"):
         DensityMatrix(0.5, bad)
+
+
+def eigenvalue_positivity_rule(matrix, what):
+    """The positivity rule by eigenvalues alone, as it stood before the
+    Cholesky acceptance: None to accept, else the refusal message."""
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))))
+    if min_eig >= EIGENVALUE_FLOOR:
+        return None
+    return (
+        f"{what}: positivity violated (smallest eigenvalue = {min_eig:.3e}, "
+        f"floor {EIGENVALUE_FLOOR:g})"
+    )
+
+
+@pytest.mark.parametrize("offset", [1e-6, -1e-6, 1e-9, -1e-9])
+@pytest.mark.parametrize("ts", [1, 4, 24])
+def test_positivity_verdict_matches_eigenvalue_rule_near_floor(ts, offset, rng):
+    # a random eigenbasis, smallest eigenvalue at floor + offset, trace 1
+    n = ts + 1
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    lam = rng.uniform(0.5, 1.5, n)
+    lam[0] = EIGENVALUE_FLOOR + offset
+    lam[1:] *= (1.0 - lam[0]) / lam[1:].sum()
+    m = (u * lam) @ u.conj().T
+    m = 0.5 * (m + m.conj().T)
+    expected = eigenvalue_positivity_rule(m, "density matrix")
+    assert (expected is None) == (offset > 0)
+    if expected is None:
+        DensityMatrix(ts / 2, m)
+    else:
+        with pytest.raises(ValidationError) as info:
+            DensityMatrix(ts / 2, m)
+        assert str(info.value) == expected
+
+
+def test_bipartite_refusal_message_matches_eigenvalue_rule():
+    n = 9
+    m = np.diag(np.r_[1.0 + 1e-3, -1e-3, np.zeros(n - 2)]).astype(complex)
+    with pytest.raises(ValidationError) as info:
+        BipartiteDensityMatrix(1, 1, m)
+    assert str(info.value) == eigenvalue_positivity_rule(m, "bipartite density matrix")
 
 
 def test_density_rejects_dimension_mismatch():

@@ -6,6 +6,7 @@ import pytest
 from spinphase import (
     DistributionKind,
     DomainError,
+    SphereGrid,
     build_grid,
     decompose,
     evaluate_bipartite_many,
@@ -147,6 +148,30 @@ def test_build_grid_domain():
         build_grid(-1)
     with pytest.raises(DomainError):
         build_grid(2.5)
+
+
+@pytest.mark.parametrize(
+    "n_theta, n_phi, message",
+    [
+        (2, 14, r"^thetas: 2 nodes cannot carry band 6 \(at least 7\)$"),
+        (7, 2, r"^phis: 2 nodes cannot carry band 6 \(at least 14\)$"),
+        (6, 13, r"^thetas: 6 nodes cannot carry band 6 \(at least 7\)$"),
+        (7, 13, r"^phis: 13 nodes cannot carry band 6 \(at least 14\)$"),
+    ],
+)
+def test_grid_refuses_nodes_below_its_band(n_theta, n_phi, message):
+    # such a grid used to integrate a band-6 Q expectation to 0.935, not 1
+    thetas = np.linspace(0.5, 2.0, n_theta)
+    phis = 2 * math.pi * np.arange(n_phi) / n_phi
+    with pytest.raises(DomainError, match=message):
+        SphereGrid(6, thetas, np.ones(n_theta), phis, 2 * math.pi / n_phi)
+
+
+@pytest.mark.parametrize("band", [0, 1, 6, 31])
+def test_grid_at_or_above_its_band_is_accepted(band):
+    assert build_grid(band).band_limit == band  # build_grid's own nodes
+    finer = build_grid(band + 2)
+    SphereGrid(band, finer.thetas, finer.theta_weights, finer.phis, finer.phi_weight)
 
 
 # ------------------------------------------------------------------ project
