@@ -20,10 +20,13 @@ Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
 the per-rank J_y eigenbasis, and harmonics one real, signed table
 T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
-(_norm_legendre_table): spherical_harmonic reads one entry, the ring-wise
-synthesis and quadrature.project build it on distinct colatitudes.  All
-functions here are pure; the factorial tables are immutable after import, and
-the eigenbases and Legendre recurrence coefficients live in lock-guarded,
+(_norm_legendre_table): spherical_harmonic runs its recurrence for one
+column, the ring-wise synthesis and quadrature.project build it on distinct
+colatitudes.  A synthesis is a plan, which depends on the points alone, and
+an apply step: the plan (the table, the phases and each point's place) is
+built once per point set and cached by content.  All functions here are
+pure; the factorial tables are immutable after import, and the eigenbases,
+Legendre recurrence coefficients and synthesis plans live in lock-guarded,
 byte-bounded _RankCaches (as tensor_ops' bands do): safe to call concurrently.
 """
 
@@ -34,6 +37,7 @@ import numbers
 import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,21 +349,58 @@ def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _synthesis_plan(k_max: int, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_synthesize's plan for paired 1-d angle arrays, which depends on
+    (k_max, theta, phi) only: the signed table T[k, K + q, ring] =
+    Y_kq(theta_ring, 0) on the R distinct cos(theta), the phases
+    exp(-i q phi) as [2K + 1, C] on the C distinct azimuths, and each
+    point's place, its cell ring * C + column ([N]) when the R C cells are
+    no more than the N points, else its (ring, column) pair ([2, N])."""
+    x, ring = np.unique(np.cos(theta), return_inverse=True)
+    phis, column = np.unique(phi, return_inverse=True)
+    if x.shape[0] * phis.shape[0] <= theta.shape[0]:
+        points = ring * phis.shape[0] + column
+    else:
+        points = np.stack([ring, column])
+    phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
+    return _norm_legendre_table(k_max, x), phase, points
+
+
+def _build_plan(key: tuple) -> tuple:
+    """A _plans entry from its key: (k_max, theta bytes, phi bytes) gives the
+    synthesis plan, (k_max, theta bytes) project's ring table T on
+    cos(theta) in the given order, as a 1-tuple."""
+    k_max, *angles = key
+    theta, *phi = map(np.frombuffer, angles)
+    if phi:
+        return _synthesis_plan(k_max, theta, *phi)
+    return (_norm_legendre_table(k_max, np.cos(theta)),)
+
+
+def _ring_table(k_max: int, theta: np.ndarray) -> np.ndarray:
+    """The read-only signed table T[k, k_max + q, ring] on cos(theta) of a 1-d
+    float array, from the plan cache (quadrature.project's theta sum)."""
+    return _plans((k_max, theta.tobytes()))[0]
+
+
 def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
     """Sum_kq a[..., k, K + q] conj(Y_kq(theta_p, phi_p)) at paired points.
 
     a has shape [..., K+1, 2K+1] (leading axes batched); the result has shape
     [..., n_points].  This is the transpose of quadrature.project, done ring
-    by ring in two BLAS products.  The signed table T[k, K + q, ring] =
-    Y_kq(theta, 0) is built on the R distinct cos(theta) only, and the k sum
-    g[q, ring] = sum_k a[k, q] T[k, q, ring] is one real product per q, the
-    real and imaginary parts of the batch stacked as rows.  When the R
-    distinct colatitudes and the C distinct azimuths make no more cells than
-    the N points (a product grid in any order, repeated points), the q sum is
-    one complex product of g^T with exp(-i q phi) onto the [R, C] cells, read
-    at each point's cell; otherwise it runs point by point, in blocks whose
-    two [2K + 1, block] gathers fit in _SYNTHESIS_BLOCK_BYTES.  O(K^2 R + K N)
-    work either way, the cells taking no more memory than the result.
+    by ring in two BLAS products.  Everything that depends on the points
+    alone is the plan (_synthesis_plan), cached by content in _plans: the
+    signed table T[k, K + q, ring] = Y_kq(theta, 0) on the R distinct
+    cos(theta), the phases exp(-i q phi) on the C distinct azimuths, and
+    each point's cell or (ring, column).  The k sum g[q, ring] = sum_k
+    a[k, q] T[k, q, ring] is one real product per q, the real and imaginary
+    parts of the batch stacked as rows.  When the cells make no more than
+    the N points (a product grid in any order, repeated points), the q sum
+    is one complex product of g^T with the phases onto the [R, C] cells,
+    read at each point's cell; otherwise it runs point by point, in blocks
+    whose two [2K + 1, block] gathers fit in _SYNTHESIS_BLOCK_BYTES.
+    O(K^2 R + K N) work either way, the cells taking no more memory than the
+    result; a cached plan leaves O(K N) of it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -367,17 +408,18 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
         raise DomainError("theta and phi must be equal-length 1-d arrays")
     k_max, batch = a.shape[-2] - 1, a.shape[:-2]
     n_b = math.prod(batch)
-    x, ring = np.unique(np.cos(theta), return_inverse=True)
-    phis, column = np.unique(phi, return_inverse=True)
-    phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
+    table, phase, points = _plans((k_max, theta.tobytes(), phi.tobytes()))
     a = np.moveaxis(a.reshape(n_b, k_max + 1, 2 * k_max + 1), -1, 0)  # [q, batch, k]
-    # the table, read as [q, k, ring] in place, is freed after the k sum
-    g = np.concatenate([a.real, a.imag], 1) @ _norm_legendre_table(k_max, x).transpose(1, 0, 2)
+    # the table, read as [q, k, ring] in place; a plan too large to keep
+    # frees it after the k sum
+    g = np.concatenate([a.real, a.imag], 1) @ table.transpose(1, 0, 2)
+    del table
     g = g[:, :n_b] + 1j * g[:, n_b:]  # [q, batch, ring]
-    if x.shape[0] * phis.shape[0] <= theta.shape[0]:
+    if points.ndim == 1:
         cells = (g.reshape(g.shape[0], -1).T @ phase).reshape(n_b, -1)  # [batch, R * C]
-        out = cells[:, ring * phis.shape[0] + column]
+        out = cells[:, points]
     else:
+        ring, column = points
         out = np.empty((n_b,) + theta.shape, dtype=complex)
         step = max(1, _SYNTHESIS_BLOCK_BYTES // (16 * (n_b + 1) * phase.shape[0]))
         for pts in (slice(p, p + step) for p in range(0, theta.shape[0], step)):
@@ -386,35 +428,60 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
 
 
 def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
-    """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase."""
+    """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase.
+
+    Runs _norm_legendre_table's recurrence for the one column |q| only, the
+    sectoral product up to |q| and then the degree recurrence up to k, with
+    the same scalar operations in the same order: O(k) work, and the value
+    is the table's bit for bit.
+    """
     k = require_int(k, "k", 0)
     q = require_int(q, "q", -k, k)
     theta = require_angle(theta, "theta", scalar=True)
     phi = require_angle(phi, "phi", scalar=True)
-    y = _norm_legendre_table(k, np.cos(np.array([theta])))[k, k + q, 0]
+    p = abs(q)
+    x = float(np.cos(np.array([theta]))[0])
+    sin_t = math.sqrt(max(0.0, 1.0 - x * x))
+    y = 1.0 / math.sqrt(4.0 * math.pi)
+    for n in range(1, p + 1):
+        y *= -math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t
+    prev, y = y, (math.sqrt(2.0 * p + 3.0) * x * y if k > p else y)
+    for n in range(p + 2, k + 1):
+        a = math.sqrt((4.0 * n * n - 1.0) / (n * n - p * p))
+        b = math.sqrt(((n - 1.0) ** 2 - p * p) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        prev, y = y, a * (x * y - b * prev)
+    # Y_{k,-q}(theta, 0) = (-1)^q Y_kq(theta, 0)
+    if q < 0 and p % 2:
+        y = -y
     return complex(y * np.exp(1j * q * phi))
 
 
 class _RankCache:
-    """LRU map from an integer key (a twice-rank, twice-spin or k_max) to a
-    tuple of arrays, frozen read-only on entry and bounded by the bytes held
-    rather than by the number of entries.  Holds the J_y eigenbases and Legendre
-    coefficients here, tensor_ops' bands and distributions' coefficient tables.
+    """LRU map from a hashable key (a twice-rank, twice-spin or k_max; a
+    synthesis plan's k_max and angle bytes) to a tuple of arrays, frozen
+    read-only on entry and bounded by the bytes held rather than by the
+    number of entries.  An entry's bytes are its arrays' and its key's bytes
+    objects'.  Holds the J_y eigenbases, Legendre coefficients and synthesis
+    plans here, tensor_ops' bands and distributions' coefficient tables.
 
     A miss builds the entry; the oldest entries are then evicted until the
-    held bytes are back under max_bytes (the newest entry always stays).
-    Guarded by a lock, so concurrent callers are safe.
+    held bytes are back under max_bytes.  The newest entry always stays,
+    unless keep_oversized is false: an entry larger than max_bytes is then
+    returned to its caller without being kept.  Guarded by a lock, so
+    concurrent callers are safe.
     """
 
-    def __init__(self, build, max_bytes: int):
+    def __init__(self, build, max_bytes: int, keep_oversized: bool = True):
         self._build = build
         self.max_bytes = max_bytes
-        self._entries: OrderedDict[int, tuple] = OrderedDict()
+        self._keep_oversized = keep_oversized
+        self._entries: OrderedDict[Hashable, tuple] = OrderedDict()
+        self._sizes: dict[Hashable, int] = {}
         self._nbytes = 0
         self._hits = self._misses = 0
         self._lock = threading.Lock()
 
-    def __call__(self, key: int) -> tuple:
+    def __call__(self, key: Hashable) -> tuple:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -425,13 +492,16 @@ class _RankCache:
         entry = self._build(key)
         for a in entry:
             a.setflags(write=False)
+        parts = key if isinstance(key, tuple) else (key,)
+        size = sum(a.nbytes for a in entry) + sum(len(p) for p in parts if isinstance(p, bytes))
         with self._lock:
-            if key not in self._entries:
+            if key not in self._entries and (self._keep_oversized or size <= self.max_bytes):
                 self._entries[key] = entry
-                self._nbytes += sum(a.nbytes for a in entry)
+                self._sizes[key] = size
+                self._nbytes += size
                 while self._nbytes > self.max_bytes and len(self._entries) > 1:
-                    _, old = self._entries.popitem(last=False)
-                    self._nbytes -= sum(a.nbytes for a in old)
+                    old, _ = self._entries.popitem(last=False)
+                    self._nbytes -= self._sizes.pop(old)
         return entry
 
     def cache_info(self) -> dict:
@@ -448,6 +518,7 @@ class _RankCache:
     def cache_clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._sizes.clear()
             self._nbytes = 0
             self._hits = self._misses = 0
 
@@ -491,6 +562,13 @@ _jy_eigenbasis = _RankCache(_build_jy_eigenbasis, max_bytes=100_000_000)
 
 # integer-keyed by k_max; an entry is about 2 (k_max + 1)^2 doubles, 0.65 MB at 200
 _legendre_coefficients = _RankCache(_build_legendre_coefficients, max_bytes=10_000_000)
+
+# keyed by content, (k_max, theta bytes[, phi bytes]); a band-2s grid's plan
+# takes about 16 (2s)^3 bytes with its key, 0.31 MB at 2s = 24 and 4.8 MB at
+# 64.  An entry larger than the bound (a band-2s grid's plan from 2s = 123 on,
+# its ring table from 126) is built for its call and not kept, so nothing
+# stays held after a large-spin call
+_plans = _RankCache(_build_plan, max_bytes=32_000_000, keep_oversized=False)
 
 
 def _small_d(tk: int, beta: float) -> np.ndarray:

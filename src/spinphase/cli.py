@@ -8,6 +8,8 @@ quadrature grid).
 Spins cross the CLI boundary as twice-spin integers and angles as degrees;
 everything is radians and half-integers internally.  Exit codes: 0 success,
 2 usage error, 3 input validation error, 4 internal-consistency error.
+correlation prints a row for every kind, a refused one included, before it
+exits 4 on a refusal.
 """
 
 from __future__ import annotations
@@ -190,13 +192,20 @@ def _cmd_correlation(args, parser) -> int:
     grid = build_grid(max(2, args.twice_spin))
     exact = correlation_exact(s, a, b)
     print("kind,quadrature,exact,abs_error")
-    worst = 0.0
+    errors, refusals = [], []
     for name in ("p", "q", "f"):
-        value = correlation(DistributionKind.from_string(name), s, a, b, grid)
-        err = abs(value - exact)
-        worst = max(worst, err)
-        print(f"{name},{_fmt(value)},{_fmt(exact)},{_fmt(err)}")
-    print(f"max_abs_deviation,{_fmt(worst)}")
+        try:
+            value = correlation(DistributionKind.from_string(name), s, a, b, grid)
+        except ConsistencyError as exc:
+            # the refusal names its bound and tolerance; the other kinds still answer
+            refusals.append(exc)
+            print(f"{name},refused,{_fmt(exact)},{exc}")
+            continue
+        errors.append(abs(value - exact))
+        print(f"{name},{_fmt(value)},{_fmt(exact)},{_fmt(errors[-1])}")
+    print(f"max_abs_deviation,{_fmt(max(errors, default=math.nan))}")
+    if refusals:
+        raise refusals[0]
     return 0
 
 

@@ -27,7 +27,11 @@ O(K^2 R + K N) for R distinct colatitudes among N points with K = 2s, so
 O(K^3) on a band-K grid; no harmonic table over all points is built.  The
 joint form applies it along side 2's labels, then side 1's.  Coefficient
 tables are immutable and cached per spin, all three kinds in one entry of a
-byte-bounded _RankCache, so everything here is safe for concurrent use.
+byte-bounded _RankCache, and each kind's label weights sigma(k, q) c_k in
+another entry of it, so everything here is safe for concurrent use.  The
+synthesis plan of each point set (its harmonic table, phases and ring maps)
+is cached by content in angular, so repeated evaluations on one grid build it
+once.
 
 The singlet correlation never forms the joint distribution on the grid: it
 projects each side's classical vector (_spin_vector, behind
@@ -136,8 +140,18 @@ def _build_tables(ts: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(([1.0], np.cumprod(np.sqrt(r)))) for r in ratios)
 
 
-# keyed by twice-spin; one entry holds all three kinds, 24 (2s + 1) bytes
-_tables = _RankCache(_build_tables, max_bytes=10_000_000)
+def _build_entry(key) -> tuple[np.ndarray, ...]:
+    """A _tables entry: twice-spin ts gives _build_tables(ts), (kind, ts)
+    that kind's label weights sigma(k, q) c_k as a [k, 2s + q] array."""
+    if not isinstance(key, tuple):
+        return _build_tables(key)
+    kind, ts = key
+    return (_sign_matrix(kind, ts) * _table(kind, ts)[:, None],)
+
+
+# keyed by twice-spin, one entry holds all three kinds' tables, 24 (2s + 1)
+# bytes; keyed by (kind, twice-spin), one kind's weights, 8 (2s + 1)(4s + 1)
+_tables = _RankCache(_build_entry, max_bytes=10_000_000)
 
 
 def _require_kind(kind) -> DistributionKind:
@@ -286,8 +300,10 @@ def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
 
 
 def _weights(kind: DistributionKind, ts: int) -> np.ndarray:
-    """The kind's label weights sigma(k, q) c_k as a [k, 2s + q] array."""
-    return _sign_matrix(kind, ts) * _table(kind, ts)[:, None]
+    """The kind's read-only label weights sigma(k, q) c_k as a [k, 2s + q]
+    array, cached per spin next to the tables (a P table that overflows is
+    refused as by _table)."""
+    return _tables((_require_kind(kind), ts))[0]
 
 
 def _require_real(values, context: str):
@@ -303,10 +319,11 @@ def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.nd
     """Vectorized distribution values at paired angle arrays.
 
     One ring-wise synthesis (angular._synthesize): the Legendre table is
-    built on the distinct colatitudes only and both sums are BLAS products,
-    so a band-K grid's nodes, in any order, cost O(K^3) rather than
-    O(K^2 N).  The full complex sum is formed and its imaginary residue must
-    stay within 1e-9 (ConsistencyError otherwise).
+    built on the distinct colatitudes only, once per point set (the plan
+    cache), and both sums are BLAS products, so a band-K grid's nodes, in
+    any order, cost O(K^3) rather than O(K^2 N).  The full complex sum is
+    formed and its imaginary residue must stay within 1e-9
+    (ConsistencyError otherwise).
     """
     theta, phi = require_angle(theta, "theta"), require_angle(phi, "phi")
     weighted = t.as_array() * _weights(kind, t.s.twice_value)

@@ -22,10 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import _norm_legendre_table, require_int, require_real
+from .angular import _ring_table, require_int, require_real
 from .errors import DomainError
 
 __all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product", "project"]
+
+# project's |Pbar| temporaries, per block of ranks
+_BOUND_BLOCK_BYTES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,10 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     grid, aliasing included.  The theta sum is one contraction with the
     signed table T[k, k_max + q, ring] = Y_kq(theta_ring, 0), as conj(Y_kq) =
     T exp(-i q phi) at every q: O(k_max^2 n_theta) work and memory instead
-    of the O(k_max^2 N) of a full harmonic table.
+    of the O(k_max^2 N) of a full harmonic table.  The table comes read-only
+    from angular's plan cache, keyed by (k_max, grid.thetas), so repeated
+    calls on one grid build it once; the bound takes |Pbar[k, |q|]| from its
+    q >= 0 half in blocks of ranks of at most _BOUND_BLOCK_BYTES.
     """
     k_max = require_int(k_max, "k_max", 0)
     vals = _node_values(grid, values)
@@ -184,10 +190,13 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     ring_weights = grid.theta_weights * grid.phi_weight
     q = np.arange(-k_max, k_max + 1)
     spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * ring_weights[:, None]
-    table = _norm_legendre_table(k_max, np.cos(grid.thetas))  # [k, k_max + q, ring]
+    table = _ring_table(k_max, np.asarray(grid.thetas, dtype=float))  # [k, k_max + q, ring]
     coefficients = np.einsum("kqr,...rq->...kq", table, spectra)
-    # the bound needs |Pbar[k, |q|]| only: reuse the q >= 0 half in place
-    abs_pbar = np.abs(table[:, k_max:], out=table[:, k_max:])
+    del spectra  # its bytes make room for the |Pbar| blocks of the bound
     abs_rings = np.abs(rings).sum(axis=-1) * ring_weights
-    bound = np.einsum("kpr,...r->...kp", abs_pbar, abs_rings)[..., np.abs(q)]
+    step = max(1, _BOUND_BLOCK_BYTES // table[0, k_max:].nbytes)
+    bound = np.concatenate([
+        np.einsum("kpr,...r->...kp", np.abs(table[k : k + step, k_max:]), abs_rings)
+        for k in range(0, k_max + 1, step)
+    ], axis=-2)[..., np.abs(q)]
     return coefficients, grid.n_nodes * np.finfo(float).eps * bound

@@ -297,6 +297,13 @@ def test_criterion_09_profile_csv_shape(tmp_path):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_criterion_10_coefficient_convergence(kind, k):
     spans = (8, 16, 32, 64, 128, 200)
+    if kind is F and k == 1:
+        # F's r_1 = (2s+2) 2s / (2s (2s+2)) is 1 by construction: c_1 sits at
+        # its limit at every spin, so it has no gap to shrink
+        values = [coefficient(F, ts / 2, 1) for ts in spans]
+        assert values == [1.0] * len(spans), f"F's c_1 is not exactly 1: {values}"
+        _report(10, "F's c_1 equals its limit 1 exactly at every spin")
+        return
     gaps = [abs(coefficient(kind, ts / 2, k) - 1.0) for ts in spans]
     assert all(b < a for a, b in zip(gaps, gaps[1:])), (
         f"|c-1| not strictly decreasing for kind={kind.value} k={k}: {gaps}"

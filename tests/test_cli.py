@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,33 @@ def test_correlation_spin_seven(capsys):
                  "--b", "0", "1", "1"]) == 0
     _, worst = parse_correlation(capsys.readouterr().out)
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("ts", [26, 64])
+def test_correlation_answers_q_and_f_where_p_is_refused(ts, capsys):
+    # P's roundoff bound exceeds its tolerance from 2s = 26 on; Q and F still answer
+    assert main(["correlation", "--twice-spin", str(ts), "--a", "0", "0", "1",
+                 "--b", "0", "1", "1"]) == 4
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "kind,quadrature,exact,abs_error"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["p", "q", "f", "max_abs_deviation"]
+    _, verdict, exact, reason = lines[1].split(",")
+    assert verdict == "refused"
+    assert re.fullmatch(
+        r"correlation\(P\): roundoff bound \S+ exceeds tolerance \S+ \(1e-09 s\(s\+1\)/3\)", reason
+    )
+    s = ts / 2
+    expected = -s * (s + 1) / 3 * math.sqrt(0.5)
+    assert float(exact) == pytest.approx(expected, rel=1e-12)
+    errors = []
+    for ln in lines[2:4]:
+        _, quad, exact, err = ln.split(",")
+        assert float(quad) == pytest.approx(expected, rel=1e-12)
+        assert float(err) <= 1e-12 * abs(expected)
+        errors.append(float(err))
+    assert float(lines[4].split(",")[1]) == max(errors)
+    assert captured.err == f"internal consistency error: {reason}\n"
 
 
 def test_correlation_zero_vector_is_usage_error():
