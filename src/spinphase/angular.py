@@ -20,14 +20,15 @@ Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
 the per-rank J_y eigenbasis, and harmonics one real, signed table
 T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
-(_norm_legendre_table): spherical_harmonic runs its recurrence for one
-column, the ring-wise synthesis and quadrature.project build it on distinct
-colatitudes.  A synthesis is a plan, which depends on the points alone, and
-an apply step: the plan (the table, the phases and each point's place) is
-built once per point set and cached by content.  All functions here are
-pure; the factorial tables are immutable after import, and the eigenbases,
-Legendre recurrence coefficients and synthesis plans live in lock-guarded,
-byte-bounded _RankCaches (as tensor_ops' bands do): safe to call concurrently.
+(_norm_legendre_table): spherical_harmonic reads one entry, the ring-wise
+synthesis and quadrature.project build it on distinct colatitudes.  A
+synthesis is a plan, which depends on the points alone, and an apply step:
+the plan (the table, the phases and each point's place) of a product grid
+is built once and cached by content, as is project's ring table.  All
+functions here are pure; the factorial tables are immutable after import,
+and the eigenbases, Legendre recurrence coefficients, plans and ring tables
+live in lock-guarded, byte-bounded _RankCaches (as tensor_ops' bands do):
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -366,21 +367,32 @@ def _synthesis_plan(k_max: int, theta: np.ndarray, phi: np.ndarray) -> tuple[np.
     return _norm_legendre_table(k_max, x), phase, points
 
 
-def _build_plan(key: tuple) -> tuple:
-    """A _plans entry from its key: (k_max, theta bytes, phi bytes) gives the
-    synthesis plan, (k_max, theta bytes) project's ring table T on
-    cos(theta) in the given order, as a 1-tuple."""
-    k_max, *angles = key
-    theta, *phi = map(np.frombuffer, angles)
-    if phi:
-        return _synthesis_plan(k_max, theta, *phi)
-    return (_norm_legendre_table(k_max, np.cos(theta)),)
+def _build_plan(key: tuple) -> tuple[np.ndarray, ...]:
+    """A _plans entry from its key (k_max, theta bytes, phi bytes)."""
+    k_max, theta, phi = key
+    return _synthesis_plan(k_max, np.frombuffer(theta), np.frombuffer(phi))
+
+
+def _keep_plan(plan: tuple, nbytes: int) -> bool:
+    """Whether _plans keeps a new plan: a product grid of more than one point
+    within _PLAN_BYTES.  A grid is the point set that repeats; a single
+    point's or a scattered set's plan, a table column per point, is built
+    for its call and dropped, so such calls evict no grid's plan."""
+    points = plan[2]
+    return points.ndim == 1 and points.shape[0] > 1 and nbytes <= _PLAN_BYTES
+
+
+def _build_ring_table(key: tuple) -> tuple[np.ndarray]:
+    """A _ring_tables entry from its key (k_max, theta bytes): the signed
+    table T[k, k_max + q, ring] on cos(theta) in the given order."""
+    k_max, theta = key
+    return (_norm_legendre_table(k_max, np.cos(np.frombuffer(theta))),)
 
 
 def _ring_table(k_max: int, theta: np.ndarray) -> np.ndarray:
     """The read-only signed table T[k, k_max + q, ring] on cos(theta) of a 1-d
-    float array, from the plan cache (quadrature.project's theta sum)."""
-    return _plans((k_max, theta.tobytes()))[0]
+    float array, cached by content (quadrature.project's theta sum)."""
+    return _ring_tables((k_max, theta.tobytes()))[0]
 
 
 def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
@@ -392,15 +404,16 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
     alone is the plan (_synthesis_plan), cached by content in _plans: the
     signed table T[k, K + q, ring] = Y_kq(theta, 0) on the R distinct
     cos(theta), the phases exp(-i q phi) on the C distinct azimuths, and
-    each point's cell or (ring, column).  The k sum g[q, ring] = sum_k
-    a[k, q] T[k, q, ring] is one real product per q, the real and imaginary
-    parts of the batch stacked as rows.  When the cells make no more than
-    the N points (a product grid in any order, repeated points), the q sum
-    is one complex product of g^T with the phases onto the [R, C] cells,
-    read at each point's cell; otherwise it runs point by point, in blocks
-    whose two [2K + 1, block] gathers fit in _SYNTHESIS_BLOCK_BYTES.
+    each point's cell or (ring, column); only a product grid's plan is kept
+    (_keep_plan).  The k sum g[q, ring] = sum_k a[k, q] T[k, q, ring] is one
+    real product per q, the real and imaginary parts of the batch stacked as
+    rows.  When the cells make no more than the N points (a product grid in
+    any order, repeated points), the q sum is one complex product of g^T
+    with the phases onto the [R, C] cells, read at each point's cell;
+    otherwise it runs point by point, in blocks whose two [2K + 1, block]
+    gathers fit in _SYNTHESIS_BLOCK_BYTES.
     O(K^2 R + K N) work either way, the cells taking no more memory than the
-    result; a cached plan leaves O(K N) of it.
+    result; a kept plan leaves O(K N) of it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -410,7 +423,7 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
     n_b = math.prod(batch)
     table, phase, points = _plans((k_max, theta.tobytes(), phi.tobytes()))
     a = np.moveaxis(a.reshape(n_b, k_max + 1, 2 * k_max + 1), -1, 0)  # [q, batch, k]
-    # the table, read as [q, k, ring] in place; a plan too large to keep
+    # the table, read as [q, k, ring] in place; a plan that is not kept
     # frees it after the k sum
     g = np.concatenate([a.real, a.imag], 1) @ table.transpose(1, 0, 2)
     del table
@@ -428,53 +441,35 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
 
 
 def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
-    """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase.
-
-    Runs _norm_legendre_table's recurrence for the one column |q| only, the
-    sectoral product up to |q| and then the degree recurrence up to k, with
-    the same scalar operations in the same order: O(k) work, and the value
-    is the table's bit for bit.
-    """
+    """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase."""
     k = require_int(k, "k", 0)
     q = require_int(q, "q", -k, k)
     theta = require_angle(theta, "theta", scalar=True)
     phi = require_angle(phi, "phi", scalar=True)
-    p = abs(q)
-    x = float(np.cos(np.array([theta]))[0])
-    sin_t = math.sqrt(max(0.0, 1.0 - x * x))
-    y = 1.0 / math.sqrt(4.0 * math.pi)
-    for n in range(1, p + 1):
-        y *= -math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * sin_t
-    prev, y = y, (math.sqrt(2.0 * p + 3.0) * x * y if k > p else y)
-    for n in range(p + 2, k + 1):
-        a = math.sqrt((4.0 * n * n - 1.0) / (n * n - p * p))
-        b = math.sqrt(((n - 1.0) ** 2 - p * p) / (4.0 * (n - 1.0) ** 2 - 1.0))
-        prev, y = y, a * (x * y - b * prev)
-    # Y_{k,-q}(theta, 0) = (-1)^q Y_kq(theta, 0)
-    if q < 0 and p % 2:
-        y = -y
+    y = _norm_legendre_table(k, np.cos(np.array([theta])))[k, k + q, 0]
     return complex(y * np.exp(1j * q * phi))
 
 
 class _RankCache:
-    """LRU map from a hashable key (a twice-rank, twice-spin or k_max; a
-    synthesis plan's k_max and angle bytes) to a tuple of arrays, frozen
+    """LRU map from a hashable key (a twice-rank, twice-spin or k_max; the
+    k_max and angle bytes of a point set) to a tuple of arrays, frozen
     read-only on entry and bounded by the bytes held rather than by the
     number of entries.  An entry's bytes are its arrays' and its key's bytes
-    objects'.  Holds the J_y eigenbases, Legendre coefficients and synthesis
-    plans here, tensor_ops' bands and distributions' coefficient tables.
+    objects'.  Holds the J_y eigenbases, Legendre coefficients, synthesis
+    plans and ring tables here, tensor_ops' bands and distributions'
+    coefficient tables and label weights.
 
     A miss builds the entry; the oldest entries are then evicted until the
     held bytes are back under max_bytes.  The newest entry always stays,
-    unless keep_oversized is false: an entry larger than max_bytes is then
-    returned to its caller without being kept.  Guarded by a lock, so
-    concurrent callers are safe.
+    unless keep(entry, nbytes) is given and false: the entry is then returned
+    to its caller without being kept.  Guarded by a lock, so concurrent
+    callers are safe.
     """
 
-    def __init__(self, build, max_bytes: int, keep_oversized: bool = True):
+    def __init__(self, build, max_bytes: int, keep=None):
         self._build = build
         self.max_bytes = max_bytes
-        self._keep_oversized = keep_oversized
+        self._keep = keep
         self._entries: OrderedDict[Hashable, tuple] = OrderedDict()
         self._sizes: dict[Hashable, int] = {}
         self._nbytes = 0
@@ -494,8 +489,10 @@ class _RankCache:
             a.setflags(write=False)
         parts = key if isinstance(key, tuple) else (key,)
         size = sum(a.nbytes for a in entry) + sum(len(p) for p in parts if isinstance(p, bytes))
+        if self._keep is not None and not self._keep(entry, size):
+            return entry
         with self._lock:
-            if key not in self._entries and (self._keep_oversized or size <= self.max_bytes):
+            if key not in self._entries:
                 self._entries[key] = entry
                 self._sizes[key] = size
                 self._nbytes += size
@@ -563,12 +560,20 @@ _jy_eigenbasis = _RankCache(_build_jy_eigenbasis, max_bytes=100_000_000)
 # integer-keyed by k_max; an entry is about 2 (k_max + 1)^2 doubles, 0.65 MB at 200
 _legendre_coefficients = _RankCache(_build_legendre_coefficients, max_bytes=10_000_000)
 
-# keyed by content, (k_max, theta bytes[, phi bytes]); a band-2s grid's plan
+# the bound of each of the two content-keyed caches below, a module constant
+_PLAN_BYTES = 32_000_000
+
+# keyed by content, (k_max, theta bytes, phi bytes); a band-2s grid's plan
 # takes about 16 (2s)^3 bytes with its key, 0.31 MB at 2s = 24 and 4.8 MB at
-# 64.  An entry larger than the bound (a band-2s grid's plan from 2s = 123 on,
-# its ring table from 126) is built for its call and not kept, so nothing
-# stays held after a large-spin call
-_plans = _RankCache(_build_plan, max_bytes=32_000_000, keep_oversized=False)
+# 64, and is kept up to 2s = 122.  Only product grids' plans within the bound
+# are kept (_keep_plan), so nothing stays held after a large-spin call
+_plans = _RankCache(_build_plan, max_bytes=_PLAN_BYTES, keep=_keep_plan)
+
+# keyed by content, (k_max, theta bytes): project's ring tables; a band-2s
+# grid's table at k_max = 2s is kept up to 2s = 125, a larger one is dropped
+_ring_tables = _RankCache(
+    _build_ring_table, max_bytes=_PLAN_BYTES, keep=lambda entry, nbytes: nbytes <= _PLAN_BYTES
+)
 
 
 def _small_d(tk: int, beta: float) -> np.ndarray:

@@ -28,9 +28,9 @@ O(K^3) on a band-K grid; no harmonic table over all points is built.  The
 joint form applies it along side 2's labels, then side 1's.  Coefficient
 tables are immutable and cached per spin, all three kinds in one entry of a
 byte-bounded _RankCache, and each kind's label weights sigma(k, q) c_k in
-another entry of it, so everything here is safe for concurrent use.  The
-synthesis plan of each point set (its harmonic table, phases and ring maps)
-is cached by content in angular, so repeated evaluations on one grid build it
+another _RankCache, so everything here is safe for concurrent use.  The
+synthesis plan of each grid (its harmonic table, phases and ring maps) is
+cached by content in angular, so repeated evaluations on one grid build it
 once.
 
 The singlet correlation never forms the joint distribution on the grid: it
@@ -140,18 +140,8 @@ def _build_tables(ts: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(([1.0], np.cumprod(np.sqrt(r)))) for r in ratios)
 
 
-def _build_entry(key) -> tuple[np.ndarray, ...]:
-    """A _tables entry: twice-spin ts gives _build_tables(ts), (kind, ts)
-    that kind's label weights sigma(k, q) c_k as a [k, 2s + q] array."""
-    if not isinstance(key, tuple):
-        return _build_tables(key)
-    kind, ts = key
-    return (_sign_matrix(kind, ts) * _table(kind, ts)[:, None],)
-
-
-# keyed by twice-spin, one entry holds all three kinds' tables, 24 (2s + 1)
-# bytes; keyed by (kind, twice-spin), one kind's weights, 8 (2s + 1)(4s + 1)
-_tables = _RankCache(_build_entry, max_bytes=10_000_000)
+# keyed by twice-spin; one entry holds all three kinds, 24 (2s + 1) bytes
+_tables = _RankCache(_build_tables, max_bytes=10_000_000)
 
 
 def _require_kind(kind) -> DistributionKind:
@@ -299,11 +289,22 @@ def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
     return _singlet_coefficients(ts)
 
 
+def _build_weights(key: tuple) -> tuple[np.ndarray]:
+    """A _label_weights entry from its key (kind, twice-spin)."""
+    kind, ts = key
+    return (_sign_matrix(kind, ts) * _table(kind, ts)[:, None],)
+
+
+# keyed by (kind, twice-spin); an entry is 8 (2s + 1)(4s + 1) bytes, 20 kB at
+# 2s = 24.  Building one costs P and Q a quarter of an evaluate_many there
+_label_weights = _RankCache(_build_weights, max_bytes=10_000_000)
+
+
 def _weights(kind: DistributionKind, ts: int) -> np.ndarray:
     """The kind's read-only label weights sigma(k, q) c_k as a [k, 2s + q]
-    array, cached per spin next to the tables (a P table that overflows is
-    refused as by _table)."""
-    return _tables((_require_kind(kind), ts))[0]
+    array, cached per kind and spin (a P table that overflows is refused as
+    by _table)."""
+    return _label_weights((_require_kind(kind), ts))[0]
 
 
 def _require_real(values, context: str):
@@ -319,11 +320,10 @@ def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.nd
     """Vectorized distribution values at paired angle arrays.
 
     One ring-wise synthesis (angular._synthesize): the Legendre table is
-    built on the distinct colatitudes only, once per point set (the plan
-    cache), and both sums are BLAS products, so a band-K grid's nodes, in
-    any order, cost O(K^3) rather than O(K^2 N).  The full complex sum is
-    formed and its imaginary residue must stay within 1e-9
-    (ConsistencyError otherwise).
+    built on the distinct colatitudes only, once per grid (the plan cache),
+    and both sums are BLAS products, so a band-K grid's nodes, in any order,
+    cost O(K^3) rather than O(K^2 N).  The full complex sum is formed and its
+    imaginary residue must stay within 1e-9 (ConsistencyError otherwise).
     """
     theta, phi = require_angle(theta, "theta"), require_angle(phi, "phi")
     weighted = t.as_array() * _weights(kind, t.s.twice_value)

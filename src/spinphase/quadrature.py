@@ -180,9 +180,9 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     signed table T[k, k_max + q, ring] = Y_kq(theta_ring, 0), as conj(Y_kq) =
     T exp(-i q phi) at every q: O(k_max^2 n_theta) work and memory instead
     of the O(k_max^2 N) of a full harmonic table.  The table comes read-only
-    from angular's plan cache, keyed by (k_max, grid.thetas), so repeated
-    calls on one grid build it once; the bound takes |Pbar[k, |q|]| from its
-    q >= 0 half in blocks of ranks of at most _BOUND_BLOCK_BYTES.
+    from angular's ring table cache, keyed by (k_max, grid.thetas), so
+    repeated calls on one grid build it once; the bound takes |Pbar[k, |q|]|
+    from its q >= 0 half in blocks of ranks of at most _BOUND_BLOCK_BYTES.
     """
     k_max = require_int(k_max, "k_max", 0)
     vals = _node_values(grid, values)

@@ -471,22 +471,6 @@ def test_harmonic_high_degree_accuracy():
             assert abs(got.imag) < 1e-15
 
 
-@pytest.mark.parametrize("k", range(61))
-def test_spherical_harmonic_is_the_table_entry_bit_for_bit(k, rng):
-    # the one-column recurrence against the whole table it replaced, for
-    # every q, at the poles, the equator and random colatitudes
-    for theta in [0.0, math.pi, 0.5 * math.pi, *rng.uniform(0, math.pi, 3)]:
-        phi = rng.uniform(0, 2 * math.pi)
-        column = _norm_legendre_table(k, np.cos(np.array([theta])))[k, :, 0]
-        for q in range(-k, k + 1):
-            expected = complex(column[k + q] * np.exp(1j * q * phi))
-            got = spherical_harmonic(k, q, theta, phi)
-            assert (got.real, got.imag) == (expected.real, expected.imag), (q, theta)
-            assert np.signbit([got.real, got.imag]).tolist() == np.signbit(
-                [expected.real, expected.imag]
-            ).tolist()
-
-
 def test_legendre_high_degree_scipy_oracle():
     from scipy.special import eval_legendre
 

@@ -41,7 +41,14 @@ from spinphase import (
 )
 from conftest import harmonic_table, random_bipartite_density, random_density, random_direction
 from spinphase.angular import _RankCache
-from spinphase.distributions import _bloch_vector, _require_real, _sign_matrix, _tables, _weights
+from spinphase.distributions import (
+    _bloch_vector,
+    _label_weights,
+    _require_real,
+    _sign_matrix,
+    _tables,
+    _weights,
+)
 
 P, Q, F = DistributionKind.P, DistributionKind.Q, DistributionKind.F
 FOUR_PI = 4.0 * math.pi
@@ -646,7 +653,7 @@ def test_weights_cached_per_kind_and_spin():
         w = _weights(kind, 9)
         assert w is _weights(kind, 9) and not w.flags.writeable
         assert np.array_equal(w, _sign_matrix(kind, 9) * coefficient_table(kind, 4.5)[:, None])
-        assert (kind, 9) in _tables.cache_info()["keys"]
+        assert (kind, 9) in _label_weights.cache_info()["keys"]
     # P's table overflows from 2s = 1027 on: its weights are refused as the table is
     with pytest.raises(DomainError, match="P coefficients at 2s = 1030 overflow"):
         _weights(P, 1030)

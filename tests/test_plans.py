@@ -1,5 +1,6 @@
-"""The synthesis plan cache: each point set's harmonic table, phases and ring
-maps are built once, and every result equals the uncached one bit for bit."""
+"""The synthesis plan and ring table caches: a grid's harmonic table, phases
+and ring maps are built once, and every result equals the uncached one bit
+for bit."""
 
 import math
 import sys
@@ -15,6 +16,7 @@ from spinphase import (
     build_grid,
     decompose,
     decompose_bipartite,
+    evaluate,
     evaluate_bipartite_many,
     evaluate_many,
     expectation,
@@ -28,14 +30,22 @@ KINDS = list(DistributionKind)
 
 @pytest.fixture
 def uncached(monkeypatch):
-    """Run a callable with a plan cache that keeps nothing, then restore it."""
+    """Run a callable with plan and ring table caches that keep nothing, then
+    restore them."""
 
     def run(f, *args):
         with monkeypatch.context() as m:
-            m.setattr(angular, "_plans", _RankCache(angular._build_plan, 0, keep_oversized=False))
+            m.setattr(angular, "_plans", _RankCache(angular._build_plan, 0, keep=keep_nothing))
+            m.setattr(
+                angular, "_ring_tables", _RankCache(angular._build_ring_table, 0, keep=keep_nothing)
+            )
             return f(*args)
 
     return run
+
+
+def keep_nothing(entry, nbytes) -> bool:
+    return False
 
 
 def same(a, b) -> bool:
@@ -60,15 +70,20 @@ def outcome(f, *args):
     return tuple(map(np.asarray, got if isinstance(got, tuple) else (got,)))
 
 
-def assert_cold_and_hit_equal_uncached(f, args, uncached):
-    # a refusal (P's imaginary residue at 2s = 24) must be the same refusal
+def assert_cold_and_hit_equal_uncached(f, args, uncached, cache=angular._plans, kept=True):
+    # a refusal (P's imaginary residue at 2s = 24) must be the same refusal;
+    # a scattered point set's plan is built on every call and never kept
     expected = uncached(outcome, f, *args)
-    angular._plans.cache_clear()
+    cache.cache_clear()
     cold = outcome(f, *args)
-    misses = angular._plans.cache_info()["misses"]
+    misses = cache.cache_info()["misses"]
     hit = outcome(f, *args)
-    info = angular._plans.cache_info()
-    assert misses >= 1 and info["misses"] == misses and info["hits"] >= 1
+    info = cache.cache_info()
+    assert misses >= 1
+    if kept:
+        assert info["misses"] == misses and info["hits"] >= 1
+    else:
+        assert info["misses"] == 2 * misses and info["hits"] == 0 and info["keys"] == ()
     for got in (cold, hit):
         assert len(got) == len(expected)
         assert all(same(g, e) if isinstance(e, np.ndarray) else g == e for g, e in zip(got, expected))
@@ -78,8 +93,9 @@ def assert_cold_and_hit_equal_uncached(f, args, uncached):
 @pytest.mark.parametrize("ts", [1, 4, 16, 24])
 def test_evaluate_many_bit_identical_cold_and_on_hit(ts, kind, rng, uncached):
     t = decompose(random_density(rng, ts))
-    for theta, phi in point_sets(rng, ts).values():
-        assert_cold_and_hit_equal_uncached(evaluate_many, (kind, t, theta, phi), uncached)
+    for name, (theta, phi) in point_sets(rng, ts).items():
+        args = (kind, t, theta, phi)
+        assert_cold_and_hit_equal_uncached(evaluate_many, args, uncached, kept=name == "grid")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -94,18 +110,22 @@ def test_expectation_bit_identical_cold_and_on_hit(ts, kind, rng, uncached):
 @pytest.mark.parametrize("ts1, ts2", [(1, 2), (4, 3)])
 def test_evaluate_bipartite_many_bit_identical_cold_and_on_hit(ts1, ts2, kind, rng, uncached):
     t12 = decompose_bipartite(random_bipartite_density(rng, ts1, ts2))
-    for (theta1, phi1), (theta2, phi2) in zip(
-        point_sets(rng, ts1).values(), point_sets(rng, ts2).values()
+    for (name, (theta1, phi1)), (theta2, phi2) in zip(
+        point_sets(rng, ts1).items(), point_sets(rng, ts2).values()
     ):
         args = (kind, t12, theta1, phi1, theta2, phi2)
-        assert_cold_and_hit_equal_uncached(evaluate_bipartite_many, args, uncached)
+        assert_cold_and_hit_equal_uncached(
+            evaluate_bipartite_many, args, uncached, kept=name == "grid"
+        )
 
 
 @pytest.mark.parametrize("band, k_max", [(1, 1), (4, 4), (8, 3), (16, 16), (5, 9)])
 def test_project_bit_identical_cold_and_on_hit(band, k_max, rng, uncached):
     grid = build_grid(band)
     values = rng.normal(size=(2, grid.n_nodes)) + 1j * rng.normal(size=(2, grid.n_nodes))
-    assert_cold_and_hit_equal_uncached(project, (grid, values, k_max), uncached)
+    assert_cold_and_hit_equal_uncached(
+        project, (grid, values, k_max), uncached, cache=angular._ring_tables
+    )
 
 
 def test_project_bound_blocks_equal_one_block(rng, monkeypatch):
@@ -186,16 +206,50 @@ def test_plan_entries_are_read_only_and_counted_with_their_keys():
 
 def test_spherical_harmonic_builds_no_plan():
     angular._plans.cache_clear()
+    angular._ring_tables.cache_clear()
     angular.spherical_harmonic(30, -7, 0.4, 1.1)
-    assert angular._plans.cache_info()["misses"] == 0
+    assert angular._plans.cache_info()["misses"] == angular._ring_tables.cache_info()["misses"] == 0
 
 
-def test_oversized_entry_is_returned_but_not_kept():
-    cache = _RankCache(lambda n: (np.zeros(n),), max_bytes=800, keep_oversized=False)
+def test_single_points_and_scattered_sets_leave_a_grid_plan_in_place(rng):
+    # single-point and scattered plans are built for their call and dropped,
+    # so a loop of them neither grows the cache nor evicts a grid's plan
+    ts = 24
+    t = decompose(random_density(rng, ts))
+    grid = build_grid(ts)
+    angular._plans.cache_clear()
+    expected = evaluate_many(DistributionKind.Q, t, grid.node_thetas, grid.node_phis)
+    held = angular._plans.cache_info()
+    for theta, phi in zip(rng.uniform(0, math.pi, 200), rng.uniform(0, 2 * math.pi, 200)):
+        evaluate(DistributionKind.Q, t, theta, phi)
+    for _ in range(20):
+        evaluate_many(DistributionKind.F, t, rng.uniform(0, math.pi, 50), rng.uniform(0, 6, 50))
+    info = angular._plans.cache_info()
+    assert info["misses"] == held["misses"] + 220 and info["hits"] == held["hits"]
+    assert info["keys"] == held["keys"] and info["bytes"] == held["bytes"]
+    again = evaluate_many(DistributionKind.Q, t, grid.node_thetas, grid.node_phis)
+    assert same(again, expected) and angular._plans.cache_info()["hits"] == held["hits"] + 1
+
+
+def test_plan_keep_rule():
+    grid = build_grid(4)
+    plan = angular._synthesis_plan(4, grid.node_thetas, grid.node_phis)
+    assert angular._keep_plan(plan, angular._PLAN_BYTES)
+    assert not angular._keep_plan(plan, angular._PLAN_BYTES + 1)
+    single = angular._synthesis_plan(4, np.array([0.3]), np.array([1.0]))
+    assert single[2].ndim == 1 and not angular._keep_plan(single, 1)
+    scattered = angular._synthesis_plan(4, np.array([0.3, 0.5]), np.array([1.0, 2.0]))
+    assert scattered[2].ndim == 2 and not angular._keep_plan(scattered, 1)
+
+
+def test_entry_refused_by_keep_is_returned_but_not_kept():
+    cache = _RankCache(
+        lambda n: (np.zeros(n),), max_bytes=800, keep=lambda entry, nbytes: nbytes <= 800
+    )
     assert cache(50)[0].shape == (50,)
     assert cache(200)[0].shape == (200,)  # 1600 bytes: over the bound
     info = cache.cache_info()
-    assert info["keys"] == (50,) and info["bytes"] == 400
+    assert info["keys"] == (50,) and info["bytes"] == 400 and info["misses"] == 2
     # the default keeps the newest entry whatever its size
     keeping = _RankCache(lambda n: (np.zeros(n),), max_bytes=800)
     keeping(50)
@@ -210,8 +264,10 @@ def test_band_two_hundred_plan_is_not_retained(rng):
     ts = 200
     grid = build_grid(ts)
     angular._plans.cache_clear()
+    angular._ring_tables.cache_clear()
     _synthesize(rng.normal(size=(ts + 1, 2 * ts + 1)) + 0j, grid.node_thetas, grid.node_phis)
     project(grid, rng.normal(size=grid.n_nodes), ts)
-    info = angular._plans.cache_info()
-    assert info["misses"] == 2
-    assert info["keys"] == () and info["bytes"] == 0 <= info["max_bytes"] == 32_000_000
+    for cache in (angular._plans, angular._ring_tables):
+        info = cache.cache_info()
+        assert info["misses"] == 1
+        assert info["keys"] == () and info["bytes"] == 0 <= info["max_bytes"] == 32_000_000
