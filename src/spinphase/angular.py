@@ -18,17 +18,15 @@ and its value.
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
-the per-rank J_y eigenbasis, and harmonics one real, signed table
-T[k, k_max + q, point] = Y_kq(theta, 0) that holds the q < 0 rule once
-(_norm_legendre_table): spherical_harmonic reads one entry, the ring-wise
-synthesis and quadrature.project build it on distinct colatitudes.  A
-synthesis is a plan, which depends on the points alone, and an apply step:
-the plan (the table, the phases and each point's place) of a product grid
-is built once and cached by content, as is project's ring table.  All
+the per-rank J_y eigenbasis, harmonics and Legendre polynomials one
+recurrence's half table Pbar[k, q >= 0, point] = Y_kq(theta, 0)
+(_norm_legendre_table) with the q < 0 sign written once (_q_signs).  The
+ring-wise synthesis and quadrature.project take one real product per order
+(_per_order); a synthesis's plan (the table, phases and each point's place)
+is cached by content for product grids, as is project's ring table.  All
 functions here are pure; the factorial tables are immutable after import,
 and the eigenbases, Legendre recurrence coefficients, plans and ring tables
-live in lock-guarded, byte-bounded _RankCaches (as tensor_ops' bands do):
-safe to call concurrently.
+live in lock-guarded, byte-bounded _RankCaches: safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ __all__ = [
     "HalfInteger",
     "log_factorial",
     "clebsch_gordan",
-    "legendre_sequence",
     "spherical_harmonic",
     "wigner_d",
     "wigner_D",
@@ -291,79 +288,83 @@ def _racah_many(ts1, ts2, ts, tm1, tm2) -> np.ndarray:
     return out.reshape(shape)
 
 
-def legendre_sequence(k_max: int, x) -> np.ndarray:
-    """All P_k(x) for k = 0..k_max; x may be a scalar or 1-d array.
-
-    Returns shape (k_max + 1,) + shape(x).
-    """
-    k_max = require_int(k_max, "k_max", 0)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(x) <= 1.0):
-        raise DomainError("legendre_sequence expects |x| <= 1")
-    out = np.empty((k_max + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = x
-    for n in range(1, k_max):
-        out[n + 1] = ((2 * n + 1) * x * out[n] - n * out[n - 1]) / (n + 1)
-    return out
-
-
 def _build_legendre_coefficients(k_max: int) -> tuple[np.ndarray, ...]:
     """_norm_legendre_table's coefficients: sectoral 1/sqrt(4 pi), then
     -sqrt((2q+1)/(2q)); sub-diagonal sqrt(2q+3); degree recurrence a[k, q] and
-    b[k, q], zero unless q < k - 1; the sign (-1)^q of columns q = -k_max..-1."""
+    b[k, q], zero unless q < k - 1."""
     q = np.arange(1, k_max + 1)
-    k, p = np.tril_indices(k_max + 1, -2)  # every (k, q) with q < k - 1
+    k, p = np.nonzero(np.tri(k_max + 1, k=-2, dtype=bool))  # each (k, q), q < k - 1
     a, b = np.zeros((2, k_max + 1, k_max + 1, 1))
     a[k, p, 0] = np.sqrt((4.0 * k * k - 1.0) / (k * k - p * p))
     b[k, p, 0] = np.sqrt(((k - 1.0) ** 2 - p * p) / (4.0 * (k - 1.0) ** 2 - 1.0))
     sectoral = np.append(1.0 / math.sqrt(4.0 * math.pi), -np.sqrt((2.0 * q + 1.0) / (2.0 * q)))
-    return sectoral, np.sqrt(2.0 * q + 1.0), a, b, np.where(q[::-1] % 2, -1.0, 1.0)
+    return sectoral, np.sqrt(2.0 * q + 1.0), a, b
 
 
-def _norm_legendre_table(k_max: int, x: np.ndarray) -> np.ndarray:
-    """Signed harmonic table T[k, k_max + q, point] = Y_kq(theta, 0), x = cos(theta).
-
-    T is Pbar[k, |q|], the fully normalized associated Legendre function
-    (Condon-Shortley phase and 1/sqrt(4 pi) included), times (-1)^q for
-    q < 0, and zero where |q| > k.  Being real, it gives Y_kq = T exp(i q phi)
-    and conj(Y_kq) = T exp(-i q phi) at every q.  The degree recurrence on
-    the normalized functions (coefficients cached per k_max) fills q >= 0: the
-    sectoral diagonal as one cumprod, the sub-diagonal in one step, then once
-    per k for all q < k - 1, with the scalar operations of the entry-by-entry
-    recurrence in the same order.  The q < 0 half is then filled in place.
-    """
-    sectoral, sub, a, b, sign = _legendre_coefficients(k_max)
-    out = np.zeros((k_max + 1, 2 * k_max + 1, x.shape[0]), dtype=float)
-    pbar = out[:, k_max:]
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    diag = np.cumprod(np.vstack([np.full_like(x, sectoral[0]), sectoral[1:, None] * sin_t]), 0)
-    q = np.arange(k_max + 1)
-    pbar[q, q] = diag
-    pbar[q[1:], q[:-1]] = sub[:, None] * x * diag[:-1]
+def _norm_legendre_table(k_max: int, x: np.ndarray, q_max: int | None = None) -> np.ndarray:
+    """Half table Pbar[k, q, point] = Y_kq(theta, 0), q = 0..q_max (default
+    k_max), x = cos(theta): the fully normalized associated Legendre function
+    (Condon-Shortley phase and 1/sqrt(4 pi) included), zero where q > k; the
+    q < 0 harmonics are _q_signs' (-1)^q times it.  The recurrence
+    (coefficients cached per k_max) fills the sectoral diagonal by one
+    cumprod, the sub-diagonal in one step, then all q < k - 1 once per k, in
+    the entry-by-entry order of operations: a q_max table is the full
+    table's leading columns bit for bit, in O(k_max q_max) per point."""
+    q_max = k_max if q_max is None else q_max
+    sectoral, sub, a, b = _legendre_coefficients(k_max)
+    out = np.zeros((k_max + 1, q_max + 1, x.shape[0]), dtype=float)
+    # entry (k, q) is row k (q_max + 1) + q: the diagonal (q, q) every
+    # q_max + 2 rows from row 0, the sub-diagonal (q + 1, q) from q_max + 1
+    rows = out.reshape((k_max + 1) * (q_max + 1), -1)
+    diag, n = rows[:: q_max + 2][: q_max + 1], min(q_max + 1, k_max)
+    diag[0] = sectoral[0]
+    if q_max:
+        sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+        np.multiply(sectoral[1 : q_max + 1, None], sin_t, out=diag[1:])
+        np.cumprod(diag, 0, out=diag)
+    np.multiply(sub[:n, None] * x, diag[:n], out=rows[q_max + 1 :: q_max + 2][:n])
     for k in range(2, k_max + 1):
-        low = slice(k - 1)
-        pbar[k, low] = a[k, low] * (x * pbar[k - 1, low] - b[k, low] * pbar[k - 2, low])
-    # Y_{k,-q}(theta, 0) = (-1)^q Y_kq(theta, 0), for columns q = -k_max..-1
-    np.multiply(pbar[:, :0:-1], sign[:, None], out=out[:, :k_max])
+        # a (x Pbar[k - 1] - b Pbar[k - 2]) in place, the fewest numpy calls
+        n = min(k - 1, q_max + 1)
+        row = np.multiply(x, out[k - 1, :n], out=out[k, :n])
+        row -= b[k, :n] * out[k - 2, :n]
+        row *= a[k, :n]
     return out
 
 
+def _q_signs(q) -> np.ndarray:
+    """(-1)^q for q < 0, else 1 (q an int or array): Y_{k,-p} = (-1)^p Pbar[k, p]."""
+    return (-1.0) ** np.minimum(q, 0)
+
+
+def _per_order(rows: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """out[K + q] = rows[K + q] @ tables[|q|], q = -K..K, for complex rows
+    [2K + 1, m, n] and a [K + 1, n, l] view of the real half table ([p, k,
+    ring] for the synthesis' k sum, [p, ring, k] for project's ring sum): the
+    real and imaginary parts as 2m real rows, in one batched BLAS product
+    over q < 0 against the slices in reverse and one over q >= 0, as
+    stacking the rows of q = p and q = -p would change OpenBLAS's sums in
+    the last bit.  The q < 0 signs are the caller's (_q_signs)."""
+    k_max, m = tables.shape[0] - 1, rows.shape[1]
+    rows = np.concatenate([rows.real, rows.imag], 1)
+    out = np.concatenate([rows[:k_max] @ tables[:0:-1], rows[k_max:] @ tables])
+    return out[:, :m] + 1j * out[:, m:]
+
+
 def _synthesis_plan(k_max: int, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """_synthesize's plan for paired 1-d angle arrays, which depends on
-    (k_max, theta, phi) only: the signed table T[k, K + q, ring] =
-    Y_kq(theta_ring, 0) on the R distinct cos(theta), the phases
-    exp(-i q phi) as [2K + 1, C] on the C distinct azimuths, and each
-    point's place, its cell ring * C + column ([N]) when the R C cells are
-    no more than the N points, else its (ring, column) pair ([2, N])."""
+    """_synthesize's plan, which depends on (k_max, theta, phi) only: the half
+    table on the R distinct cos(theta), the phases (-1)^q exp(-i q phi) as
+    [2K + 1, C] on the C distinct azimuths, and each point's cell ring * C +
+    column ([N]) when the R C cells are no more than the N points, else its
+    (ring, column) pair ([2, N])."""
     x, ring = np.unique(np.cos(theta), return_inverse=True)
     phis, column = np.unique(phi, return_inverse=True)
     if x.shape[0] * phis.shape[0] <= theta.shape[0]:
         points = ring * phis.shape[0] + column
     else:
         points = np.stack([ring, column])
-    phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
+    q = np.arange(-k_max, k_max + 1)[:, None]
+    phase = np.exp(-1j * q * phis) * _q_signs(q)
     return _norm_legendre_table(k_max, x), phase, points
 
 
@@ -383,15 +384,14 @@ def _keep_plan(plan: tuple, nbytes: int) -> bool:
 
 
 def _build_ring_table(key: tuple) -> tuple[np.ndarray]:
-    """A _ring_tables entry from its key (k_max, theta bytes): the signed
-    table T[k, k_max + q, ring] on cos(theta) in the given order."""
+    """A _ring_tables entry from its key (k_max, theta bytes): the half table."""
     k_max, theta = key
     return (_norm_legendre_table(k_max, np.cos(np.frombuffer(theta))),)
 
 
 def _ring_table(k_max: int, theta: np.ndarray) -> np.ndarray:
-    """The read-only signed table T[k, k_max + q, ring] on cos(theta) of a 1-d
-    float array, cached by content (quadrature.project's theta sum)."""
+    """The read-only half table Pbar[k, q >= 0, ring] on cos(theta) of a 1-d
+    float array, cached by content (quadrature.project's ring sum)."""
     return _ring_tables((k_max, theta.tobytes()))[0]
 
 
@@ -400,20 +400,19 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
 
     a has shape [..., K+1, 2K+1] (leading axes batched); the result has shape
     [..., n_points].  This is the transpose of quadrature.project, done ring
-    by ring in two BLAS products.  Everything that depends on the points
-    alone is the plan (_synthesis_plan), cached by content in _plans: the
-    signed table T[k, K + q, ring] = Y_kq(theta, 0) on the R distinct
-    cos(theta), the phases exp(-i q phi) on the C distinct azimuths, and
-    each point's cell or (ring, column); only a product grid's plan is kept
-    (_keep_plan).  The k sum g[q, ring] = sum_k a[k, q] T[k, q, ring] is one
-    real product per q, the real and imaginary parts of the batch stacked as
-    rows.  When the cells make no more than the N points (a product grid in
-    any order, repeated points), the q sum is one complex product of g^T
-    with the phases onto the [R, C] cells, read at each point's cell;
-    otherwise it runs point by point, in blocks whose two [2K + 1, block]
-    gathers fit in _SYNTHESIS_BLOCK_BYTES.
-    O(K^2 R + K N) work either way, the cells taking no more memory than the
-    result; a kept plan leaves O(K N) of it.
+    by ring in two BLAS products.  What depends on the points alone is the
+    plan (_synthesis_plan), cached by content in _plans for product grids
+    only (_keep_plan): the half table on the R distinct cos(theta), the
+    signed phases on the C distinct azimuths, each point's cell or (ring,
+    column).  The k sum g[q, ring] = sum_k a[k, q] Pbar[k, |q|, ring] is
+    _per_order's real product per order, the batch's real and imaginary
+    parts stacked as rows.  When the cells make no more than the N points (a
+    product grid in any order, repeated points), the q sum is one complex
+    product of g^T with the phases onto the [R, C] cells, read at each
+    point's cell; otherwise it runs point by point, in blocks whose two
+    [2K + 1, block] gathers fit in _SYNTHESIS_BLOCK_BYTES.  O(K^2 R + K N)
+    work either way, the cells taking no more memory than the result; a kept
+    plan leaves O(K N) of it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -422,12 +421,11 @@ def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
     k_max, batch = a.shape[-2] - 1, a.shape[:-2]
     n_b = math.prod(batch)
     table, phase, points = _plans((k_max, theta.tobytes(), phi.tobytes()))
-    a = np.moveaxis(a.reshape(n_b, k_max + 1, 2 * k_max + 1), -1, 0)  # [q, batch, k]
-    # the table, read as [q, k, ring] in place; a plan that is not kept
-    # frees it after the k sum
-    g = np.concatenate([a.real, a.imag], 1) @ table.transpose(1, 0, 2)
+    a = a.reshape(n_b, k_max + 1, 2 * k_max + 1).transpose(2, 0, 1)  # [q, batch, k]
+    # the table read as [p, k, ring] in place; a plan that is not kept frees
+    # it after the k sum
+    g = _per_order(a, table.transpose(1, 0, 2))  # [q, batch, ring]
     del table
-    g = g[:, :n_b] + 1j * g[:, n_b:]  # [q, batch, ring]
     if points.ndim == 1:
         cells = (g.reshape(g.shape[0], -1).T @ phase).reshape(n_b, -1)  # [batch, R * C]
         out = cells[:, points]
@@ -446,8 +444,8 @@ def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
     q = require_int(q, "q", -k, k)
     theta = require_angle(theta, "theta", scalar=True)
     phi = require_angle(phi, "phi", scalar=True)
-    y = _norm_legendre_table(k, np.cos(np.array([theta])))[k, k + q, 0]
-    return complex(y * np.exp(1j * q * phi))
+    pbar = _norm_legendre_table(k, np.cos(np.array([theta])), abs(q))[k, abs(q), 0]
+    return complex(_q_signs(q) * pbar * np.exp(1j * q * phi))
 
 
 class _RankCache:
@@ -564,13 +562,13 @@ _legendre_coefficients = _RankCache(_build_legendre_coefficients, max_bytes=10_0
 _PLAN_BYTES = 32_000_000
 
 # keyed by content, (k_max, theta bytes, phi bytes); a band-2s grid's plan
-# takes about 16 (2s)^3 bytes with its key, 0.31 MB at 2s = 24 and 4.8 MB at
-# 64, and is kept up to 2s = 122.  Only product grids' plans within the bound
+# takes about 8 (2s)^3 bytes with its key, 0.19 MB at 2s = 24 and 2.7 MB at
+# 64, and is kept up to 2s = 153.  Only product grids' plans within the bound
 # are kept (_keep_plan), so nothing stays held after a large-spin call
 _plans = _RankCache(_build_plan, max_bytes=_PLAN_BYTES, keep=_keep_plan)
 
 # keyed by content, (k_max, theta bytes): project's ring tables; a band-2s
-# grid's table at k_max = 2s is kept up to 2s = 125, a larger one is dropped
+# grid's table at k_max = 2s is kept up to 2s = 157, a larger one is dropped
 _ring_tables = _RankCache(
     _build_ring_table, max_bytes=_PLAN_BYTES, keep=lambda entry, nbytes: nbytes <= _PLAN_BYTES
 )

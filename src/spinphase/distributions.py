@@ -57,8 +57,8 @@ import numpy as np
 from .angular import (
     HalfInteger,
     _RankCache,
+    _norm_legendre_table,
     _synthesize,
-    legendre_sequence,
     require_angle,
     require_int,
     require_real,
@@ -448,20 +448,18 @@ def singlet_profile(kind: DistributionKind, s, theta12):
 
     W(theta12) = (1/(4 pi)^2) sum_k (-1)^k (2k+1) c_k^2 P_k(cos theta12).
 
-    Accepts a scalar or array of angles.
+    Accepts angles of any shape.  P_k = sqrt(4 pi / (2k+1)) Pbar[k, 0], the
+    q = 0 column of angular's half table, its factor moved onto the c_k^2.
     """
     ts = require_spin(s, lo=1)
     theta12 = require_angle(theta12, "theta12")
-    scalar = theta12.ndim == 0
-    x = np.cos(np.atleast_1d(theta12))
-    p = legendre_sequence(ts, x)
-    c = _table(kind, ts)
+    pbar = _norm_legendre_table(ts, np.cos(theta12).reshape(-1), 0)[:, 0]
     k = np.arange(ts + 1)
-    signs = np.where(k % 2 == 0, 1.0, -1.0)
+    odd = 2 * k + 1
     with np.errstate(over="ignore"):
-        coeffs = signs * (2 * k + 1) * c**2
-    vals = (_finite(kind, ts, coeffs) @ p) / (4.0 * math.pi) ** 2
-    return float(vals[0]) if scalar else vals
+        coeffs = _finite(kind, ts, (-1.0) ** k * odd * _table(kind, ts) ** 2)
+    vals = (coeffs * np.sqrt(4.0 * math.pi / odd) @ pbar) / (4.0 * math.pi) ** 2
+    return float(vals[0]) if theta12.ndim == 0 else vals.reshape(theta12.shape)
 
 
 def correlation_exact(s, a, b) -> float:

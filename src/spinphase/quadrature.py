@@ -8,10 +8,10 @@ spherical-harmonic polynomial of degree <= 2L+1 to roundoff.
 Integrands are given as arrays of node values (at node_thetas, node_phis)
 and checked for shape and NaN in one vectorized step.  project analyses
 node values into spherical-harmonic coefficients ring by ring: one FFT in
-phi per ring, then one sum over the rings against angular's signed table
-T[k, k_max + q, ring] = Y_kq(theta_ring, 0), which already carries the q < 0
-sign (the Driscoll-Healy / SHTns structure), so the harmonic table over all
-nodes is never built.
+phi per ring, then one sum over the rings against angular's half table
+Pbar[k, q >= 0, ring] = Y_kq(theta_ring, 0), one real product per order
+(the Driscoll-Healy / SHTns structure), so the harmonic table over all nodes
+is never built.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import _ring_table, require_int, require_real
+from .angular import _per_order, _q_signs, _ring_table, require_int, require_real
 from .errors import DomainError
 
 __all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product", "project"]
@@ -176,27 +176,30 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     are batched.  Both results have shape [..., k, k_max + q], zero where
     |q| > k.  Each ring takes one FFT in phi and column q is read at index
     q mod n_phi, so this is the same discrete sum as the direct one on any
-    grid, aliasing included.  The theta sum is one contraction with the
-    signed table T[k, k_max + q, ring] = Y_kq(theta_ring, 0), as conj(Y_kq) =
-    T exp(-i q phi) at every q: O(k_max^2 n_theta) work and memory instead
-    of the O(k_max^2 N) of a full harmonic table.  The table comes read-only
-    from angular's ring table cache, keyed by (k_max, grid.thetas), so
-    repeated calls on one grid build it once; the bound takes |Pbar[k, |q|]|
-    from its q >= 0 half in blocks of ranks of at most _BOUND_BLOCK_BYTES.
+    grid, aliasing included.  As conj(Y_kq) = (-1)^q Pbar[k, |q|] exp(-i q phi)
+    for q < 0, a sign folded into the ring weights, the ring sum is one real
+    product per order p (angular._per_order) with the half table Pbar[k, p,
+    ring]: O(k_max^2 n_theta) work and memory, not the O(k_max^2 N) of a
+    full harmonic table.  The table comes read-only from angular's ring table
+    cache, keyed by (k_max, grid.thetas), so repeated calls on one grid build
+    it once; the bound reads |Pbar| in blocks of at most _BOUND_BLOCK_BYTES.
     """
     k_max = require_int(k_max, "k_max", 0)
     vals = _node_values(grid, values)
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
     ring_weights = grid.theta_weights * grid.phi_weight
     q = np.arange(-k_max, k_max + 1)
-    spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * ring_weights[:, None]
-    table = _ring_table(k_max, np.asarray(grid.thetas, dtype=float))  # [k, k_max + q, ring]
-    coefficients = np.einsum("kqr,...rq->...kq", table, spectra)
+    signed_weights = ring_weights[:, None] * _q_signs(q)  # conj(Y_kq)'s q < 0 sign
+    spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * signed_weights
+    spectra = spectra.reshape(-1, grid.n_theta, q.size).transpose(2, 0, 1)  # [q, batch, ring]
+    table = _ring_table(k_max, np.asarray(grid.thetas, dtype=float))  # [k, p, ring]
+    coefficients = _per_order(spectra, table.transpose(1, 2, 0)).transpose(1, 2, 0)
+    coefficients = coefficients.reshape(vals.shape[:-1] + coefficients.shape[1:])
     del spectra  # its bytes make room for the |Pbar| blocks of the bound
     abs_rings = np.abs(rings).sum(axis=-1) * ring_weights
-    step = max(1, _BOUND_BLOCK_BYTES // table[0, k_max:].nbytes)
+    step = max(1, _BOUND_BLOCK_BYTES // table[0].nbytes)
     bound = np.concatenate([
-        np.einsum("kpr,...r->...kp", np.abs(table[k : k + step, k_max:]), abs_rings)
+        np.einsum("kpr,...r->...kp", np.abs(table[k : k + step]), abs_rings)
         for k in range(0, k_max + 1, step)
     ], axis=-2)[..., np.abs(q)]
     return coefficients, grid.n_nodes * np.finfo(float).eps * bound

@@ -33,12 +33,11 @@ def rng():
 
 
 def norm_legendre_table_oracle(k_max: int, x: np.ndarray) -> np.ndarray:
-    """The signed table T[k, k_max + q, point] = Y_kq(theta, 0) as built
-    before its recurrence coefficients were cached: every coefficient computed
-    per call, the sectoral diagonal by a loop over q, then the degree
-    recurrence once per k for all q < k - 1, and the q < 0 half by sign."""
-    out = np.zeros((k_max + 1, 2 * k_max + 1, x.shape[0]), dtype=float)
-    pbar = out[:, k_max:]
+    """The half table Pbar[k, q >= 0, point] = Y_kq(theta, 0) as built before
+    its recurrence coefficients were cached: every coefficient computed per
+    call, the sectoral diagonal by a loop over q, then the degree recurrence
+    once per k for all q < k - 1."""
+    pbar = np.zeros((k_max + 1, k_max + 1, x.shape[0]), dtype=float)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     pbar[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
     for q in range(k_max + 1):
@@ -51,9 +50,17 @@ def norm_legendre_table_oracle(k_max: int, x: np.ndarray) -> np.ndarray:
         a = np.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))[:, None]
         b = np.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
         pbar[k, : k - 1] = a * (x * pbar[k - 1, : k - 1] - b * pbar[k - 2, : k - 1])
-    sign = np.where(np.arange(k_max, 0, -1) % 2, -1.0, 1.0)
-    np.multiply(pbar[:, :0:-1], sign[:, None], out=out[:, :k_max])
-    return out
+    return pbar
+
+
+def signed_table(k_max: int, x: np.ndarray) -> np.ndarray:
+    """The full signed layout T[k, k_max + q, point] = Y_kq(theta, 0) for
+    q = -k_max..k_max, from the library's half table Pbar[k, q >= 0]: the
+    tests' one statement of the q < 0 rule Y_{k,-q}(theta, 0) =
+    (-1)^q Pbar[k, q]."""
+    pbar = _norm_legendre_table(k_max, x)
+    sign = np.where(np.arange(k_max, 0, -1) % 2, -1.0, 1.0)  # q = -k_max..-1
+    return np.concatenate([pbar[:, :0:-1] * sign[:, None], pbar], axis=1)
 
 
 def harmonic_table(k_max: int, theta, phi) -> np.ndarray:
@@ -70,15 +77,10 @@ def harmonic_table(k_max: int, theta, phi) -> np.ndarray:
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if theta.shape != phi.shape or theta.ndim != 1:
         raise DomainError("theta and phi must be equal-length 1-d arrays")
-    # only the q >= 0 half, Pbar[k, q]; the q < 0 rule below is the oracle's own
-    pbar = _norm_legendre_table(k_max, np.cos(theta))[:, k_max:]
+    table = signed_table(k_max, np.cos(theta))
     out = np.zeros((k_max + 1, 2 * k_max + 1, theta.shape[0]), dtype=complex)
-    for q in range(k_max + 1):
+    for q in range(-k_max, k_max + 1):
         phase = np.exp(1j * q * phi)
-        sign = -1.0 if q % 2 else 1.0
-        for k in range(q, k_max + 1):
-            out[k, k_max + q] = pbar[k, q] * phase
-            if q > 0:
-                # Y_{k,-q} = (-1)^q conj(Y_{kq})
-                out[k, k_max - q] = sign * pbar[k, q] * np.conj(phase)
+        for k in range(abs(q), k_max + 1):
+            out[k, k_max + q] = table[k, k_max + q] * phase
     return out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_legendre
 
 from spinphase import (
     DomainError,
@@ -15,7 +16,6 @@ from spinphase import (
     HalfInteger,
     build_grid,
     clebsch_gordan,
-    legendre_sequence,
     log_factorial,
     rotate_tensors,
     spherical_harmonic,
@@ -23,12 +23,13 @@ from spinphase import (
     wigner_D_matrix,
     wigner_d,
 )
-from conftest import harmonic_table, norm_legendre_table_oracle
+from conftest import harmonic_table, norm_legendre_table_oracle, signed_table
 from spinphase import angular
 from spinphase.angular import (
     _jy_eigenbasis,
     _legendre_coefficients,
     _norm_legendre_table,
+    _q_signs,
     _RankCache,
     _synthesize,
 )
@@ -345,13 +346,16 @@ def test_cg_diagonal_sum_rule():
 
 
 def legendre(k: int, x: float) -> float:
-    """P_k(x), the last entry of the library's sequence at a scalar x."""
-    return float(legendre_sequence(k, x)[k])
+    """P_k(x) = sqrt(4 pi / (2k+1)) Pbar[k, 0], from the library's one
+    Legendre recurrence at a scalar x."""
+    pbar = _norm_legendre_table(k, np.array([x]), 0)[k, 0, 0]
+    return math.sqrt(4.0 * math.pi / (2 * k + 1)) * float(pbar)
 
 
 def test_legendre_trivial():
-    assert legendre(0, 0.3) == 1.0
-    assert legendre(1, -0.25) == -0.25
+    # the normalization's roundoff: P_0 is 1 - 1.1e-16 here
+    assert legendre(0, 0.3) == pytest.approx(1.0, abs=2.3e-16)
+    assert legendre(1, -0.25) == pytest.approx(-0.25, abs=1e-16)
 
 
 def test_legendre_closed_forms():
@@ -366,25 +370,6 @@ def test_legendre_endpoint_values_high_degree():
     for k in (10, 50, 200):
         assert legendre(k, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert legendre(k, -1.0) == pytest.approx((-1.0) ** k, abs=1e-12)
-
-
-def test_legendre_sequence_matches_scalar():
-    # the array form against one scalar x at a time
-    xs = np.linspace(-1, 1, 7)
-    seq = legendre_sequence(6, xs)
-    for k in range(7):
-        for i, x in enumerate(xs):
-            assert seq[k, i] == pytest.approx(legendre(k, float(x)), abs=1e-14)
-
-
-def test_legendre_domain():
-    with pytest.raises(DomainError):
-        legendre_sequence(2, 1.5)
-    with pytest.raises(DomainError):
-        legendre_sequence(-1, 0.0)
-    for bad_k in (True, 2.0, 1.5, "2"):
-        with pytest.raises(DomainError):
-            legendre_sequence(bad_k, 0.0)
 
 
 @given(st.integers(min_value=0, max_value=60), st.floats(min_value=-1.0, max_value=1.0))
@@ -444,7 +429,7 @@ def test_addition_theorem(rng):
             for q in range(-k, k + 1)
         )
         cos12 = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(p1 - p2)
-        expected = (2 * k + 1) / (4 * math.pi) * legendre(k, cos12)
+        expected = (2 * k + 1) / (4 * math.pi) * eval_legendre(k, cos12)
         assert total.real == pytest.approx(expected, abs=1e-12)
         assert abs(total.imag) < 1e-12
 
@@ -466,14 +451,12 @@ def test_harmonic_high_degree_accuracy():
     for k in (50, 100):
         for theta in (0.3, 1.0, 2.2):
             got = spherical_harmonic(k, 0, theta, 0.7)
-            expected = math.sqrt((2 * k + 1) / (4 * math.pi)) * legendre(k, math.cos(theta))
+            expected = math.sqrt((2 * k + 1) / (4 * math.pi)) * eval_legendre(k, math.cos(theta))
             assert got.real == pytest.approx(expected, abs=1e-12)
             assert abs(got.imag) < 1e-15
 
 
 def test_legendre_high_degree_scipy_oracle():
-    from scipy.special import eval_legendre
-
     for k in (50, 120, 200):
         for x in (-0.9, -0.3, 0.0, 0.3, 0.7, 0.99):
             assert abs(legendre(k, x) - eval_legendre(k, x)) < 1e-12
@@ -534,16 +517,15 @@ def norm_legendre_table_loop(k_max, x):
 
 @pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64])
 def test_norm_legendre_table_equals_loop(k_max, rng):
-    # the q >= 0 half, columns k_max + q, is the recurrence itself
+    # the half table is the recurrence itself
     x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 13)])
-    table = _norm_legendre_table(k_max, x)
-    assert np.array_equal(table[:, k_max:], norm_legendre_table_loop(k_max, x))
+    assert np.array_equal(_norm_legendre_table(k_max, x), norm_legendre_table_loop(k_max, x))
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64, 200])
 def test_norm_legendre_table_equals_oracle(k_max, rng):
-    # the whole signed table, bit for bit, against the per-call build; twice,
-    # so the second call reads the cached recurrence coefficients
+    # the whole table, bit for bit, against the per-call build; twice, so the
+    # second call reads the cached recurrence coefficients
     x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 13), np.cos(rng.uniform(0, 3, 8))])
     expected = norm_legendre_table_oracle(k_max, x)
     assert np.array_equal(_norm_legendre_table(k_max, x), expected)
@@ -562,17 +544,19 @@ def test_legendre_coefficient_cache_is_bounded_and_read_only():
 
 @pytest.mark.parametrize("k_max", [0, 1, 2, 5, 24, 64])
 def test_norm_legendre_table_signed_layout(k_max, rng):
-    # T[k, k_max + q] = Y_kq(theta, 0): column k_max - q is (-1)^q times
-    # column k_max + q, exactly, and every entry with |q| > k is zero
+    # only Pbar[k, q = 0..q_max] is stored, zero where q > k, and a q_max
+    # table is the full table's leading columns bit for bit; the q < 0 half
+    # is the sign vector (-1)^q alone
     x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 13)])
-    table = _norm_legendre_table(k_max, x)
-    assert table.shape == (k_max + 1, 2 * k_max + 1, x.size)
-    for q in range(1, k_max + 1):
-        sign = -1.0 if q % 2 else 1.0
-        assert np.array_equal(table[:, k_max - q], sign * table[:, k_max + q]), q
+    full = _norm_legendre_table(k_max, x)
     k = np.arange(k_max + 1)[:, None]
+    for q_max in sorted({0, 1, k_max // 2, k_max - 1, k_max} & set(range(k_max + 1))):
+        table = _norm_legendre_table(k_max, x, q_max)
+        assert table.shape == (k_max + 1, q_max + 1, x.size)
+        assert np.all(table[np.arange(q_max + 1) > k] == 0.0)
+        assert np.array_equal(table, full[:, : q_max + 1]), q_max
     q = np.arange(-k_max, k_max + 1)
-    assert np.all(table[np.abs(q) > k] == 0.0)
+    assert np.array_equal(_q_signs(q), np.where(q < 0, (-1.0) ** np.abs(q), 1.0))
 
 
 @pytest.mark.parametrize("k", range(21))
@@ -755,7 +739,7 @@ def unblocked_synthesis(a, theta, phi):
     """The einsum synthesis in one step, both [2K + 1, N] gathers at once."""
     k_max = a.shape[-2] - 1
     x, ring = np.unique(np.cos(theta), return_inverse=True)
-    g = np.einsum("...kq,kqr->...qr", a, _norm_legendre_table(k_max, x))
+    g = np.einsum("...kq,kqr->...qr", a, signed_table(k_max, x))
     phis, column = np.unique(phi, return_inverse=True)
     phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
     return np.einsum("...qn,qn->...n", g[..., ring], phase[:, column])
@@ -769,9 +753,30 @@ def synthesis_bound(a, theta):
     and einsum routes differ by under 0.2 of it in the cases below."""
     k_max = a.shape[-2] - 1
     x, ring = np.unique(np.cos(theta), return_inverse=True)
-    t = np.abs(_norm_legendre_table(k_max, x))
+    t = np.abs(signed_table(k_max, x))
     per_ring = np.einsum("...kq,kqr->...r", np.abs(a), t)
     return (3 * k_max + 2) * np.finfo(float).eps * per_ring[..., ring]
+
+
+def signed_table_synthesis(a, theta, phi):
+    """_synthesize on the full signed table T[k, K + q, ring] with unsigned
+    phases, one real product per q over the whole [q, k, ring] table: the
+    two BLAS products' arithmetic, which the half table must keep bit for
+    bit."""
+    k_max, batch = a.shape[-2] - 1, a.shape[:-2]
+    n_b = math.prod(batch)
+    x, ring = np.unique(np.cos(theta), return_inverse=True)
+    phis, column = np.unique(phi, return_inverse=True)
+    phase = np.exp(-1j * np.arange(-k_max, k_max + 1)[:, None] * phis)
+    a = np.moveaxis(a.reshape(n_b, k_max + 1, 2 * k_max + 1), -1, 0)  # [q, batch, k]
+    g = np.concatenate([a.real, a.imag], 1) @ signed_table(k_max, x).transpose(1, 0, 2)
+    g = g[:, :n_b] + 1j * g[:, n_b:]  # [q, batch, ring]
+    if x.shape[0] * phis.shape[0] <= theta.shape[0]:
+        cells = (g.reshape(g.shape[0], -1).T @ phase).reshape(n_b, -1)
+        out = cells[:, ring * phis.shape[0] + column]
+    else:
+        out = np.einsum("qbn,qn->bn", g[:, :, ring], phase[:, column])
+    return out.reshape(batch + theta.shape)
 
 
 def assert_within_synthesis_bound(got, a, theta, phi):
@@ -810,11 +815,15 @@ def synthesis_points(rng, ts, kind):
     "kind", ["grid", "shuffled", "repeated", "single", "scattered", "grid+7"]
 )
 @pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
-@pytest.mark.parametrize("ts", [0, 1, 2, 5, 24, pytest.param(64, marks=pytest.mark.scale)])
+@pytest.mark.parametrize(
+    "ts", [0, 1, 2, 4, 5, 8, 16, 24, pytest.param(64, marks=pytest.mark.scale)]
+)
 def test_synthesize_matches_einsum_within_roundoff(ts, batch, kind, rng):
     a = random_coefficients(rng, batch + (ts + 1, 2 * ts + 1))
     theta, phi = synthesis_points(rng, ts, kind)
-    assert_within_synthesis_bound(_synthesize(a, theta, phi), a, theta, phi)
+    got = _synthesize(a, theta, phi)
+    assert_within_synthesis_bound(got, a, theta, phi)
+    assert np.array_equal(got, signed_table_synthesis(a, theta, phi))
 
 
 @pytest.mark.parametrize("budget", [1, 16 * 5 * 7, 16 * 5 * 40, 16_000_000])
@@ -856,6 +865,15 @@ def test_synthesize_memory_at_spin_sixty_four(rng):
     got, peak = synthesis_peak(a, grid.node_thetas, grid.node_phis)
     assert peak <= 8e6
     assert_within_synthesis_bound(got, a, grid.node_thetas, grid.node_phis)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("ts", [128, 200])
+def test_synthesize_equals_signed_table_route_at_large_spin(ts, rng):
+    a = random_coefficients(rng, (2, ts + 1, 2 * ts + 1))
+    for kind in ("grid", "scattered"):
+        theta, phi = synthesis_points(rng, ts, kind)
+        assert np.array_equal(_synthesize(a, theta, phi), signed_table_synthesis(a, theta, phi))
 
 
 @pytest.mark.scale

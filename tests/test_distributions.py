@@ -726,6 +726,18 @@ def test_profile_symmetric_about_pi(theta):
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2, 1, 4)])
+def test_profile_of_an_n_d_array_equals_scalar_calls(shape, rng):
+    # the k sum contracts k whatever the angles' shape: a 3 x 3 array once
+    # differed from scalar calls by 0.040 at 2s = 2, and a 2 x 3 one raised
+    theta = rng.uniform(0.0, 2 * math.pi, shape)
+    for kind in DistributionKind:
+        got = singlet_profile(kind, 1.0, theta)
+        assert got.shape == shape
+        expected = [singlet_profile(kind, 1.0, float(t)) for t in theta.ravel()]
+        assert got.ravel() == pytest.approx(expected, abs=1e-15)
+
+
 def test_profile_domain():
     with pytest.raises(DomainError):
         singlet_profile(P, 0.0, 1.0)

@@ -5,6 +5,7 @@ for bit."""
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,8 +260,8 @@ def test_entry_refused_by_keep_is_returned_but_not_kept():
 
 @pytest.mark.scale
 def test_band_two_hundred_plan_is_not_retained(rng):
-    # the plan of a band-200 grid at 2s = 200 is about 135 MB and the ring
-    # table 130 MB, each far above the 32 MB bound
+    # the plan of a band-200 grid at 2s = 200 is about 70 MB and the ring
+    # table 65 MB, each far above the 32 MB bound
     ts = 200
     grid = build_grid(ts)
     angular._plans.cache_clear()
@@ -271,3 +272,42 @@ def test_band_two_hundred_plan_is_not_retained(rng):
         info = cache.cache_info()
         assert info["misses"] == 1
         assert info["keys"] == () and info["bytes"] == 0 <= info["max_bytes"] == 32_000_000
+
+
+@pytest.mark.scale
+def test_synthesize_and_project_peak_under_eighty_mb_at_spin_two_hundred(rng):
+    # two sets on a band-200 grid, plan and ring table built: the half table
+    # is 65 MB; the full signed one made peaks of about 138 MB and 135 MB
+    ts = 200
+    grid = build_grid(ts)
+    a = rng.normal(size=(2, ts + 1, 2 * ts + 1)) + 0j
+    values = rng.normal(size=(2, grid.n_nodes))
+    for call in (
+        lambda: _synthesize(a, grid.node_thetas, grid.node_phis),
+        lambda: project(grid, values, ts),
+    ):
+        angular._plans.cache_clear()
+        angular._ring_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80e6
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("ts, plan_kept, table_kept", [
+    (153, True, True), (154, False, True), (157, False, True), (158, False, False)
+])
+def test_plan_cache_reach_for_band_two_s_grids(ts, plan_kept, table_kept):
+    # a band-2s grid's plan, about 8 (2s)^3 bytes of half table, is kept up
+    # to 2s = 153, and its ring table up to 2s = 157
+    grid = build_grid(ts)
+    angular._plans.cache_clear()
+    angular._ring_tables.cache_clear()
+    _synthesize(np.zeros((ts + 1, 2 * ts + 1), dtype=complex), grid.node_thetas, grid.node_phis)
+    project(grid, np.zeros(grid.n_nodes), ts)
+    assert (angular._plans.cache_info()["keys"] != ()) == plan_kept
+    assert (angular._ring_tables.cache_info()["keys"] != ()) == table_kept

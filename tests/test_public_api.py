@@ -15,7 +15,6 @@ PUBLIC = [
     "HalfInteger",
     "log_factorial",
     "clebsch_gordan",
-    "legendre_sequence",
     "spherical_harmonic",
     "wigner_d",
     "wigner_D",
@@ -76,7 +75,7 @@ def test_listed_name_resolves(name):
     assert getattr(spinphase, name) is not None
 
 
-@pytest.mark.parametrize("name", ["harmonic_table", "legendre"])
+@pytest.mark.parametrize("name", ["harmonic_table", "legendre", "legendre_sequence"])
 def test_removed_function_is_absent(name):
     for module in (spinphase, angular):
         assert not hasattr(module, name)
@@ -117,7 +116,6 @@ def _argument_cases():
     integers = {
         "log_factorial n": ("n", lambda v: spinphase.log_factorial(v)),
         "HalfInteger twice_value": ("twice_value", lambda v: HalfInteger(v)),
-        "legendre_sequence k_max": ("k_max", lambda v: spinphase.legendre_sequence(v, 0.5)),
         "spherical_harmonic k": ("k", lambda v: spinphase.spherical_harmonic(v, 0, 0.3, 0.2)),
         "spherical_harmonic q": ("q", lambda v: spinphase.spherical_harmonic(1, v, 0.3, 0.2)),
         "tau_matrix k": ("k", lambda v: spinphase.tau_matrix(1, v, 0)),
