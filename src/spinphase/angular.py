@@ -18,9 +18,9 @@ and its value.
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
-the per-rank J_y eigenbasis, harmonics and Legendre polynomials one
-recurrence's half table Pbar[k, q >= 0, point] = Y_kq(theta, 0)
-(_norm_legendre_table) with the q < 0 sign written once (_q_signs).  The
+applied through the per-rank J_y eigenbasis (_apply_d), harmonics and
+Legendre polynomials one recurrence's half table Pbar[k, q >= 0, point] =
+Y_kq(theta, 0) (_norm_legendre_table) with the q < 0 sign once (_q_signs).  The
 ring-wise synthesis and quadrature.project take one real product per order
 (_per_order); a synthesis's plan (the table, phases and each point's place)
 is cached by content for product grids, as is project's ring table.  All
@@ -527,18 +527,16 @@ def _ladder(tk: int) -> np.ndarray:
 
 
 def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The J_y eigenbasis at twice-rank tk, as d(beta) consumes it.
+    """The J_y eigenbasis at twice-rank tk, as _apply_d consumes it.
 
     In the descending-m basis (row a holds m = k - a), J_y = Z J_x Z^dag with
     Z = diag(i^a), and J_x is real: its eigenvectors U (ascending eigenvalues
     mu = -k..k, exact, so only U is kept) are real, half the bytes of complex
-    J_y eigenvectors.  Then d(beta) = Z U exp(-i beta mu) U^T Z^dag.  Writing
-    i^a = sigma_a i^(a mod 2) with sigma_a = +1, +1, -1, -1 for a mod 4 = 0..3,
-    the rows are stored as G = sigma U, split into even and odd a, so that d
-    takes no phase table:
-
-        d[a, b] = sum_mu G_{a mu} G_{b mu} cos(beta mu)    a, b of one parity,
-        d[a, b] = +-sum_mu G_{a mu} G_{b mu} sin(beta mu)  + for odd a, - for odd b.
+    J_y eigenvectors, and d(beta) = Z U exp(-i beta mu) U^T Z^dag, the exact
+    J_y diagonalization of Feng, Wang, Yang & Jin (Phys. Rev. E 92, 043307
+    (2015)).  Writing i^a = sigma_a i^(a mod 2) with sigma_a = +1, +1, -1, -1
+    for a mod 4 = 0..3, the rows are stored as G = sigma U, split into even
+    and odd a, so that applying d takes no phase table.
 
     Returns (G[even a], G[odd a]); the cache makes them read-only.
     """
@@ -574,45 +572,44 @@ _ring_tables = _RankCache(
 )
 
 
-def _small_d(tk: int, beta: float) -> np.ndarray:
-    """d^k(beta) = exp(-i beta J_y) in the descending-m basis.
+def _apply_d(tk: int, beta: float, v: np.ndarray) -> np.ndarray:
+    """d^k(beta) @ v, for v of tk + 1 rows q = k..-k (any further axes).
 
-    Formed on each call from the cached eigenbasis, with no eigensolver per
-    angle, by three real products of half-size blocks (the even-odd block is
-    minus the transposed odd-even one, as d(beta)^T = d(-beta)).  Unitary to
-    roundoff at any rank, unlike the alternating single-sum element formula,
-    which loses all precision near k ~ 50.
+    With the rows G of _jy_eigenbasis and y = G^T v for each parity of row,
+    (d v)[even] = G_even (cos(beta mu) y_even - sin(beta mu) y_odd) and
+    (d v)[odd] = G_odd (cos(beta mu) y_odd + sin(beta mu) y_even), the real
+    and imaginary parts of exp(i beta mu) (y_even + i y_odd).  O(k^2) per
+    column, with no d formed and no eigensolver per angle; a complex v goes
+    through as its float view, so the basis is never cast to complex.
+    Unitary to roundoff at any rank, unlike the alternating single-sum
+    element formula, which loses all precision near k ~ 50.
     """
     even, odd = _jy_eigenbasis(tk)
+    complex_v = np.iscomplexobj(v)
+    cols = np.ascontiguousarray(v).reshape(tk + 1, -1)
+    cols = cols.view(float) if complex_v else cols
+    y = odd.T @ cols[1::2] * 1j
+    y += even.T @ cols[::2]
     # beta mu for the exact eigenvalues mu = -k..k, in eigh's ascending order
-    x = beta * np.arange(-0.5 * tk, 0.5 * tk + 1.0)
-    cos_x = np.cos(x)
-    d = np.empty((tk + 1, tk + 1))
-    d[::2, ::2] = (even * cos_x) @ even.T
-    d[1::2, 1::2] = (odd * cos_x) @ odd.T
-    odd_even = (odd * np.sin(x)) @ even.T
-    d[1::2, ::2] = odd_even
-    d[::2, 1::2] = -odd_even.T
-    return d
+    y *= np.exp(1j * beta * np.arange(-0.5 * tk, 0.5 * tk + 1.0))[:, None]
+    out = np.empty(cols.shape)
+    out[::2] = even @ y.real
+    out[1::2] = odd @ y.imag
+    return (out.view(complex) if complex_v else out).reshape(v.shape)
 
 
-def _wigner_d_core(tk: int, tqp: int, tq: int, beta: float) -> float:
-    """One entry of _small_d(tk, beta), in O(tk) work."""
-    even, odd = _jy_eigenbasis(tk)
-    x = beta * np.arange(-0.5 * tk, 0.5 * tk + 1.0)
-    a, b = (tk - tqp) // 2, (tk - tq) // 2
-    row, col = (even, odd)[a % 2][a // 2], (even, odd)[b % 2][b // 2]
-    if a % 2 == b % 2:
-        return float(row * np.cos(x) @ col)
-    sign = 1.0 if a % 2 else -1.0
-    return sign * float(row * np.sin(x) @ col)
+def _d_entry(tk: int, tqp: int, tq: int, beta: float) -> float:
+    """d^k_{q'q}(beta): row q' of d applied to the unit column q."""
+    column = np.zeros(tk + 1)
+    column[(tk - tq) // 2] = 1.0
+    return float(_apply_d(tk, beta, column)[(tk - tqp) // 2])
 
 
 def wigner_d(k, qp, q, beta: float) -> float:
     """Wigner small-d element d^k_{q'q}(beta); k may be half-integer."""
     tk = require_spin(k, "k")
     tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
-    return _wigner_d_core(tk, tqp, tq, require_angle(beta, "beta", scalar=True))
+    return _d_entry(tk, tqp, tq, require_angle(beta, "beta", scalar=True))
 
 
 def wigner_D(k, qp, q, alpha: float, beta: float, gamma: float) -> complex:
@@ -620,7 +617,7 @@ def wigner_D(k, qp, q, alpha: float, beta: float, gamma: float) -> complex:
     tk = require_spin(k, "k")
     tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
-    d = _wigner_d_core(tk, tqp, tq, beta)
+    d = _d_entry(tk, tqp, tq, beta)
     phase = -0.5 * (tqp * alpha + tq * gamma)
     return complex(d * (math.cos(phase) + 1j * math.sin(phase)))
 
@@ -633,7 +630,7 @@ def wigner_D_matrix(k, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """
     tk = require_spin(k, "k")
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
-    d = _small_d(tk, beta)
+    d = _apply_d(tk, beta, np.eye(tk + 1))
     tq_axis = tk - 2 * np.arange(tk + 1)
     left = np.exp(-0.5j * tq_axis * alpha)
     right = np.exp(-0.5j * tq_axis * gamma)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import HalfInteger, _euler_angles, _small_d, require_int, require_real, require_spin
+from .angular import HalfInteger, _apply_d, _euler_angles, require_int, require_real, require_spin
 from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
 
@@ -343,9 +343,9 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
     Because R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'}, the coefficients
     transform with the conjugate matrix: t'^k_q = sum_{q'} conj(D^k_{q q'})
     t^k_{q'} = e^{i q alpha} sum_{q'} d^k_{q q'}(beta) e^{i q' gamma} t^k_{q'}.
-    Each rank takes d^k(beta) from the cached J_y eigenbasis (no eigensolver
-    per angle) and the two z rotations as elementwise phases.  Matches
-    decompose(R rho R^dag) to roundoff.
+    Each rank's d^k(beta) is applied through the cached J_y eigenbasis
+    (angular._apply_d: O(k^2), no matrix formed) and the two z rotations are
+    elementwise phases.  Matches decompose(R rho R^dag) to roundoff.
     """
     ts = t.s.twice_value
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
@@ -354,7 +354,7 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
     for k in range(1, ts + 1):
         cols = slice(ts - k, ts + k + 1)
         # d orders q = k..-k, the reverse of the array columns
-        out[k, cols] = (_small_d(2 * k, beta) @ out[k, cols][::-1])[::-1]
+        out[k, cols] = _apply_d(2 * k, beta, out[k, cols][::-1])[::-1]
     return FanoTensorSet(t.s, _frozen(np.exp(1j * q * alpha) * out))
 
 
