@@ -11,10 +11,11 @@ which makes R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'} for irreducible
 tensor operators.  Spins and projections are carried as twice-value integers
 so half-integer arithmetic stays exact.
 
-Every public integer, spin, projection, real and angle argument of the
-package passes one rule here (require_int, require_spin, require_projection,
-require_real, require_angle): a refusal is a DomainError naming the argument
-and its value.
+Every public integer, spin, projection, real and angle argument and every
+operator entry of the package passes one rule here (require_int,
+require_spin, require_projection, require_real, require_angle,
+_require_finite): a refusal is a DomainError naming the argument and its
+value.
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
@@ -171,6 +172,18 @@ def require_real(value, name: str, lo: float | None = None, strict: bool = False
     return float(value)
 
 
+def _require_finite(a: np.ndarray, name: str, what: str) -> None:
+    """Accept an array of finite entries in one isfinite pass; else refuse its
+    first NaN or +-inf entry, named with its index and shown as a float, or
+    as a complex where its imaginary part is nonzero."""
+    if not np.isfinite(a).all():
+        i = int(np.flatnonzero(~np.isfinite(a))[0])
+        where = "" if a.ndim == 0 else f"{list(map(int, np.unravel_index(i, a.shape)))}"
+        entry = complex(a.flat[i])
+        shown = entry.real if entry.imag == 0 else entry
+        raise DomainError(f"{name}{where}={shown!r}: expected a finite {what}")
+
+
 def require_angle(value, name: str, scalar: bool = False):
     """A finite angle in radians as a float array (0-d for a scalar), or as a
     float if `scalar`, which refuses an array; a refusal names the first
@@ -179,10 +192,7 @@ def require_angle(value, name: str, scalar: bool = False):
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{name}={value!r}: expected a finite angle") from None
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        where = "" if a.ndim == 0 else f"{list(map(int, np.unravel_index(bad[0], a.shape)))}"
-        raise DomainError(f"{name}{where}={float(a.flat[bad[0]])!r}: expected a finite angle")
+    _require_finite(a, name, "angle")
     if scalar and a.ndim:
         raise DomainError(f"{name}={value!r}: expected a scalar angle")
     return float(a) if scalar else a

@@ -117,18 +117,22 @@ def build_grid(band_limit: int) -> SphereGrid:
 
 def _node_values(grid: SphereGrid, values) -> np.ndarray:
     """Node values in grid order along the last axis (leading axes batched);
-    NaN is refused, naming the first bad node in row-major order."""
+    NaN and then +-inf are refused, naming the first such node in row-major
+    order; finite values are accepted in one isfinite pass."""
     vals = np.asarray(values)
     if vals.ndim == 0 or vals.shape[-1] != grid.n_nodes:
         raise DomainError(
             f"expected {grid.n_nodes} node values along the last axis, got array "
             f"of shape {vals.shape}"
         )
-    bad = np.flatnonzero(np.isnan(vals.real) | np.isnan(vals.imag))
-    if bad.size:
-        n = int(bad[0]) % grid.n_nodes
+    if not np.isfinite(vals).all():
+        nan = np.isnan(vals)
+        i = int(np.flatnonzero(nan if nan.any() else ~np.isfinite(vals))[0])
+        value = complex(vals.flat[i])
+        shown = "NaN" if nan.any() else repr(value.real if value.imag == 0 else value)
+        n = i % grid.n_nodes
         raise DomainError(
-            f"NaN integrand at node {n} "
+            f"{shown} integrand at node {n} "
             f"(theta={grid.node_thetas[n]:.6f}, phi={grid.node_phis[n]:.6f})"
         )
     return vals
@@ -153,8 +157,9 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
     """Integrate over the product of two spheres.
 
     values[i, j] holds the integrand at (node i of grid1, node j of grid2).
-    The sum over grid2's nodes goes first; integrate then refuses a NaN
-    partial sum, naming its grid1 node.
+    The sum over grid2's nodes goes first.  NaN and +-inf values are refused
+    before it, as integrate refuses them, at their grid1 node: each node is
+    named by its first NaN, else its first +-inf.
     """
     values = np.asarray(values)
     if values.shape != (grid1.n_nodes, grid2.n_nodes):
@@ -162,6 +167,10 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
             f"expected values of shape {(grid1.n_nodes, grid2.n_nodes)}, "
             f"got {values.shape}"
         )
+    if not np.isfinite(values).all():
+        nan, bad = np.isnan(values), ~np.isfinite(values)
+        first = np.where(nan.any(axis=1), nan.argmax(axis=1), bad.argmax(axis=1))
+        _node_values(grid1, values[np.arange(grid1.n_nodes), first])
     return integrate(grid1, values @ grid2.weights)
 
 

@@ -5,11 +5,11 @@ printing a PASS line; run with `pytest tests/test_acceptance.py -v -s` to see
 the per-criterion lines.  Runtime-budgeted criteria assert their own elapsed
 time.
 
-Known red case: the strict-decrease check of criterion 10 for the F kind at
-rank 1.  That coefficient equals 1 exactly for every spin (the rank-1 radius
-constraint cancels algebraically), so |c - 1| is a zero sequence and no
-implementation can make it strictly decreasing.  The check is kept strict
-and fails honestly rather than special-casing that combination.
+Criterion 10's convergence check is strict: |c_k - 1| must decrease at
+every step of 2s = 8..200.  The one exception is F at rank 1, whose
+coefficient equals 1 exactly at every spin (the rank-1 radius constraint
+cancels algebraically), so it has no gap to shrink; that case asserts
+c_1 == 1 exactly at each spin instead.
 """
 
 import math

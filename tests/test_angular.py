@@ -606,7 +606,7 @@ def test_wigner_matrix_matches_exponential_oracle(ts, rng):
         assert np.max(np.abs(got - oracle)) < 1e-12
 
 
-@pytest.mark.parametrize("ts", [1, 2, 7, 40, 101])
+@pytest.mark.parametrize("ts", [1, 2, 7, 40, 101, pytest.param(401, marks=pytest.mark.scale)])
 def test_wigner_elements_equal_matrix(ts, rng):
     alpha, beta, gamma = rng.uniform(0, 2 * math.pi, 3)
     full = wigner_D_matrix(ts / 2, alpha, beta, gamma)

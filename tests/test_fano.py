@@ -11,9 +11,11 @@ from spinphase import (
     BipartiteDensityMatrix,
     CoupledFanoTensorSet,
     DensityMatrix,
+    DistributionKind,
     FanoTensorSet,
     ValidationError,
     clebsch_gordan,
+    coefficient_table,
     decompose,
     decompose_bipartite,
     is_product,
@@ -755,6 +757,30 @@ def test_rotate_matches_d_matrix_route_over_beta(ts, rng):
         expected = conjugate_d_route(t, alpha, beta, gamma)
         got = rotate_tensors(t, alpha, beta, gamma).values
         assert np.max(np.abs(got - expected)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("angles", [(0.3, 1.1, 2.0), (2.5, 2.9, -0.7)])
+@pytest.mark.parametrize(
+    "ts", [24] + [pytest.param(ts, marks=pytest.mark.scale) for ts in (64, 128, 200)]
+)
+def test_rotate_closed_form_set_matches_harmonics(ts, angles):
+    # |s, s> has t^k_0 = sqrt(2k+1) c^Q_k and nothing else; rotated by
+    # (alpha, beta, gamma) it is the coherent set at (beta, alpha),
+    # t^k_q = sqrt(4 pi) c^Q_k Y_kq(beta, alpha): an oracle at any spin that
+    # needs neither the tensor bands nor sympy
+    from scipy.special import sph_harm_y
+
+    c = coefficient_table(DistributionKind.Q, ts / 2)
+    k = np.arange(ts + 1)[:, None]
+    q = np.arange(-ts, ts + 1)
+    values = np.zeros((ts + 1, 2 * ts + 1), dtype=complex)
+    values[:, ts] = np.sqrt(2 * k[:, 0] + 1) * c
+    alpha, beta, gamma = angles
+    got = rotate_tensors(FanoTensorSet(ts / 2, values), alpha, beta, gamma).values
+    valid = np.abs(q) <= k
+    harmonics = np.where(valid, sph_harm_y(k, np.where(valid, q, 0), beta, alpha), 0.0)
+    expected = math.sqrt(4 * math.pi) * c[:, None] * harmonics
+    assert np.max(np.abs(got - expected)) <= 2e-14
 
 
 # ---------------------------------------------------------------- singlet

@@ -99,9 +99,9 @@ def test_no_lru_cache_left_for_cg_or_bands():
 
 # ------------------------------------------------------- the argument rule
 #
-# Every public integer, spin, angle and kind argument is checked by one rule:
-# a refusal is a DomainError whose message starts with the argument's name
-# (an array entry adds its index) and the refused value.
+# Every public integer, spin, angle, kind and operator-array argument is
+# checked by one rule: a refusal is a DomainError whose message starts with
+# the argument's name (an array entry adds its index) and the refused value.
 
 
 def _argument_cases():
@@ -273,6 +273,27 @@ def _argument_cases():
     for label, (name, values, call) in reals.items():
         for value in values:
             cases.append(pytest.param(call, name, value, id=f"{label}={value!r:.24}"))
+
+    # operator arrays: a non-finite entry is named with its index, its value
+    # shown as a plain float, or as a complex where its imaginary part is nonzero
+    entries = {
+        "operator_components": ("a", (3, 3), lambda v: spinphase.operator_components(v)),
+        "operator_from_components": (
+            "comps",
+            (3, 5),
+            lambda v: spinphase.operator_from_components(1, v),
+        ),
+        "expectation": ("a", (3, 3), lambda v: spinphase.expectation(K.Q, t1, v, grid)),
+    }
+    for label, (name, shape, call) in entries.items():
+        for value in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+
+            def refused_entry(v, shape=shape, call=call):
+                array = np.zeros(shape, dtype=type(v))
+                array[1, 2] = v
+                return call(array)
+
+            cases.append(pytest.param(refused_entry, name, value, id=f"{label} {name}={value!r}"))
 
     kinds = {
         "coefficient": lambda k: spinphase.coefficient(k, 1, 0),

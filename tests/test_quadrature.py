@@ -119,6 +119,53 @@ def test_integrate_product_rejects_nan():
         integrate_product(grid, grid, vals)
 
 
+def node_message(grid, shown, n):
+    return (
+        f"{shown} integrand at node {n} "
+        f"(theta={grid.node_thetas[n]:.6f}, phi={grid.node_phis[n]:.6f})"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(math.inf, "inf"), (-math.inf, "-inf"), (complex(1, math.inf), "(1+infj)"),
+     (math.nan, "NaN"), (complex(1, math.nan), "NaN")],
+)
+def test_non_finite_node_value_is_named_at_its_node(value, shown):
+    # inf is refused where NaN is, with no numpy warning; the NaN message is
+    # the one NaN always had
+    grid = build_grid(2)
+    vals = np.ones(grid.n_nodes, dtype=type(value))
+    vals[3] = value
+    batched = np.stack([np.ones_like(vals), vals])
+    for call in (
+        lambda: integrate(grid, vals),
+        lambda: project(grid, vals, 2),
+        lambda: project(grid, batched, 2),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == node_message(grid, shown, 3)
+
+
+@pytest.mark.parametrize("second", [math.inf, -math.inf])
+def test_integrate_product_names_non_finite_value_at_its_grid1_node(second):
+    grid = build_grid(2)
+    for dtype in (float, complex):
+        vals = np.ones((grid.n_nodes, grid.n_nodes), dtype=dtype)
+        vals[4, 5] = math.inf
+        vals[4, 6] = second  # inf - inf would make the partial sum NaN
+        with pytest.raises(DomainError) as info:
+            integrate_product(grid, grid, vals)
+        assert str(info.value) == node_message(grid, "inf", 4)
+    # a NaN in any row outranks an inf, as in integrate
+    vals[2, 0] = math.inf
+    vals[7, 9] = math.nan
+    with pytest.raises(DomainError) as info:
+        integrate_product(grid, grid, vals)
+    assert str(info.value) == node_message(grid, "NaN", 7)
+
+
 def test_integrate_rejects_bad_shape():
     grid = build_grid(1)
     with pytest.raises(DomainError):
