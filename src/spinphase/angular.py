@@ -21,13 +21,14 @@ Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
 applied through the per-rank J_y eigenbasis (_apply_d), harmonics and
 Legendre polynomials one recurrence's half table Pbar[k, q >= 0, point] =
-Y_kq(theta, 0) (_norm_legendre_table) with the q < 0 sign once (_q_signs).  The
-ring-wise synthesis and quadrature.project take one real product per order
-(_per_order); a synthesis's plan (the table, phases and each point's place)
-is cached by content for product grids, as is project's ring table.  All
-functions here are pure; the factorial tables are immutable after import,
-and the eigenbases, Legendre recurrence coefficients, plans and ring tables
-live in lock-guarded, byte-bounded _RankCaches: safe to call concurrently.
+Y_kq(theta, 0) (_norm_legendre_table) with the q < 0 sign written once
+(_q_signs).  The ring-wise synthesis and quadrature.project take one real
+product per order (_per_order); a synthesis's plan (the table, phases and
+each point's place) is cached by content for product grids, as is project's
+ring table.  All functions here are pure; the factorial tables are immutable
+after import, and the eigenbases, Legendre recurrence coefficients, plans
+and ring tables live in lock-guarded, byte-bounded _RankCaches: safe to call
+concurrently.
 """
 
 from __future__ import annotations
