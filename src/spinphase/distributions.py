@@ -49,7 +49,7 @@ range is refused with DomainError (_finite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -64,13 +64,12 @@ from .angular import (
     require_real,
     require_spin,
 )
-from .errors import BandLimitError, ConsistencyError, DomainError, ValidationError
+from .errors import BandLimitError, ConsistencyError, DomainError
 from .fano import (
     CoupledFanoTensorSet,
     DensityMatrix,
     FanoTensorSet,
     _frozen,
-    _owned,
     _singlet_coefficients,
 )
 from .quadrature import SphereGrid, integrate, project
@@ -175,58 +174,52 @@ def coefficient_table(kind: DistributionKind, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinCoherentState:
-    """Maximal-weight spin state rotated to point along (theta, phi)."""
-
-    s: HalfInteger
-    theta: float
-    phi: float
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        ts = require_spin(self.s)
-        amplitudes = _owned(self.amplitudes)
-        if amplitudes.shape != (ts + 1,):
-            raise ValidationError(
-                f"coherent state amplitudes of shape {amplitudes.shape}, expected ({ts + 1},)"
-            )
-        norm = float(np.sum(np.abs(amplitudes) ** 2))
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ConsistencyError(f"coherent state norm {norm} deviates from 1")
-        object.__setattr__(self, "s", HalfInteger(ts))
-        object.__setattr__(self, "theta", require_angle(self.theta, "theta", scalar=True))
-        object.__setattr__(self, "phi", require_angle(self.phi, "phi", scalar=True))
-        object.__setattr__(self, "amplitudes", amplitudes)
-
-
-def coherent_state(s, theta: float, phi: float) -> SpinCoherentState:
-    """Spin coherent (Bloch) state with amplitudes
+    """Spin coherent (Bloch) state, the maximal-weight state rotated to point
+    along (theta, phi), fixed by (s, theta, phi).  Its amplitudes
 
     <s m|theta phi> = sqrt(C(2s, s+m)) cos(theta/2)^(s-m) sin(theta/2)^(s+m)
                        exp(-i (s+m) phi)
 
-    in the descending-m ordering.  theta = 0 gives |s, -s>; theta = pi gives
-    |s, +s> up to the phase exp(-i 2s phi).  Works at any spin.
+    in the descending-m ordering are derived on construction, read-only.
+    theta = 0 gives |s, -s>; theta = pi gives |s, +s> up to the phase
+    exp(-i 2s phi).  Works at any spin.  The angles are reduced mod 2 pi, and
+    states compare and hash by (s, theta, phi).
     """
-    ts = require_spin(s)
-    theta = require_angle(theta, "theta", scalar=True) % (2.0 * math.pi)
-    phi = require_angle(phi, "phi", scalar=True) % (2.0 * math.pi)
-    c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)  # sn >= 0: theta / 2 < pi
-    # index i holds m = s - i, so s - m = i and s + m = 2s - i.  The magnitudes
-    # squared are binomial in p = c^2, and their ratios |a_(i+1) / a_i| =
-    # sqrt((2s - i) / (i + 1)) |c| / sn multiply outward from the binomial mode,
-    # the largest: nothing overflows at any spin and the tails underflow to 0.
-    # A step up needs c^2 < 2s / (2s + 1), a step down c^2 >= 1 / (2s + 1)
-    i = np.arange(ts + 1)
-    mode = min(ts, math.floor((ts + 1) * c * c))
-    up, down = i[mode:-1], i[mode:0:-1]
-    mag = np.concatenate((
-        np.cumprod(np.sqrt(down / (ts + 1.0 - down)) * (sn / abs(c)))[::-1],
-        [1.0],
-        np.cumprod(np.sqrt((ts - up) / (up + 1.0)) * (abs(c) / sn if up.size else 0.0)),
-    ))
-    # c^i carries the sign and exp(-i (s + m) phi) the phase
-    amps = mag / np.linalg.norm(mag) * np.copysign(1.0, c) ** i * np.exp(-1j * (ts - i) * phi)
-    return SpinCoherentState(HalfInteger(ts), theta, phi, _frozen(amps))
+
+    s: HalfInteger
+    theta: float
+    phi: float
+    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ts = require_spin(self.s)
+        theta = require_angle(self.theta, "theta", scalar=True) % (2.0 * math.pi)
+        phi = require_angle(self.phi, "phi", scalar=True) % (2.0 * math.pi)
+        c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)  # sn >= 0: theta / 2 < pi
+        # index i holds m = s - i, so s - m = i and s + m = 2s - i.  The magnitudes
+        # squared are binomial in p = c^2, and their ratios |a_(i+1) / a_i| =
+        # sqrt((2s - i) / (i + 1)) |c| / sn multiply outward from the binomial mode,
+        # the largest: nothing overflows at any spin and the tails underflow to 0.
+        # A step up needs c^2 < 2s / (2s + 1), a step down c^2 >= 1 / (2s + 1)
+        i = np.arange(ts + 1)
+        mode = min(ts, math.floor((ts + 1) * c * c))
+        up, down = i[mode:-1], i[mode:0:-1]
+        mag = np.concatenate((
+            np.cumprod(np.sqrt(down / (ts + 1.0 - down)) * (sn / abs(c)))[::-1],
+            [1.0],
+            np.cumprod(np.sqrt((ts - up) / (up + 1.0)) * (abs(c) / sn if up.size else 0.0)),
+        ))
+        # c^i carries the sign and exp(-i (s + m) phi) the phase
+        amps = mag / np.linalg.norm(mag) * np.copysign(1.0, c) ** i * np.exp(-1j * (ts - i) * phi)
+        object.__setattr__(self, "s", HalfInteger(ts))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "amplitudes", _frozen(amps))
+
+
+def coherent_state(s, theta: float, phi: float) -> SpinCoherentState:
+    """The spin coherent state SpinCoherentState(s, theta, phi)."""
+    return SpinCoherentState(s, theta, phi)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Deterministic quadrature on the sphere, exact for band-limited integrands.
 
-Gauss-Legendre nodes in cos(theta) crossed with a uniform azimuthal grid.
-With band limit L the grid has L+1 polar and 2L+2 azimuthal nodes (one above
-the minimum, guarding the |q| = L aliasing edge), which integrates any
-spherical-harmonic polynomial of degree <= 2L+1 to roundoff.
+Gauss-Legendre nodes in cos(theta) crossed with a uniform azimuthal grid
+(the Driscoll-Healy product quadrature).  A grid is fixed by its band limit
+L: SphereGrid(L), or build_grid(L), derives its L+1 polar and 2L+2
+azimuthal nodes (one above the minimum, guarding the |q| = L aliasing edge)
+and their weights, and integrates any spherical-harmonic polynomial of
+degree <= 2L+1 to roundoff.  No other node set is accepted, since project's
+FFT and the weights assume exactly these nodes.
 
 Integrands are given as arrays of node values (at node_thetas, node_phis)
-and checked for shape and NaN in one vectorized step.  project analyses
-node values into spherical-harmonic coefficients ring by ring: one FFT in
-phi per ring, then one sum over the rings against angular's half table
+and checked for shape, NaN and +-inf in one vectorized step; a sum of them
+that overflows the float range is refused.  project analyses node values
+into spherical-harmonic coefficients ring by ring: one FFT in phi per ring,
+then one sum over the rings against angular's half table
 Pbar[k, q >= 0, ring] = Y_kq(theta_ring, 0), one real product per order
 (the Driscoll-Healy / SHTns structure), so the harmonic table over all nodes
 is never built.
@@ -17,12 +21,13 @@ is never built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .angular import _per_order, _q_signs, _ring_table, require_int, require_real
+from .angular import _per_order, _q_signs, _ring_table, require_int
 from .errors import DomainError
 
 __all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product", "project"]
@@ -33,35 +38,35 @@ _BOUND_BLOCK_BYTES = 1_000_000
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Immutable product quadrature grid on the sphere.
+    """Immutable product quadrature grid on the sphere, fixed by its band L.
 
-    thetas are the polar nodes (ascending), theta_weights the matching
-    Gauss-Legendre weights in cos(theta); phis are uniform with the constant
-    weight phi_weight = 2 pi / n_phi.  Node weights sum to 4 pi.
+    Everything else is derived on construction: thetas are the L + 1 polar
+    nodes (ascending), theta_weights the matching Gauss-Legendre weights in
+    cos(theta); phis are the 2L + 2 uniform azimuths 2 pi j / n_phi with the
+    constant weight phi_weight = 2 pi / n_phi.  Node weights sum to 4 pi.
+    Grids compare and hash by their band.
     """
 
     band_limit: int
-    thetas: np.ndarray
-    theta_weights: np.ndarray
-    phis: np.ndarray
-    phi_weight: float
+    thetas: np.ndarray = field(init=False, repr=False, compare=False)
+    theta_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    phis: np.ndarray = field(init=False, repr=False, compare=False)
+    phi_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_int(self.band_limit, "band_limit", 0)
-        for name in ("thetas", "theta_weights", "phis"):
-            a = getattr(self, name)
-            ok = isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iuf"
-            if not (ok and np.isfinite(a).all()):
-                raise DomainError(f"{name}={a!r}: expected a 1-d array of finite reals")
-        if self.theta_weights.shape != self.thetas.shape:
-            raise DomainError(f"theta_weights={self.theta_weights!r}: expected one per theta")
-        require_real(self.phi_weight, "phi_weight", 0.0, strict=True)
-        # last, so that a malformed field is named first; coarser nodes alias
-        band = self.band_limit
-        needs = (("thetas", self.n_theta, band + 1), ("phis", self.n_phi, 2 * band + 2))
-        for name, n, least in needs:
-            if n < least:
-                raise DomainError(f"{name}: {n} nodes cannot carry band {band} (at least {least})")
+        band = require_int(self.band_limit, "band_limit", 0)
+        n_phi = 2 * band + 2
+        x, w = np.polynomial.legendre.leggauss(band + 1)
+        # leggauss returns ascending x = cos(theta); flip so theta ascends
+        thetas, theta_weights = np.arccos(x)[::-1].copy(), w[::-1].copy()
+        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        for arr in (thetas, theta_weights, phis):
+            arr.setflags(write=False)
+        object.__setattr__(self, "band_limit", band)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "theta_weights", theta_weights)
+        object.__setattr__(self, "phis", phis)
+        object.__setattr__(self, "phi_weight", 2.0 * math.pi / n_phi)
 
     @property
     def n_theta(self) -> int:
@@ -95,24 +100,8 @@ class SphereGrid:
 
 
 def build_grid(band_limit: int) -> SphereGrid:
-    """Build the Gauss-Legendre x uniform-phi grid for the given band limit."""
-    band_limit = require_int(band_limit, "band_limit", 0)
-    n_theta = band_limit + 1
-    n_phi = 2 * band_limit + 2
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    # leggauss returns ascending x = cos(theta); flip so theta ascends
-    thetas = np.arccos(x)[::-1].copy()
-    theta_weights = w[::-1].copy()
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    for arr in (thetas, theta_weights, phis):
-        arr.setflags(write=False)
-    return SphereGrid(
-        band_limit=band_limit,
-        thetas=thetas,
-        theta_weights=theta_weights,
-        phis=phis,
-        phi_weight=2.0 * math.pi / n_phi,
-    )
+    """The Gauss-Legendre x uniform-phi grid of the given band limit."""
+    return SphereGrid(band_limit)
 
 
 def _node_values(grid: SphereGrid, values) -> np.ndarray:
@@ -138,19 +127,37 @@ def _node_values(grid: SphereGrid, values) -> np.ndarray:
     return vals
 
 
+@contextmanager
+def _overflow_refused(vals: np.ndarray):
+    """Run a sum of finite node values with float overflow raised (math.fsum
+    raises OverflowError, numpy FloatingPointError), and refuse it as a
+    DomainError naming the largest |node value|."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        with np.errstate(over="ignore"):
+            largest = float(np.max(np.abs(vals)))
+        raise DomainError(
+            f"node sum overflows the float range (largest |node value| {largest:.6g})"
+        ) from None
+
+
 def integrate(grid: SphereGrid, f):
     """Integrate node values over the sphere: weighted sum in fixed node order.
 
     f is a 1-d array of node values in grid order (at grid.node_thetas,
-    grid.node_phis).  Accumulation is compensated (math.fsum).
+    grid.node_phis).  Accumulation is compensated (math.fsum); a sum that
+    overflows is refused (DomainError).
     """
     vals = _node_values(grid, f)
     if vals.ndim != 1:
         raise DomainError(f"expected {grid.n_nodes} node values, got array of shape {vals.shape}")
     w = grid.weights
-    if np.iscomplexobj(vals):
-        return complex(math.fsum(w * vals.real), math.fsum(w * vals.imag))
-    return math.fsum(w * vals)
+    with _overflow_refused(vals):
+        if np.iscomplexobj(vals):
+            return complex(math.fsum(w * vals.real), math.fsum(w * vals.imag))
+        return math.fsum(w * vals)
 
 
 def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
@@ -159,7 +166,8 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
     values[i, j] holds the integrand at (node i of grid1, node j of grid2).
     The sum over grid2's nodes goes first.  NaN and +-inf values are refused
     before it, as integrate refuses them, at their grid1 node: each node is
-    named by its first NaN, else its first +-inf.
+    named by its first NaN, else its first +-inf.  A sum that overflows is
+    refused as integrate refuses it.
     """
     values = np.asarray(values)
     if values.shape != (grid1.n_nodes, grid2.n_nodes):
@@ -171,7 +179,9 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
         nan, bad = np.isnan(values), ~np.isfinite(values)
         first = np.where(nan.any(axis=1), nan.argmax(axis=1), bad.argmax(axis=1))
         _node_values(grid1, values[np.arange(grid1.n_nodes), first])
-    return integrate(grid1, values @ grid2.weights)
+    with _overflow_refused(values):
+        inner = values @ grid2.weights
+    return integrate(grid1, inner)
 
 
 def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,23 +202,25 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     full harmonic table.  The table comes read-only from angular's ring table
     cache, keyed by (k_max, grid.thetas), so repeated calls on one grid build
     it once; the bound reads |Pbar| in blocks of at most _BOUND_BLOCK_BYTES.
+    Node values whose sums overflow are refused (DomainError).
     """
     k_max = require_int(k_max, "k_max", 0)
     vals = _node_values(grid, values)
+    table = _ring_table(k_max, grid.thetas)  # [k, p, ring]
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
     ring_weights = grid.theta_weights * grid.phi_weight
     q = np.arange(-k_max, k_max + 1)
     signed_weights = ring_weights[:, None] * _q_signs(q)  # conj(Y_kq)'s q < 0 sign
-    spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * signed_weights
-    spectra = spectra.reshape(-1, grid.n_theta, q.size).transpose(2, 0, 1)  # [q, batch, ring]
-    table = _ring_table(k_max, np.asarray(grid.thetas, dtype=float))  # [k, p, ring]
-    coefficients = _per_order(spectra, table.transpose(1, 2, 0)).transpose(1, 2, 0)
-    coefficients = coefficients.reshape(vals.shape[:-1] + coefficients.shape[1:])
-    del spectra  # its bytes make room for the |Pbar| blocks of the bound
-    abs_rings = np.abs(rings).sum(axis=-1) * ring_weights
     step = max(1, _BOUND_BLOCK_BYTES // table[0].nbytes)
-    bound = np.concatenate([
-        np.einsum("kpr,...r->...kp", np.abs(table[k : k + step]), abs_rings)
-        for k in range(0, k_max + 1, step)
-    ], axis=-2)[..., np.abs(q)]
+    with _overflow_refused(vals):
+        spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * signed_weights
+        spectra = spectra.reshape(-1, grid.n_theta, q.size).transpose(2, 0, 1)  # [q, batch, ring]
+        coefficients = _per_order(spectra, table.transpose(1, 2, 0)).transpose(1, 2, 0)
+        coefficients = coefficients.reshape(vals.shape[:-1] + coefficients.shape[1:])
+        del spectra  # its bytes make room for the |Pbar| blocks of the bound
+        abs_rings = np.abs(rings).sum(axis=-1) * ring_weights
+        bound = np.concatenate([
+            np.einsum("kpr,...r->...kp", np.abs(table[k : k + step]), abs_rings)
+            for k in range(0, k_max + 1, step)
+        ], axis=-2)[..., np.abs(q)]
     return coefficients, grid.n_nodes * np.finfo(float).eps * bound

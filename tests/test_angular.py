@@ -638,7 +638,7 @@ def random_tensor_values(rng, ts: int) -> np.ndarray:
     return a
 
 
-def test_small_d_cache_is_bounded(rng):
+def test_jy_eigenbasis_cache_is_bounded(rng):
     _jy_eigenbasis.cache_clear()
     try:
         # the cache is keyed by twice-rank alone: new angles add no entries
@@ -715,7 +715,7 @@ def test_wigner_matrix_matches_expm_at_large_rank(ts, rng):
 @pytest.mark.parametrize(
     "ts, bound", [(48, 1e-14), pytest.param(200, 1.2e-14, marks=pytest.mark.scale)]
 )
-def test_small_d_matches_expm_with_exact_eigenvalues(ts, bound, rng):
+def test_wigner_D_matrix_matches_expm_with_exact_eigenvalues(ts, bound, rng):
     # each bound sits between the two ways to take J_y's eigenvalues: the
     # exact -k..k give maxima of 4.9e-15 (twice-rank 48) and 7.5-8.6e-15
     # (200) here, the eigensolver's own (error ~ k eps) 1.8e-14 and 1.7e-14

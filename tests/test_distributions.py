@@ -16,7 +16,6 @@ from spinphase import (
     DomainError,
     FanoTensorSet,
     SpinCoherentState,
-    ValidationError,
     build_grid,
     classical_limit_table,
     classical_spin_vector,
@@ -267,18 +266,15 @@ def test_coherent_state_at_large_spin_against_mpmath(ts):
             assert abs(amplitudes[i] - complex(exact)) <= 1e-12, (theta, i)
 
 
-def test_coherent_state_container_checks_its_amplitudes():
-    amplitudes = coherent_state(1, 0.4, 0.2).amplitudes
-    with pytest.raises(ValidationError, match=r"shape \(7,\), expected \(3,\)"):
-        SpinCoherentState(1, 0.4, 0.2, np.ones(7) / math.sqrt(7))
-    with pytest.raises(ConsistencyError, match="norm nan"):
-        SpinCoherentState(1, 0.4, 0.2, np.array([math.nan, 0.0, 0.0]))
-    # a writeable array is copied, never frozen in place; a frozen owned one is adopted
-    caller = np.array(amplitudes)
-    scs = SpinCoherentState(1, 0.4, 0.2, caller)
-    assert caller.flags.writeable and scs.amplitudes is not caller
-    assert not scs.amplitudes.flags.writeable
-    assert SpinCoherentState(1, 0.4, 0.2, amplitudes).amplitudes is amplitudes
+def test_coherent_state_is_its_spin_and_angles():
+    state = SpinCoherentState(1, 0.4, 0.2)
+    assert coherent_state(1, 0.4, 0.2) == state
+    assert hash(coherent_state(1, 0.4, 0.2)) == hash(state)
+    assert coherent_state(1, 0.5, 0.2) != state
+    assert SpinCoherentState(1, -0.5, 0.2) == SpinCoherentState(1, 2 * math.pi - 0.5, 0.2)
+    assert not state.amplitudes.flags.writeable
+    with pytest.raises(TypeError):
+        SpinCoherentState(1, 0.4, 0.2, state.amplitudes)
 
 
 def test_imaginary_residue_check_refuses_nan():

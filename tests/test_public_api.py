@@ -110,7 +110,6 @@ def _argument_cases():
     t12 = spinphase.decompose_bipartite(rho12)
     grid = spinphase.build_grid(2)
     a = [0.0, 0.0, 1.0]
-    amps = spinphase.coherent_state(1, 0.3, 0.2).amplitudes
     cases = []
 
     integers = {
@@ -166,7 +165,7 @@ def _argument_cases():
         "coefficient_table s": ("s", lambda v: spinphase.coefficient_table(K.Q, v)),
         "classical_limit_table s": ("s", lambda v: spinphase.classical_limit_table(K.Q, 0, [v])),
         "coherent_state s": ("s", lambda v: spinphase.coherent_state(v, 0.3, 0.2)),
-        "SpinCoherentState s": ("s", lambda v: spinphase.SpinCoherentState(v, 0.3, 0.2, amps)),
+        "SpinCoherentState s": ("s", lambda v: spinphase.SpinCoherentState(v, 0.3, 0.2)),
         "classical_spin_vector s": (
             "s",
             lambda v: spinphase.classical_spin_vector(K.F, v, 0.3, 0.2),
@@ -199,7 +198,7 @@ def _argument_cases():
         "coherent_state": (("theta", "phi"), lambda x, y: spinphase.coherent_state(1, x, y)),
         "SpinCoherentState": (
             ("theta", "phi"),
-            lambda x, y: spinphase.SpinCoherentState(1, x, y, amps),
+            lambda x, y: spinphase.SpinCoherentState(1, x, y),
         ),
         "q_direct": (
             ("theta", "phi"),
@@ -255,18 +254,9 @@ def _argument_cases():
 
             cases.append(pytest.param(refused_array, name, [0.1, 0.2], id=f"{label} {name} array"))
 
-    z, SphereGrid = np.zeros(2), spinphase.SphereGrid
     reals = {
         "is_product tol": ("tol", (math.nan, -1.0, True, "x", 10**400), lambda v: spinphase.is_product(t12, v)),
-        "SphereGrid band_limit": ("band_limit", (True, 1.0), lambda v: SphereGrid(v, z, z, z, 1.0)),
-        "SphereGrid phi_weight": (
-            "phi_weight",
-            (0.0, -1.0, math.inf, True),
-            lambda v: SphereGrid(1, z, z, z, v),
-        ),
-        "SphereGrid thetas": ("thetas", ([0.0, 1.0], z[None]), lambda v: SphereGrid(1, v, z, z, 1.0)),
-        "SphereGrid theta_weights": ("theta_weights", (z[:1],), lambda v: SphereGrid(1, z, v, z, 1.0)),
-        "SphereGrid phis": ("phis", (np.array([0.0, math.nan]),), lambda v: SphereGrid(1, z, z, v, 1.0)),
+        "SphereGrid band_limit": ("band_limit", (True, 1.0), lambda v: spinphase.SphereGrid(v)),
         "DirectionVector x": ("x", (True, "1", math.nan), lambda v: spinphase.DirectionVector(v, 0, 1)),
         "DirectionVector z": ("z", (np.bool_(True),), lambda v: spinphase.DirectionVector(0, 0, v)),
     }

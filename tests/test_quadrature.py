@@ -188,6 +188,8 @@ def test_build_grid_counts():
     assert grid.n_nodes == 72
     assert grid.node_thetas.shape == grid.node_phis.shape == grid.weights.shape == (72,)
     assert not hasattr(grid, "nodes")
+    for band in (0, 1, 6, 31):
+        assert build_grid(band).band_limit == band
 
 
 def test_build_grid_domain():
@@ -197,28 +199,46 @@ def test_build_grid_domain():
         build_grid(2.5)
 
 
-@pytest.mark.parametrize(
-    "n_theta, n_phi, message",
-    [
-        (2, 14, r"^thetas: 2 nodes cannot carry band 6 \(at least 7\)$"),
-        (7, 2, r"^phis: 2 nodes cannot carry band 6 \(at least 14\)$"),
-        (6, 13, r"^thetas: 6 nodes cannot carry band 6 \(at least 7\)$"),
-        (7, 13, r"^phis: 13 nodes cannot carry band 6 \(at least 14\)$"),
-    ],
-)
-def test_grid_refuses_nodes_below_its_band(n_theta, n_phi, message):
-    # such a grid used to integrate a band-6 Q expectation to 0.935, not 1
-    thetas = np.linspace(0.5, 2.0, n_theta)
-    phis = 2 * math.pi * np.arange(n_phi) / n_phi
+def test_grid_is_its_band():
+    grid = SphereGrid(3)
+    assert build_grid(3) == grid and hash(build_grid(3)) == hash(grid)
+    assert build_grid(4) != grid
+    assert {grid: "band 3"}[build_grid(3)] == "band 3"
+    assert repr(grid) == "SphereGrid(band_limit=3)"
+
+
+def test_grid_derived_nodes_are_read_only():
+    grid = SphereGrid(2)
+    for name in ("thetas", "theta_weights", "phis", "node_thetas", "node_phis", "weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 0.0
+    with pytest.raises(AttributeError):
+        grid.phi_weight = 1.0
+
+
+def test_grid_takes_only_its_band():
+    nodes = build_grid(2)
+    fields = (nodes.thetas, nodes.theta_weights, nodes.phis, nodes.phi_weight)
+    with pytest.raises(TypeError):
+        SphereGrid(2, *fields)
+    with pytest.raises(TypeError):
+        SphereGrid(band_limit=2, phi_weight=1.0)
+
+
+def test_overflowing_node_sums_are_refused():
+    grid = build_grid(2)
+    message = r"^node sum overflows the float range \(largest \|node value\| 1e\+308\)$"
     with pytest.raises(DomainError, match=message):
-        SphereGrid(6, thetas, np.ones(n_theta), phis, 2 * math.pi / n_phi)
-
-
-@pytest.mark.parametrize("band", [0, 1, 6, 31])
-def test_grid_at_or_above_its_band_is_accepted(band):
-    assert build_grid(band).band_limit == band  # build_grid's own nodes
-    finer = build_grid(band + 2)
-    SphereGrid(band, finer.thetas, finer.theta_weights, finer.phis, finer.phi_weight)
+        integrate(grid, np.full(grid.n_nodes, 1e308))
+    with pytest.raises(DomainError, match=message):
+        integrate(grid, np.full(grid.n_nodes, complex(0.0, -1e308)))
+    with pytest.raises(DomainError, match=message):
+        integrate_product(grid, grid, np.full((grid.n_nodes, grid.n_nodes), 1e308))
+    # a_00 = 1.06e308 fits, but the FFT's ring sums of six 3e307 do not
+    with pytest.raises(DomainError, match=r"\(largest \|node value\| 3e\+307\)$"):
+        project(grid, np.full(grid.n_nodes, 3e307), 2)
+    # sums that fit are still taken
+    assert integrate(grid, np.full(grid.n_nodes, 1e307)) == pytest.approx(FOUR_PI * 1e307)
 
 
 # ------------------------------------------------------------------ project
