@@ -47,7 +47,6 @@ from .errors import DomainError
 
 __all__ = [
     "HalfInteger",
-    "log_factorial",
     "clebsch_gordan",
     "spherical_harmonic",
     "wigner_d",
@@ -75,15 +74,9 @@ def _build_log_factorials(n_max):
 _LOG_FACTORIAL = _build_log_factorials(_TABLE_MAX)
 
 
-def log_factorial(n: int) -> float:
-    """Return ln(n!) for a nonnegative integer n.
-
-    Table-backed (exact-integer logarithms) for n <= 500, lgamma beyond.
-    """
-    return _log_factorial(require_int(n, "n", 0))
-
-
 def _log_factorial(n: int) -> float:
+    """ln(n!) for an integer n >= 0: table-backed (exact-integer logarithms)
+    for n <= 500, lgamma beyond."""
     return float(_LOG_FACTORIAL[n]) if n <= _TABLE_MAX else math.lgamma(n + 1.0)
 
 

@@ -34,16 +34,16 @@ cached by content in angular, so repeated evaluations on one grid build it
 once.
 
 The singlet correlation never forms the joint distribution on the grid: it
-projects each side's classical vector (_spin_vector, behind
+projects each side's classical component (_spin_vector, behind
 classical_spin_vector, the one statement of each kind's magnitude and
-orientation) onto harmonics ring by
-ring (quadrature.project) and contracts the two [k, 2s + q] arrays with the
-singlet's coefficients, O(K^3) for a grid of band K.  It needs band >= s
-(BandLimitError otherwise; coarser grids alias).  Its roundoff bound
-travels with it, and a result the bound cannot certify to 1e-9 s(s+1)/3
-raises ConsistencyError (P from 2s = 26 on, on band-2s grids).  A P
-coefficient that a call would return or use and that overflows the float
-range is refused with DomainError (_finite).
+orientation), a band-1 function, onto ranks 0 and 1 ring by ring
+(quadrature.project) and contracts the two [k, 1 + q] arrays with the
+singlet's coefficients and c_0^2, c_1^2, O(N log N) for N nodes.  It needs
+band >= s (BandLimitError otherwise; coarser grids alias), where every
+higher rank's projection is an exact zero.  Its roundoff bound travels with
+it, and a result the bound cannot certify to 1e-9 s(s+1)/3 raises
+ConsistencyError.  A P coefficient that a call would return or use and that
+overflows the float range is refused with DomainError (_finite).
 """
 
 from __future__ import annotations
@@ -238,15 +238,6 @@ class DirectionVector:
             raise DomainError(f"direction must be a unit vector, |v| = {norm:.15g}")
 
     @classmethod
-    def from_any(cls, v) -> "DirectionVector":
-        if isinstance(v, DirectionVector):
-            return v
-        arr = np.asarray(v, dtype=float).reshape(-1)
-        if arr.shape != (3,):
-            raise DomainError(f"direction must have three components, got {v!r}")
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
-    @classmethod
     def normalized(cls, v) -> "DirectionVector":
         arr = np.asarray(v, dtype=float).reshape(-1)
         if arr.shape != (3,):
@@ -259,6 +250,24 @@ class DirectionVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
+
+
+def _direction(v, name: str) -> np.ndarray:
+    """A direction argument as a float array: a DirectionVector, or a list,
+    tuple or 1-d array of three components, each a finite real (never a
+    bool, named with its index when refused), of unit length to 1e-12."""
+    if isinstance(v, DirectionVector):
+        return v.as_array()
+    parts = v.tolist() if isinstance(v, np.ndarray) else v
+    if not isinstance(parts, (list, tuple)) or len(parts) != 3:
+        raise DomainError(f"{name}={v!r}: expected a unit vector of three components")
+    x, y, z = (require_real(c, f"{name}[{i}]") for i, c in enumerate(parts))
+    norm = math.sqrt(x * x + y * y + z * z)
+    if abs(norm - 1.0) > 1e-12:
+        raise DomainError(
+            f"{name}={v!r}: expected a unit vector (|{name}| = {norm:.12g}, tolerance 1e-12)"
+        )
+    return np.array([x, y, z])
 
 
 def q_direct(rho: DensityMatrix, theta: float, phi: float) -> float:
@@ -458,8 +467,7 @@ def singlet_profile(kind: DistributionKind, s, theta12):
 def correlation_exact(s, a, b) -> float:
     """Closed-form joint spin correlation -s(s+1)/3 (a . b) for the singlet."""
     ts = require_spin(s)
-    av = DirectionVector.from_any(a).as_array()
-    bv = DirectionVector.from_any(b).as_array()
+    av, bv = _direction(a, "a"), _direction(b, "b")
     s_val = ts / 2.0
     return -s_val * (s_val + 1.0) / 3.0 * float(av @ bv)
 
@@ -474,15 +482,16 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     band_limit >= s.  Coarser grids alias to wrong values, so they raise
     BandLimitError, as does band_limit < 2.
 
-    Each side's classical component along a (b) is projected onto harmonics
-    (quadrature.project), and the two [k, 2s + q] arrays are contracted with
-    the singlet's coefficients t^{kk}_{q,-q} and the kind's weights.  This
-    is the quadrature sum left @ W12 @ right with the products grouped
-    differently, equal on every grid, in O(K^3) time and O(K^2 n_theta)
-    memory; the N x N joint matrix is never formed.  The projections' roundoff
+    Each side's classical component along a (b) is a band-1 function, so on
+    such a grid its projections onto ranks k >= 2 are exact zeros and only
+    ranks 0 and 1 are projected (quadrature.project with k_max = 1).  The two
+    [k, 1 + q] arrays are contracted with the singlet's coefficients
+    t^{kk}_{q,-q} and the kind's c_k^2: the quadrature sum left @ W12 @ right
+    with the products grouped differently, in O(N log N) time (one FFT per
+    ring) and O(N) memory for N nodes; the N x N joint matrix is never
+    formed, and no c_k beyond c_1 enters, so every kind answers at any spin.  The projections' roundoff
     bounds are carried through the contraction; ConsistencyError is raised
-    when the result's bound exceeds 1e-9 s(s+1)/3.  P reaches it from
-    2s = 26 on band-2s grids, because its c_k^2 grow like 16^s.
+    when the result's bound exceeds 1e-9 s(s+1)/3.
     """
     ts = require_spin(s, lo=1)
     if grid.band_limit < 2 or 2 * grid.band_limit < ts:
@@ -490,20 +499,16 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
             f"grid band limit {grid.band_limit} is too coarse for 2s = {ts}; "
             "correlation needs band >= 2 and 2 * band >= 2s"
         )
-    av = DirectionVector.from_any(a).as_array()
-    bv = DirectionVector.from_any(b).as_array()
+    av, bv = _direction(a, "a"), _direction(b, "b")
     s_val = ts / 2.0
-    # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2,
-    # refused before the projections if they overflow
-    with np.errstate(over="ignore"):
-        c_squared = _finite(kind, ts, _table(kind, ts) ** 2)[:, None]
     vectors = _spin_vector(kind, ts, grid.node_thetas, grid.node_phis)
     (left, right), (left_err, right_err) = project(
-        grid, np.stack([vectors @ av, vectors @ bv]), ts
+        grid, np.stack([vectors @ av, vectors @ bv]), 1
     )
-    # side 1's column 2s + q meets side 2's column 2s - q
+    # side 1's column 1 + q meets side 2's column 1 - q
     right, right_err = right[:, ::-1], right_err[:, ::-1]
-    coupling = _singlet_coefficients(ts) * c_squared / (4.0 * math.pi)
+    # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
+    coupling = _singlet_coefficients(1) * _table(kind, ts, 1)[:, None] ** 2 / (4.0 * math.pi)
     terms = coupling * left * right
     # per term |LR - L'R'| <= |L'| dR + dL |R'| + dL dR, plus the sum's rounding
     pair_err = np.abs(left) * right_err + left_err * np.abs(right) + left_err * right_err

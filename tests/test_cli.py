@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from spinphase import BipartiteDensityMatrix, decompose_bipartite, singlet_density
+from spinphase import BipartiteDensityMatrix, decompose_bipartite, distributions, singlet_density
 from spinphase.cli import main
 from conftest import random_bipartite_density
 
@@ -257,29 +257,46 @@ def test_correlation_spin_seven(capsys):
 
 @pytest.mark.parametrize("ts", [26, 64])
 def test_correlation_answers_q_and_f_where_p_is_refused(ts, capsys):
-    # P's roundoff bound exceeds its tolerance from 2s = 26 on; Q and F still answer
+    # P's c_k grow like 4^s, but the correlation reads c_0 and c_1 only, so
+    # P answers with Q and F
     assert main(["correlation", "--twice-spin", str(ts), "--a", "0", "0", "1",
+                 "--b", "0", "1", "1"]) == 0
+    captured = capsys.readouterr()
+    values, worst = parse_correlation(captured.out)
+    assert list(values) == ["p", "q", "f"]
+    s = ts / 2
+    expected = -s * (s + 1) / 3 * math.sqrt(0.5)
+    for quad, exact, err in values.values():
+        assert exact == pytest.approx(expected, rel=1e-12)
+        assert quad == pytest.approx(expected, rel=1e-12)
+        assert err <= 1e-12 * abs(expected)
+    assert worst == max(err for _, _, err in values.values())
+    assert captured.err == ""
+
+
+def test_correlation_refusal_row_names_bound_and_tolerance(monkeypatch, capsys):
+    # a tolerance no roundoff bound meets forces the certificate's refusal:
+    # every kind prints a refused row, and the command exits 4 on P's reason
+    monkeypatch.setattr(distributions, "_CORRELATION_RTOL", 1e-40)
+    assert main(["correlation", "--twice-spin", "26", "--a", "0", "0", "1",
                  "--b", "0", "1", "1"]) == 4
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()
     assert lines[0] == "kind,quadrature,exact,abs_error"
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["p", "q", "f", "max_abs_deviation"]
-    _, verdict, exact, reason = lines[1].split(",")
-    assert verdict == "refused"
-    assert re.fullmatch(
-        r"correlation\(P\): roundoff bound \S+ exceeds tolerance \S+ \(1e-09 s\(s\+1\)/3\)", reason
-    )
-    s = ts / 2
-    expected = -s * (s + 1) / 3 * math.sqrt(0.5)
-    assert float(exact) == pytest.approx(expected, rel=1e-12)
-    errors = []
-    for ln in lines[2:4]:
-        _, quad, exact, err = ln.split(",")
-        assert float(quad) == pytest.approx(expected, rel=1e-12)
-        assert float(err) <= 1e-12 * abs(expected)
-        errors.append(float(err))
-    assert float(lines[4].split(",")[1]) == max(errors)
-    assert captured.err == f"internal consistency error: {reason}\n"
+    expected = -13 * 14 / 3 * math.sqrt(0.5)
+    reasons = []
+    for name, ln in zip("pqf", lines[1:4]):
+        kind, verdict, exact, reason = ln.split(",")
+        assert (kind, verdict) == (name, "refused")
+        assert float(exact) == pytest.approx(expected, rel=1e-12)
+        assert re.fullmatch(
+            rf"correlation\({name.upper()}\): roundoff bound \S+ exceeds tolerance \S+ "
+            r"\(1e-40 s\(s\+1\)/3\)",
+            reason,
+        )
+        reasons.append(reason)
+    assert lines[4] == "max_abs_deviation,nan"
+    assert captured.err == f"internal consistency error: {reasons[0]}\n"
 
 
 def test_correlation_zero_vector_is_usage_error():

@@ -39,6 +39,7 @@ from spinphase import (
     tau_matrix,
 )
 from conftest import harmonic_table, random_bipartite_density, random_density, random_direction
+from spinphase import distributions
 from spinphase.angular import _RankCache
 from spinphase.distributions import (
     _bloch_vector,
@@ -293,8 +294,9 @@ def test_p_coefficients_refused_where_they_overflow():
     assert np.all(np.isfinite(singlet_profile(P, 254.5, [0.0, 1.0])))
     with pytest.raises(DomainError, match="^P coefficients at 2s = 510 .* k=510 on"):
         singlet_profile(P, 255, [0.0, 1.0])
-    with pytest.raises(DomainError, match="^P coefficients at 2s = 515 .* k=515 on"):
-        correlation(P, 257.5, [0, 0, 1], [0, 0, 1], build_grid(258))
+    # correlation reads c_0 and c_1 only, so P answers where c_2s^2 overflows
+    got = correlation(P, 257.5, [0, 0, 1], [0, 0, 1], build_grid(258))
+    assert got == pytest.approx(correlation_exact(257.5, [0, 0, 1], [0, 0, 1]), rel=1e-12)
 
 
 # ------------------------------------------------------------------ Q / P
@@ -844,27 +846,30 @@ def test_correlation_closed_form_up_to_spin_twelve(kind, rng):
 
 @pytest.mark.parametrize("ts", [32, 40])
 def test_correlation_p_guard_refuses_uncertified_values(ts):
-    # P's c_k^2 amplify the projections' roundoff past the tolerance: the
-    # bound cannot certify 2s = 32 (actual error ~6e-10) and 2s = 40 is wrong
-    # by ~3e-6, above the 1.4e-7 tolerance
-    with pytest.raises(ConsistencyError, match="roundoff bound"):
-        correlation(P, ts / 2, [0, 0, 1.0], [0, 1.0, 0], build_grid(ts))
+    # P's c_k^2 grow like 16^s: times the roundoff of the rank k >= 2
+    # projections, they would miss by ~3e-6 at 2s = 40; ranks 0 and 1 do not
+    s, a, b = ts / 2, [0, 0, 1.0], [0, 0.6, 0.8]
+    got = correlation(P, s, a, b, build_grid(ts))
+    assert got == pytest.approx(correlation_exact(s, a, b), rel=1e-12)
 
 
 @pytest.mark.scale
-def test_correlation_p_guard_names_bound_and_tolerance():
+def test_correlation_p_guard_names_bound_and_tolerance(monkeypatch):
+    # a tolerance no roundoff bound meets forces the refusal
+    monkeypatch.setattr(distributions, "_CORRELATION_RTOL", 1e-40)
     with pytest.raises(ConsistencyError) as exc:
         correlation(P, 32.0, [0, 0, 1.0], [0, 0, 1.0], build_grid(64))
     message = str(exc.value)
     bound = float(message.split("roundoff bound ")[1].split()[0])
     tolerance = float(message.split("tolerance ")[1].split()[0])
-    assert tolerance == pytest.approx(1e-9 * 32 * 33 / 3, rel=1e-3)
+    assert tolerance == pytest.approx(1e-40 * 32 * 33 / 3, rel=1e-3)
     assert bound > tolerance
+    assert message.endswith("(1e-40 s(s+1)/3)")
 
 
 @pytest.mark.scale
-@pytest.mark.parametrize("kind", [Q, F])
-@pytest.mark.parametrize("ts", [64, 128])
+@pytest.mark.parametrize("kind", [Q, F, P])
+@pytest.mark.parametrize("ts", [64, 128, 200])
 def test_correlation_closed_form_at_large_spin(kind, ts, rng):
     s = ts / 2
     a, b = random_direction(rng), random_direction(rng)
@@ -897,6 +902,21 @@ def test_correlation_memory_at_spin_sixty_four():
     finally:
         tracemalloc.stop()
     assert peak < 45e6
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("kind", [P, F])
+def test_correlation_memory_at_spin_one_hundred(kind):
+    # about 10 MB: two components of the grid's nodes and their FFTs; a
+    # projection onto every rank would peak at 80 MB
+    grid = build_grid(200)
+    tracemalloc.start()
+    try:
+        correlation(kind, 100.0, [0, 0, 1.0], [0, 1.0, 0], grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def sign_matrix_loop(kind, ts):

@@ -13,7 +13,6 @@ from spinphase.angular import HalfInteger
 
 PUBLIC = [
     "HalfInteger",
-    "log_factorial",
     "clebsch_gordan",
     "spherical_harmonic",
     "wigner_d",
@@ -75,7 +74,9 @@ def test_listed_name_resolves(name):
     assert getattr(spinphase, name) is not None
 
 
-@pytest.mark.parametrize("name", ["harmonic_table", "legendre", "legendre_sequence"])
+@pytest.mark.parametrize(
+    "name", ["harmonic_table", "legendre", "legendre_sequence", "log_factorial"]
+)
 def test_removed_function_is_absent(name):
     for module in (spinphase, angular):
         assert not hasattr(module, name)
@@ -113,7 +114,6 @@ def _argument_cases():
     cases = []
 
     integers = {
-        "log_factorial n": ("n", lambda v: spinphase.log_factorial(v)),
         "HalfInteger twice_value": ("twice_value", lambda v: HalfInteger(v)),
         "spherical_harmonic k": ("k", lambda v: spinphase.spherical_harmonic(v, 0, 0.3, 0.2)),
         "spherical_harmonic q": ("q", lambda v: spinphase.spherical_harmonic(1, v, 0.3, 0.2)),
@@ -263,6 +263,28 @@ def _argument_cases():
     for label, (name, values, call) in reals.items():
         for value in values:
             cases.append(pytest.param(call, name, value, id=f"{label}={value!r:.24}"))
+
+    # direction vectors: a bool or non-finite component is named with its
+    # index, a wrong shape or length with the whole vector
+    directions = {
+        "correlation": lambda a, b: spinphase.correlation(K.Q, 1, a, b, grid),
+        "correlation_exact": lambda a, b: spinphase.correlation_exact(1, a, b),
+    }
+    for label, call in directions.items():
+        for name in ("a", "b"):
+
+            def refused_vector(v, name=name, call=call):
+                return call(**{"a": a, "b": a, name: v})
+
+            def refused_component(v, name=name, call=call):
+                return call(**{"a": a, "b": a, name: [v, 0.0, 0.0]})
+
+            for value in ("abc", [1, 1, 0], [0.0, 1.0]):
+                cases.append(pytest.param(refused_vector, name, value, id=f"{label} {name}={value!r}"))
+            for value in (True, math.nan, "1"):
+                cases.append(
+                    pytest.param(refused_component, name, value, id=f"{label} {name}[0]={value!r}")
+                )
 
     # operator arrays: a non-finite entry is named with its index, its value
     # shown as a plain float, or as a complex where its imaginary part is nonzero
