@@ -19,16 +19,16 @@ value.
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
-applied through the per-rank J_y eigenbasis (_apply_d), harmonics and
+applied in place through the per-rank J_y eigenbasis (_apply_d), harmonics and
 Legendre polynomials one recurrence's half table Pbar[k, q >= 0, point] =
 Y_kq(theta, 0) (_norm_legendre_table) with the q < 0 sign written once
 (_q_signs).  The ring-wise synthesis and quadrature.project take one real
-product per order (_per_order); a synthesis's plan (the table, phases and
-each point's place) is cached by content for product grids, as is project's
-ring table.  All functions here are pure; the factorial tables are immutable
-after import, and the eigenbases, Legendre recurrence coefficients, plans
-and ring tables live in lock-guarded, byte-bounded _RankCaches: safe to call
-concurrently.
+product per order (_per_order); a synthesis's plan (the table, phases and each
+point's place) is cached by content for product grids, as is project's ring
+table.  The public functions are pure (_apply_d writes only the array it is
+handed); the factorial tables are immutable after import, and the eigenbases,
+Legendre recurrence coefficients, plans and ring tables live in lock-guarded,
+byte-bounded _RankCaches: safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -159,11 +159,12 @@ def require_real(value, name: str, lo: float | None = None, strict: bool = False
     """`value` as a float: a finite real number, never a bool, >= lo (> lo
     if strict; None leaves it open)."""
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    ok = ok and abs(value) <= sys.float_info.max  # not nan, inf or an int beyond floats
-    if not (ok and (lo is None or value > lo or (value == lo and not strict))):
+    x = value.item() if isinstance(value, np.generic) else value  # np.float32 compared as a float
+    ok = ok and abs(x) <= sys.float_info.max  # not nan, inf or an int beyond floats
+    if not (ok and (lo is None or x > lo or (x == lo and not strict))):
         span = "" if lo is None else f" {'>' if strict else '>='} {lo:g}"
         raise DomainError(f"{name}={value!r}: expected a finite real{span}")
-    return float(value)
+    return float(x)
 
 
 def _require_finite(a: np.ndarray, name: str, what: str) -> None:
@@ -576,8 +577,13 @@ _ring_tables = _RankCache(
 )
 
 
-def _apply_d(tk: int, beta: float, v: np.ndarray) -> np.ndarray:
-    """d^k(beta) @ v, for v of tk + 1 rows q = k..-k (any further axes).
+def _phases(tk: int, angle: float) -> np.ndarray:
+    """exp(i angle m), m = -k..k: z phases of q = -k..k, or _apply_d's at beta (eigh's order)."""
+    return np.exp(1j * angle * np.arange(-0.5 * tk, 0.5 * tk + 1.0))
+
+
+def _apply_d(tk: int, phase: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d^k(beta) @ v written over v, of tk + 1 rows q = k..-k, for phase = _phases(tk, beta).
 
     With the rows G of _jy_eigenbasis and y = G^T v for each parity of row,
     (d v)[even] = G_even (cos(beta mu) y_even - sin(beta mu) y_odd) and
@@ -589,24 +595,21 @@ def _apply_d(tk: int, beta: float, v: np.ndarray) -> np.ndarray:
     element formula, which loses all precision near k ~ 50.
     """
     even, odd = _jy_eigenbasis(tk)
-    complex_v = np.iscomplexobj(v)
-    cols = np.ascontiguousarray(v).reshape(tk + 1, -1)
-    cols = cols.view(float) if complex_v else cols
+    cols = v.reshape(tk + 1, -1)
+    cols = cols.view(float) if np.iscomplexobj(v) else cols
     y = odd.T @ cols[1::2] * 1j
     y += even.T @ cols[::2]
-    # beta mu for the exact eigenvalues mu = -k..k, in eigh's ascending order
-    y *= np.exp(1j * beta * np.arange(-0.5 * tk, 0.5 * tk + 1.0))[:, None]
-    out = np.empty(cols.shape)
-    out[::2] = even @ y.real
-    out[1::2] = odd @ y.imag
-    return (out.view(complex) if complex_v else out).reshape(v.shape)
+    y *= phase[:, None]
+    cols[::2] = even @ y.real
+    cols[1::2] = odd @ y.imag
+    return v
 
 
 def _d_entry(tk: int, tqp: int, tq: int, beta: float) -> float:
     """d^k_{q'q}(beta): row q' of d applied to the unit column q."""
     column = np.zeros(tk + 1)
     column[(tk - tq) // 2] = 1.0
-    return float(_apply_d(tk, beta, column)[(tk - tqp) // 2])
+    return float(_apply_d(tk, _phases(tk, beta), column)[(tk - tqp) // 2])
 
 
 def wigner_d(k, qp, q, beta: float) -> float:
@@ -634,10 +637,8 @@ def wigner_D_matrix(k, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """
     tk = require_spin(k, "k")
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
-    d = _apply_d(tk, beta, np.eye(tk + 1))
-    tq_axis = tk - 2 * np.arange(tk + 1)
-    left = np.exp(-0.5j * tq_axis * alpha)
-    right = np.exp(-0.5j * tq_axis * gamma)
-    out = left[:, None] * d * right[None, :]
+    d = _apply_d(tk, _phases(tk, beta), np.eye(tk + 1))
+    # exp(-i q alpha) down the rows and exp(-i q gamma) along the columns, q = k..-k
+    out = _phases(tk, -alpha)[::-1, None] * d * _phases(tk, -gamma)[::-1]
     out.setflags(write=False)
     return out

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import HalfInteger, _apply_d, _euler_angles, require_int, require_real, require_spin
+from .angular import HalfInteger, _apply_d, _euler_angles, _phases, require_int
+from .angular import require_real, require_spin
 from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
 
@@ -343,19 +344,18 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
     Because R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'}, the coefficients
     transform with the conjugate matrix: t'^k_q = sum_{q'} conj(D^k_{q q'})
     t^k_{q'} = e^{i q alpha} sum_{q'} d^k_{q q'}(beta) e^{i q' gamma} t^k_{q'}.
-    Each rank's d^k(beta) is applied through the cached J_y eigenbasis
-    (angular._apply_d: O(k^2), no matrix formed) and the two z rotations are
-    elementwise phases.  Matches decompose(R rho R^dag) to roundoff.
+    Each rank's contiguous row of a column-reversed copy goes in place through
+    the cached J_y eigenbasis (angular._apply_d, O(k^2)) and the z rotations
+    are elementwise phases.  Matches decompose(R rho R^dag) to roundoff.
     """
     ts = t.s.twice_value
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
-    q = np.arange(-ts, ts + 1)
-    out = t.values * np.exp(1j * q * gamma)
+    work = t.values[:, ::-1] * _phases(2 * ts, gamma)[::-1]  # columns q = 2s..-2s
+    phase = _phases(2 * ts, beta)
     for k in range(1, ts + 1):
-        cols = slice(ts - k, ts + k + 1)
-        # d orders q = k..-k, the reverse of the array columns
-        out[k, cols] = _apply_d(2 * k, beta, out[k, cols][::-1])[::-1]
-    return FanoTensorSet(t.s, _frozen(np.exp(1j * q * alpha) * out))
+        cols = slice(ts - k, ts + k + 1)  # rank k's q = k..-k, and its mu = -k..k
+        _apply_d(2 * k, phase[cols], work[k, cols])
+    return FanoTensorSet(t.s, _frozen(_phases(2 * ts, alpha) * work[:, ::-1]))
 
 
 def singlet_density(s) -> BipartiteDensityMatrix:

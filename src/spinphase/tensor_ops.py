@@ -8,7 +8,7 @@ sqrt(2k+1) * <s m; k q | s m'> on the single band m' = m + q (the diagonal
 at offset q), so tau^0_0 is the identity and every higher rank is traceless.
 Only those bands are stored, per spin, in a byte-bounded cache (100 MB).
 Component arrays use the layout [..., k, 2s + q], zero where |q| > k; both
-routines broadcast over the leading axes.
+routines broadcast over the leading axes, one BLAS product per band on views.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ def _build_bands(ts: int) -> tuple[np.ndarray, ...]:
 _bands = _RankCache(_build_bands, max_bytes=100_000_000)
 
 
-def _band_index(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the diagonal at the given offset."""
-    j = np.arange(n - abs(offset))
-    return j + max(-offset, 0), j + max(offset, 0)
+def _diagonal(n: int, offset: int) -> slice:
+    """Entries (j + max(-offset, 0), j + max(offset, 0)) of a flat n x n matrix."""
+    return slice(max(-offset, 0) * n + max(offset, 0), n * (n - max(offset, 0)), n + 1)
 
 
 def tau_matrix(s, k: int, q: int) -> np.ndarray:
@@ -61,7 +60,7 @@ def tau_matrix(s, k: int, q: int) -> np.ndarray:
     k = require_int(k, "k", 0, ts)
     q = require_int(q, "q", -k, k)
     out = np.zeros((ts + 1, ts + 1), dtype=complex)
-    out[_band_index(ts + 1, q)] = _bands(ts)[ts + q][k - abs(q)]
+    out.reshape(-1)[_diagonal(ts + 1, q)] = _bands(ts)[ts + q][k - abs(q)]
     out.setflags(write=False)
     return out
 
@@ -80,8 +79,8 @@ def operator_components(a: np.ndarray) -> np.ndarray:
     ts = a.shape[-1] - 1
     out = np.zeros(a.shape[:-2] + (ts + 1, 2 * ts + 1), dtype=complex)
     for q, band in enumerate(_bands(ts), start=-ts):
-        # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one
-        out[..., abs(q):, ts + q] = np.diagonal(a, -q, -2, -1) @ band.T
+        # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one, a view
+        out[..., abs(q):, ts + q] = a.diagonal(-q, -2, -1) @ band.T
     return out
 
 
@@ -99,9 +98,9 @@ def operator_from_components(s, comps: np.ndarray) -> np.ndarray:
         raise DomainError(f"components of shape {comps.shape} do not end in ({n}, {2 * ts + 1})")
     _require_finite(comps, "comps", "entry")
     out = np.zeros(comps.shape[:-2] + (n, n), dtype=complex)
+    flat = out.reshape(comps.shape[:-2] + (n * n,))  # a view: each band a strided slice
     for q, band in enumerate(_bands(ts), start=-ts):
-        rows, cols = _band_index(n, -q)
-        out[..., rows, cols] = comps[..., abs(q):, ts + q] @ band
+        flat[..., _diagonal(n, -q)] = comps[..., abs(q):, ts + q] @ band
     out /= n
     return out
 

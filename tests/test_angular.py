@@ -94,6 +94,24 @@ def racah_cg_scalar(ts1, ts2, ts, tm1, tm2, tm):
     return math.copysign(math.exp(half_log_pref + peak + math.log(abs(total))), total)
 
 
+def apply_d_copying(tk: int, beta: float, v: np.ndarray) -> np.ndarray:
+    """d^k(beta) @ v as _apply_d computed it before it wrote in place and took
+    its phase table from the caller, transcribed as it stood: a contiguous
+    copy of v, a fresh exp(i beta mu) and a new output array.  The
+    bit-identity oracle for the Wigner functions and rotate_tensors."""
+    even, odd = _jy_eigenbasis(tk)
+    complex_v = np.iscomplexobj(v)
+    cols = np.ascontiguousarray(v).reshape(tk + 1, -1)
+    cols = cols.view(float) if complex_v else cols
+    y = odd.T @ cols[1::2] * 1j
+    y += even.T @ cols[::2]
+    y *= np.exp(1j * beta * np.arange(-0.5 * tk, 0.5 * tk + 1.0))[:, None]
+    out = np.empty(cols.shape)
+    out[::2] = even @ y.real
+    out[1::2] = odd @ y.imag
+    return (out.view(complex) if complex_v else out).reshape(v.shape)
+
+
 def rotation_by_exponentials(ts: int, alpha: float, beta: float, gamma: float):
     """exp(-i a Sz) exp(-i b Sy) exp(-i g Sz) built by matrix exponentials."""
     sz, sp_ = ladder_spin_matrices(ts)
@@ -716,6 +734,46 @@ def test_wigner_D_matrix_matches_expm_with_exact_eigenvalues(ts, bound, rng):
         for beta in rng.uniform(0.0, 2 * math.pi, 12)
     )
     assert worst <= bound
+
+
+@pytest.mark.parametrize("tk", [*range(49), 96])
+def test_wigner_values_equal_copying_route(tk, rng):
+    # in-place _apply_d with a caller's phase table: the same bits as the
+    # copying route for every element function, at ranks 0..24 and 48
+    alpha, beta, gamma = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
+    d = apply_d_copying(tk, beta, np.eye(tk + 1))
+    tq_axis = tk - 2 * np.arange(tk + 1)
+    left, right = np.exp(-0.5j * tq_axis * alpha), np.exp(-0.5j * tq_axis * gamma)
+    expected = left[:, None] * d * right[None, :]
+    got = wigner_D_matrix(tk / 2, alpha, beta, gamma)
+    assert got.tobytes() == expected.tobytes()
+    pairs = {(0, 0), (0, tk), (tk, 0), (tk, tk)}
+    pairs |= {tuple(map(int, p)) for p in rng.integers(0, tk + 1, (8, 2))}
+    for a, b in sorted(pairs):
+        column = np.zeros(tk + 1)
+        column[b] = 1.0
+        d_ab = float(apply_d_copying(tk, beta, column)[a])
+        qp, q = (tk - 2 * a) / 2, (tk - 2 * b) / 2
+        assert wigner_d(tk / 2, qp, q, beta) == d_ab
+        phase = -0.5 * ((tk - 2 * a) * alpha + (tk - 2 * b) * gamma)
+        assert wigner_D(tk / 2, qp, q, alpha, beta, gamma) == complex(
+            d_ab * (math.cos(phase) + 1j * math.sin(phase))
+        )
+
+
+def test_apply_d_writes_in_place(rng):
+    complex_v = rng.normal(size=5) + 1j * rng.normal(size=5)
+    for v in (rng.normal(size=(5, 3)), complex_v, complex_v.copy()[::-1]):
+        expected = apply_d_copying(4, 0.7, v)
+        assert angular._apply_d(4, angular._phases(4, 0.7), v) is v
+        assert np.array_equal(v, expected)
+
+
+def test_phases_middle_entries_are_lower_rank_tables():
+    top = angular._phases(48, 1.3)
+    for tk in range(0, 49, 2):
+        middle = top[(48 - tk) // 2 : (48 + tk) // 2 + 1]
+        assert middle.tobytes() == angular._phases(tk, 1.3).tobytes()
 
 
 def test_wigner_domain():

@@ -30,6 +30,7 @@ from spinphase import (
 )
 from conftest import random_bipartite_density, random_density
 from spinphase.fano import EIGENVALUE_FLOOR
+from test_angular import apply_d_copying, random_tensor_values
 from test_tensor_ops import all_labels
 
 # ---------------------------------------------------------------- oracles
@@ -746,6 +747,28 @@ def conjugate_d_route(t, alpha, beta, gamma):
         d = wigner_D_matrix(k, alpha, beta, gamma)
         out[k, cols] = (np.conj(d) @ t.values[k, cols][::-1])[::-1]
     return out
+
+
+def rotate_by_reversed_copies(t, alpha, beta, gamma):
+    """rotate_tensors as it ran before its columns were reversed once,
+    transcribed as it stood: each rank's reversed columns through the copying
+    _apply_d and back.  The bit-identity oracle."""
+    ts = t.s.twice_value
+    q = np.arange(-ts, ts + 1)
+    out = t.values * np.exp(1j * q * gamma)
+    for k in range(1, ts + 1):
+        cols = slice(ts - k, ts + k + 1)
+        out[k, cols] = apply_d_copying(2 * k, beta, out[k, cols][::-1])[::-1]
+    return np.exp(1j * q * alpha) * out
+
+
+@pytest.mark.parametrize("ts", [0, 1, 2, 3, 5, 24])
+def test_rotate_equals_reversed_copy_route(ts, rng):
+    for _ in range(4):
+        t = FanoTensorSet(ts / 2, random_tensor_values(rng, ts))
+        alpha, beta, gamma = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
+        got = rotate_tensors(t, alpha, beta, gamma).values
+        assert np.array_equal(got, rotate_by_reversed_copies(t, alpha, beta, gamma))
 
 
 @pytest.mark.parametrize("ts", [1, 4, 13, 24, 32])

@@ -257,7 +257,11 @@ def _argument_cases():
     reals = {
         "is_product tol": ("tol", (math.nan, -1.0, True, "x", 10**400), lambda v: spinphase.is_product(t12, v)),
         "SphereGrid band_limit": ("band_limit", (True, 1.0), lambda v: spinphase.SphereGrid(v)),
-        "DirectionVector x": ("x", (True, "1", math.nan), lambda v: spinphase.DirectionVector(v, 0, 1)),
+        "DirectionVector x": (
+            "x",
+            (True, "1", math.nan, np.float32(math.inf), np.float16(math.nan)),
+            lambda v: spinphase.DirectionVector(v, 0, 1),
+        ),
         "DirectionVector z": ("z", (np.bool_(True),), lambda v: spinphase.DirectionVector(0, 0, v)),
     }
     for label, (name, values, call) in reals.items():
@@ -334,3 +338,30 @@ def test_refused_argument_is_named_domain_error(call, name, value):
     # an angle inside an array is named with its index, e.g. theta[1]=nan
     message = str(info.value)
     assert re.match(rf"{name}(\[\d+(, \d+)*\])?={re.escape(repr(value))}:", message), message
+
+
+@pytest.mark.parametrize("value", [np.float32(0.75), np.float16(0.75), np.float64(0.75)], ids=repr)
+def test_numpy_floats_are_real_arguments_without_warning(value):
+    # judged as a float: no bound is cast down to float32 or float16, which
+    # would overflow and warn (a RuntimeWarning fails the suite)
+    assert angular.require_real(value, "x") == 0.75
+    assert angular.require_real(value, "x", 0.75) == 0.75
+    with pytest.raises(DomainError, match=r"^x=.*: expected a finite real > 0.75$"):
+        angular.require_real(value, "x", 0.75, strict=True)
+    unit = type(value)(1.0)
+    assert spinphase.DirectionVector(unit, 0, 0).as_array().tolist() == [1.0, 0.0, 0.0]
+    grid = spinphase.build_grid(2)
+    assert spinphase.correlation(K.Q, 1, [unit, 0, 0], [0.0, 0.0, 1.0], grid) == (
+        spinphase.correlation(K.Q, 1, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], grid)
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.bool_(False), math.nan, math.inf, -math.inf, 10**400, -(10**400),
+     np.float32(math.inf), np.float16(-math.inf), np.float32(math.nan)],
+    ids=repr,
+)
+def test_require_real_refuses_non_finite_and_beyond_float(value):
+    with pytest.raises(DomainError, match=r"^x=.*: expected a finite real$"):
+        angular.require_real(value, "x")

@@ -49,6 +49,37 @@ def bands_from_clebsch_gordan(ts):
     return out
 
 
+def band_index(n, offset):
+    """Row and column index arrays of the diagonal at the given offset."""
+    j = np.arange(n - abs(offset))
+    return j + max(-offset, 0), j + max(offset, 0)
+
+
+def trace_by_index(a):
+    """operator_components as it read bands before the strided views,
+    transcribed as it stood: np.diagonal per q.  The bit-identity oracle."""
+    a = np.asarray(a, dtype=complex)
+    ts = a.shape[-1] - 1
+    out = np.zeros(a.shape[:-2] + (ts + 1, 2 * ts + 1), dtype=complex)
+    for q, band in enumerate(_bands(ts), start=-ts):
+        out[..., abs(q):, ts + q] = np.diagonal(a, -q, -2, -1) @ band.T
+    return out
+
+
+def resolution_by_index(ts, comps):
+    """operator_from_components as it wrote bands before the strided views,
+    transcribed as it stood: a fancy-index write per q.  The bit-identity
+    oracle."""
+    n = ts + 1
+    comps = np.asarray(comps, dtype=complex)
+    out = np.zeros(comps.shape[:-2] + (n, n), dtype=complex)
+    for q, band in enumerate(_bands(ts), start=-ts):
+        rows, cols = band_index(n, -q)
+        out[..., rows, cols] = comps[..., abs(q):, ts + q] @ band
+    out /= n
+    return out
+
+
 # ------------------------------------------------------------------ bands
 
 
@@ -279,6 +310,46 @@ def test_components_roundtrip_random(ts, rng):
         a = random_matrix(rng, ts + 1)
         back = operator_from_components(ts / 2, operator_components(a))
         assert np.max(np.abs(back - a)) < 1e-12
+
+
+def assert_same_bytes(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("ts", [*range(13), 24])
+def test_trace_and_resolution_equal_index_route_bytes(ts, batch, rng):
+    n = ts + 1
+    a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
+    comps = operator_components(a)
+    assert_same_bytes(comps, trace_by_index(a))
+    assert_same_bytes(operator_from_components(ts / 2, comps), resolution_by_index(ts, comps))
+
+
+@pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6)])
+def test_trace_and_resolution_equal_index_route_on_bipartite_views(ts1, ts2, rng):
+    # the transposed views decompose_bipartite and reconstruct_bipartite pass
+    n1, n2 = ts1 + 1, ts2 + 1
+    rho = rng.normal(size=(n1 * n2, n1 * n2)) + 1j * rng.normal(size=(n1 * n2, n1 * n2))
+    mat4 = rho.reshape(n1, n2, n1, n2).transpose(1, 3, 0, 2)
+    partial = operator_components(mat4).transpose(2, 3, 0, 1)
+    assert not mat4.flags.c_contiguous and not partial.flags.c_contiguous
+    assert_same_bytes(partial, trace_by_index(mat4).transpose(2, 3, 0, 1))
+    t12 = operator_components(partial)
+    assert_same_bytes(t12, trace_by_index(partial))
+    back = operator_from_components(ts2 / 2, t12).transpose(2, 3, 0, 1)
+    assert_same_bytes(back, resolution_by_index(ts2, t12).transpose(2, 3, 0, 1))
+    assert_same_bytes(operator_from_components(ts1 / 2, back), resolution_by_index(ts1, back))
+
+
+@pytest.mark.parametrize("ts", range(9))
+def test_tau_matrix_equals_index_route_bytes(ts):
+    n = ts + 1
+    for k, q in all_labels(ts):
+        expected = np.zeros((n, n), dtype=complex)
+        expected[band_index(n, q)] = _bands(ts)[ts + q][k - abs(q)]
+        assert_same_bytes(tau_matrix(ts / 2, k, q), expected)
 
 
 def test_components_rejects_non_square():
