@@ -19,14 +19,14 @@ value.
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
-applied in place through the per-rank J_y eigenbasis (_apply_d), harmonics and
-Legendre polynomials one recurrence's half table Pbar[k, q >= 0, point] =
-Y_kq(theta, 0) (_norm_legendre_table) with the q < 0 sign written once
+applied in place through J_y eigenbases in blocks of eight ranks (_apply_d),
+harmonics and Legendre polynomials one recurrence's half table Pbar[k, q >= 0,
+point] = Y_kq(theta, 0) (_norm_legendre_table), the q < 0 sign written once
 (_q_signs).  The ring-wise synthesis and quadrature.project take one real
 product per order (_per_order); a synthesis's plan (the table, phases and each
 point's place) is cached by content for product grids, as is project's ring
 table.  The public functions are pure (_apply_d writes only the array it is
-handed); the factorial tables are immutable after import, and the eigenbases,
+handed); the factorial tables are immutable after import, and the rank blocks,
 Legendre recurrence coefficients, plans and ring tables live in lock-guarded,
 byte-bounded _RankCaches: safe to call concurrently.
 """
@@ -128,7 +128,10 @@ def _twice(value, name: str) -> int:
         return value.twice_value
     if isinstance(value, (int, np.integer)):
         return 2 * require_int(value, name)
-    doubled = 2.0 * float(value) if isinstance(value, numbers.Real) else math.nan
+    try:  # float() of a Fraction beyond the float range overflows
+        doubled = 2.0 * float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        doubled = math.nan
     if not math.isfinite(doubled) or abs(doubled - round(doubled)) > 1e-9:
         raise DomainError(f"{name}={value!r}: expected a half-integer")
     return round(doubled)
@@ -454,12 +457,12 @@ def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
 
 
 class _RankCache:
-    """LRU map from a hashable key (a twice-rank, twice-spin or k_max; the
-    k_max and angle bytes of a point set) to a tuple of arrays, frozen
+    """LRU map from a hashable key (a (parity, block), twice-spin or k_max;
+    the k_max and angle bytes of a point set) to a tuple of arrays, frozen
     read-only on entry and bounded by the bytes held rather than by the
     number of entries.  An entry's bytes are its arrays' and its key's bytes
-    objects'.  Holds the J_y eigenbases, Legendre coefficients, synthesis
-    plans and ring tables here, tensor_ops' bands and distributions'
+    objects'.  Holds the rank blocks of J_y eigenbases, Legendre coefficients,
+    synthesis plans and ring tables here, tensor_ops' bands and distributions'
     coefficient tables and label weights.
 
     A miss builds the entry; the oldest entries are then evicted until the
@@ -531,32 +534,39 @@ def _ladder(tk: int) -> np.ndarray:
     return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
 
 
-def _build_jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
-    """The J_y eigenbasis at twice-rank tk, as _apply_d consumes it.
+def _build_rank_block(key: tuple) -> tuple[np.ndarray]:
+    """The J_y eigenbases of the twice-ranks top - 14, .., top of block (p, b),
+    top = 16b + 16 - p, as [8, n, (n + 1) // 2], n = top + 1, slots centred:
+    row A is m = top / 2 - A, column c the J_x eigenvalue mu = c + top % 2 / 2.
+    d(beta) = Z U exp(-i beta mu) U^T Z^dag, U real, Z = diag(i^A) = sigma
+    i^(A mod 2) (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015)); U's
+    column -mu is +-(-1)^A times column mu, whose terms in d v it repeats, so
+    G = sigma U keeps mu >= 0, times sqrt 2 for mu > 0.  No eigensolver: column
+    mu runs J_x's recurrence h_{a-1} u_{a-1} + h_a u_{a+1} = mu u_a from the
+    slot's edge inward to m = 0, the stable way (Schulten & Gordon, J. Math.
+    Phys. 16, 1961 (1975)), then u(-m) = (-1)^(k - mu) u(m)."""
+    top = 16 * key[1] + 16 - key[0]
+    n, half = top + 1, top // 2 + 1  # rows A < half mirror onto n - 1 - A
+    slots = np.arange(8)  # slot s: twice-rank top - 14 + 2s, from row 7 - s
+    j, mu = (top - 14 + 2.0 * slots)[:, None] / 2, np.arange(top % 2 / 2, top / 2 + 1)
+    a = np.arange(half)[:, None, None]
+    # h[a] = <m + 1| J_x |m> at m = j - a - 1; the radicand clamped past a slot's last row
+    h = 0.5 * np.sqrt(np.maximum(j * (j + 1) - (j - a) * (j - a - 1), 1.0))
+    g, cur, prev = np.zeros((8, n, mu.size)), (mu <= j) * 1.0, 0.0
+    for a in range(half):  # rows past a slot's middle are mirrored over below
+        g[slots, 7 - slots + a] = cur
+        cur, prev = (mu * cur - h[a - 1] * prev) / h[a], cur
+        if a % 32 == 31 and np.abs(cur).max() > 1e100:  # keep the squares finite
+            scale = np.maximum(np.abs(cur), 1.0)
+            cur, prev, g = cur / scale, prev / scale, np.divide(g, scale[:, None], out=g)
+    g[:, n - half :] = (g[:, :half] * np.where((j - mu) % 2, -1.0, 1.0)[:, None])[:, ::-1]
+    g /= (np.sqrt(np.einsum("sac,sac->sc", g, g)) + (mu > j))[:, None]  # padding columns 0 / 1
+    g *= np.where(np.arange(n) % 4 < 2, 1.0, -1.0)[:, None] * np.sqrt(1.0 + (mu > 0))
+    return (g,)
 
-    In the descending-m basis (row a holds m = k - a), J_y = Z J_x Z^dag with
-    Z = diag(i^a), and J_x is real: its eigenvectors U (ascending eigenvalues
-    mu = -k..k, exact, so only U is kept) are real, half the bytes of complex
-    J_y eigenvectors, and d(beta) = Z U exp(-i beta mu) U^T Z^dag, the exact
-    J_y diagonalization of Feng, Wang, Yang & Jin (Phys. Rev. E 92, 043307
-    (2015)).  Writing i^a = sigma_a i^(a mod 2) with sigma_a = +1, +1, -1, -1
-    for a mod 4 = 0..3, the rows are stored as G = sigma U, split into even
-    and odd a, so that applying d takes no phase table.
 
-    Returns (G[even a], G[odd a]); the cache makes them read-only.
-    """
-    n = tk + 1
-    # <m + 1| J_x |m> = J_+(m) / 2
-    half_jp = 0.5 * _ladder(tk)
-    _, vecs = np.linalg.eigh(np.diag(half_jp, 1) + np.diag(half_jp, -1))
-    sigma = np.where(np.arange(n) % 4 < 2, 1.0, -1.0)
-    g = sigma[:, None] * vecs
-    return np.ascontiguousarray(g[::2]), np.ascontiguousarray(g[1::2])
-
-
-# integer-keyed by twice-rank; an entry is n^2 doubles for n = tk + 1, so
-# every integer rank k <= 200 (one rotation at 2s = 200) takes 86.6 MB
-_jy_eigenbasis = _RankCache(_build_jy_eigenbasis, max_bytes=100_000_000)
+# keyed by (parity, block); ranks 1..200 (a rotation at 2s = 200) take 45.8 MB
+_rank_blocks = _RankCache(_build_rank_block, max_bytes=100_000_000)
 
 # integer-keyed by k_max; an entry is about 2 (k_max + 1)^2 doubles, 0.65 MB at 200
 _legendre_coefficients = _RankCache(_build_legendre_coefficients, max_bytes=10_000_000)
@@ -578,45 +588,46 @@ _ring_tables = _RankCache(
 
 
 def _phases(tk: int, angle: float) -> np.ndarray:
-    """exp(i angle m), m = -k..k: z phases of q = -k..k, or _apply_d's at beta (eigh's order)."""
+    """exp(i angle m), m = -k..k: z phases of q = -k..k, or _apply_d's at beta (mu = m)."""
     return np.exp(1j * angle * np.arange(-0.5 * tk, 0.5 * tk + 1.0))
 
 
-def _apply_d(tk: int, phase: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """d^k(beta) @ v written over v, of tk + 1 rows q = k..-k, for phase = _phases(tk, beta).
-
-    With the rows G of _jy_eigenbasis and y = G^T v for each parity of row,
-    (d v)[even] = G_even (cos(beta mu) y_even - sin(beta mu) y_odd) and
-    (d v)[odd] = G_odd (cos(beta mu) y_odd + sin(beta mu) y_even), the real
-    and imaginary parts of exp(i beta mu) (y_even + i y_odd).  O(k^2) per
-    column, with no d formed and no eigensolver per angle; a complex v goes
-    through as its float view, so the basis is never cast to complex.
-    Unitary to roundoff at any rank, unlike the alternating single-sum
-    element formula, which loses all precision near k ~ 50.
-    """
-    even, odd = _jy_eigenbasis(tk)
-    cols = v.reshape(tk + 1, -1)
+def _apply_d(g: np.ndarray, phase: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d^k(beta) @ v[s] written over v [slots, n, ...] for each slot s of
+    _rank_blocks' g, phase = exp(i beta mu) on g's mu >= 0.  With y = G^T v
+    per row parity, d v is G_even Re(w) and G_odd Im(w), w = phase (y_even +
+    i y_odd): four batched real products, no d formed, no eigensolver per
+    angle, a complex v as its float view.  G's zero padding ignores v's rows
+    there and writes zeros.  Unitary to roundoff at any rank."""
+    cols = v.reshape(g.shape[:2] + (-1,))
     cols = cols.view(float) if np.iscomplexobj(v) else cols
-    y = odd.T @ cols[1::2] * 1j
-    y += even.T @ cols[::2]
+    even, odd = g[:, ::2], g[:, 1::2]
+    y = odd.transpose(0, 2, 1) @ cols[:, 1::2] * 1j
+    y += even.transpose(0, 2, 1) @ cols[:, ::2]
     y *= phase[:, None]
-    cols[::2] = even @ y.real
-    cols[1::2] = odd @ y.imag
+    cols[:, ::2] = even @ y.real
+    cols[:, 1::2] = odd @ y.imag
     return v
 
 
-def _d_entry(tk: int, tqp: int, tq: int, beta: float) -> float:
-    """d^k_{q'q}(beta): row q' of d applied to the unit column q."""
-    column = np.zeros(tk + 1)
-    column[(tk - tq) // 2] = 1.0
-    return float(_apply_d(tk, _phases(tk, beta), column)[(tk - tqp) // 2])
+def _rank_d(tk: int, beta: float, v: np.ndarray) -> np.ndarray:
+    """d^k(beta) @ v, v of tk + 1 rows q = k..-k, by the rank's slot s of its
+    block, v zero-padded to the block's rows 7 - s..; d^0 = 1."""
+    if tk == 0:
+        return v
+    b, s = divmod((tk + 1) // 2 - 1, 8)
+    g = _rank_blocks((tk % 2, b))[0][s : s + 1]
+    padded = np.zeros(g.shape[:2] + v.shape[1:])
+    padded[0, 7 - s : 8 - s + tk] = v
+    return _apply_d(g, _phases(g.shape[1] - 1, beta)[-g.shape[2] :], padded)[0, 7 - s : 8 - s + tk]
 
 
 def wigner_d(k, qp, q, beta: float) -> float:
     """Wigner small-d element d^k_{q'q}(beta); k may be half-integer."""
     tk = require_spin(k, "k")
     tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
-    return _d_entry(tk, tqp, tq, require_angle(beta, "beta", scalar=True))
+    unit = np.eye(1, tk + 1, (tk - tq) // 2)[0]  # the column q
+    return float(_rank_d(tk, require_angle(beta, "beta", scalar=True), unit)[(tk - tqp) // 2])
 
 
 def wigner_D(k, qp, q, alpha: float, beta: float, gamma: float) -> complex:
@@ -624,7 +635,7 @@ def wigner_D(k, qp, q, alpha: float, beta: float, gamma: float) -> complex:
     tk = require_spin(k, "k")
     tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
-    d = _d_entry(tk, tqp, tq, beta)
+    d = wigner_d(k, qp, q, beta)
     phase = -0.5 * (tqp * alpha + tq * gamma)
     return complex(d * (math.cos(phase) + 1j * math.sin(phase)))
 
@@ -637,7 +648,7 @@ def wigner_D_matrix(k, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """
     tk = require_spin(k, "k")
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
-    d = _apply_d(tk, _phases(tk, beta), np.eye(tk + 1))
+    d = _rank_d(tk, beta, np.eye(tk + 1))
     # exp(-i q alpha) down the rows and exp(-i q gamma) along the columns, q = k..-k
     out = _phases(tk, -alpha)[::-1, None] * d * _phases(tk, -gamma)[::-1]
     out.setflags(write=False)

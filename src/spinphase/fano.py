@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import HalfInteger, _apply_d, _euler_angles, _phases, require_int
+from .angular import HalfInteger, _apply_d, _euler_angles, _phases, _rank_blocks, require_int
 from .angular import require_real, require_spin
 from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
@@ -344,18 +344,22 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
     Because R tau^k_q R^dag = sum_{q'} D^k_{q'q} tau^k_{q'}, the coefficients
     transform with the conjugate matrix: t'^k_q = sum_{q'} conj(D^k_{q q'})
     t^k_{q'} = e^{i q alpha} sum_{q'} d^k_{q q'}(beta) e^{i q' gamma} t^k_{q'}.
-    Each rank's contiguous row of a column-reversed copy goes in place through
-    the cached J_y eigenbasis (angular._apply_d, O(k^2)) and the z rotations
-    are elementwise phases.  Matches decompose(R rho R^dag) to roundoff.
+    One column-reversed copy, padded to whole rank blocks, takes one batched
+    pass of angular._apply_d per block of eight ranks, each a contiguous
+    slice whose zeros at |q| > k meet the bases' padding; the z rotations are
+    elementwise phases.  Matches decompose(R rho R^dag) to roundoff.
     """
     ts = t.s.twice_value
     alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
-    work = t.values[:, ::-1] * _phases(2 * ts, gamma)[::-1]  # columns q = 2s..-2s
-    phase = _phases(2 * ts, beta)
-    for k in range(1, ts + 1):
-        cols = slice(ts - k, ts + k + 1)  # rank k's q = k..-k, and its mu = -k..k
-        _apply_d(2 * k, phase[cols], work[k, cols])
-    return FanoTensorSet(t.s, _frozen(_phases(2 * ts, alpha) * work[:, ::-1]))
+    top, pad = -(-ts // 8) * 8, -ts % 8  # ranks 0..top, columns q = top..-top
+    work = np.zeros((top + 1, 2 * top + 1), dtype=complex)
+    work[: ts + 1, pad : pad + 2 * ts + 1] = t.values[:, ::-1] * _phases(2 * ts, gamma)[::-1]
+    phase = _phases(2 * top, beta)[top:]  # mu = 0..top
+    for b in range(top // 8):
+        cols = slice(top - 8 * b - 8, top + 8 * b + 9)
+        _apply_d(_rank_blocks((0, b))[0], phase[: 8 * b + 9], work[8 * b + 1 : 8 * b + 9, cols])
+    rotated = _phases(2 * ts, alpha) * work[: ts + 1, pad : pad + 2 * ts + 1][:, ::-1]
+    return FanoTensorSet(t.s, _frozen(rotated))
 
 
 def singlet_density(s) -> BipartiteDensityMatrix:

@@ -25,10 +25,10 @@ from spinphase import (
 from conftest import harmonic_table, norm_legendre_table_oracle, signed_table
 from spinphase import angular
 from spinphase.angular import (
-    _jy_eigenbasis,
     _legendre_coefficients,
     _norm_legendre_table,
     _q_signs,
+    _rank_blocks,
     _RankCache,
     _synthesize,
 )
@@ -94,12 +94,25 @@ def racah_cg_scalar(ts1, ts2, ts, tm1, tm2, tm):
     return math.copysign(math.exp(half_log_pref + peak + math.log(abs(total))), total)
 
 
+def jy_eigenbasis(tk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-rank J_y eigenbasis the rank blocks replaced, transcribed as it
+    stood: J_x's eigenvectors U by the dense eigh, stored as G = sigma U split
+    into even and odd rows."""
+    n = tk + 1
+    half_jp = 0.5 * angular._ladder(tk)
+    _, vecs = np.linalg.eigh(np.diag(half_jp, 1) + np.diag(half_jp, -1))
+    sigma = np.where(np.arange(n) % 4 < 2, 1.0, -1.0)
+    g = sigma[:, None] * vecs
+    return np.ascontiguousarray(g[::2]), np.ascontiguousarray(g[1::2])
+
+
 def apply_d_copying(tk: int, beta: float, v: np.ndarray) -> np.ndarray:
-    """d^k(beta) @ v as _apply_d computed it before it wrote in place and took
-    its phase table from the caller, transcribed as it stood: a contiguous
-    copy of v, a fresh exp(i beta mu) and a new output array.  The
-    bit-identity oracle for the Wigner functions and rotate_tensors."""
-    even, odd = _jy_eigenbasis(tk)
+    """d^k(beta) @ v by the per-rank route, transcribed as it stood before it
+    wrote in place, took its phase table from the caller and ran in rank
+    blocks: the dense-eigh basis, a contiguous copy of v, a fresh
+    exp(i beta mu) and a new output array.  The independent roundoff oracle
+    for the Wigner functions and rotate_tensors."""
+    even, odd = jy_eigenbasis(tk)
     complex_v = np.iscomplexobj(v)
     cols = np.ascontiguousarray(v).reshape(tk + 1, -1)
     cols = cols.view(float) if complex_v else cols
@@ -603,7 +616,9 @@ def test_wigner_d1_00_is_cos_beta():
         assert wigner_d(1, 0, 0, beta) == pytest.approx(math.cos(beta), abs=1e-14)
 
 
-@pytest.mark.parametrize("ts", [1, 2, 3])
+# twice-ranks 1..3, 0 (d = 1, outside the rank blocks) and the first and last
+# of blocks of both parities (eight ranks each, 8b + 1..8b + 8 less p / 2)
+@pytest.mark.parametrize("ts", [1, 2, 3, 0, 15, 16, 17, 18, 31, 33, 34])
 def test_wigner_matrix_matches_exponential_oracle(ts, rng):
     for _ in range(5):
         alpha = rng.uniform(0, 2 * math.pi)
@@ -647,33 +662,40 @@ def random_tensor_values(rng, ts: int) -> np.ndarray:
 
 
 def test_jy_eigenbasis_cache_is_bounded(rng):
-    _jy_eigenbasis.cache_clear()
+    _rank_blocks.cache_clear()
     try:
-        # the cache is keyed by twice-rank alone: new angles add no entries
+        # keyed by (parity, block) alone: new angles add no entries, and
+        # ranks 1 and 2 share block 0 of the integer ranks
         for beta in rng.uniform(0.0, math.pi, 300):
-            wigner_D_matrix(1, 0.0, beta, 0.0)
-            wigner_D_matrix(2, 0.0, beta, 0.0)
-        assert set(_jy_eigenbasis.cache_info()["keys"]) == {2, 4}
+            for k in (0.5, 1, 2):
+                wigner_D_matrix(k, 0.0, beta, 0.0)
+        assert set(_rank_blocks.cache_info()["keys"]) == {(0, 0), (1, 0)}
 
-        # every rank k <= 200, integer and half-integer, is twice-rank <= 400:
-        # unbounded that would be sum_{n <= 401} n^2 doubles = 172.6 MB
-        for tk in range(401):
-            _jy_eigenbasis(tk)
-        info = _jy_eigenbasis.cache_info()
+        # every rank k <= 256, integer and half-integer, is twice-rank <= 512:
+        # blocks 0..31 of each parity, [8, n, (n + 1) // 2] doubles for n = 16b +
+        # 17 - p, unbounded 188.2 MB
+        for tk in range(1, 513):
+            wigner_d(tk / 2, tk / 2, tk / 2, 0.3)
+        info = _rank_blocks.cache_info()
         assert info["bytes"] <= info["max_bytes"] <= 100e6
-        held = sum(sum(a.nbytes for a in _jy_eigenbasis(tk)) for tk in info["keys"])
+        for p, b in info["keys"]:
+            n = 16 * b + 17 - p
+            assert _rank_blocks((p, b))[0].shape == (8, n, (n + 1) // 2)
+        held = sum(sum(a.nbytes for a in _rank_blocks(key)) for key in info["keys"])
         assert held == info["bytes"]
 
-        # one rotation at 2s = 200 touches the integer ranks 1..200, which take
-        # sum_{k <= 200} (2k + 1)^2 doubles = 86.6 MB: all stay cached
+        # one rotation at 2s = 200 touches the integer ranks 1..200, blocks
+        # (0, 0..24) of 8 (16b + 17) (8b + 9) doubles, 45.8 MB: all stay cached
         t = FanoTensorSet(100, random_tensor_values(rng, 200))
         rotate_tensors(t, 0.1, 0.2, 0.3)
-        assert {2 * k for k in range(1, 201)} <= set(_jy_eigenbasis.cache_info()["keys"])
-        misses = _jy_eigenbasis.cache_info()["misses"]
+        keys = {(0, b) for b in range(25)}
+        assert keys <= set(_rank_blocks.cache_info()["keys"])
+        assert sum(_rank_blocks(key)[0].nbytes for key in keys) == 45_761_600
+        misses = _rank_blocks.cache_info()["misses"]
         rotate_tensors(t, 0.4, 0.5, 0.6)
-        assert _jy_eigenbasis.cache_info()["misses"] == misses
+        assert _rank_blocks.cache_info()["misses"] == misses
     finally:
-        _jy_eigenbasis.cache_clear()
+        _rank_blocks.cache_clear()
 
 
 def test_rank_cache_accounting_under_threads():
@@ -725,8 +747,8 @@ def test_wigner_matrix_matches_expm_at_large_rank(ts, rng):
 )
 def test_wigner_D_matrix_matches_expm_with_exact_eigenvalues(ts, bound, rng):
     # each bound sits between the two ways to take J_y's eigenvalues: the
-    # exact -k..k give maxima of 4.9e-15 (twice-rank 48) and 7.5-8.6e-15
-    # (200) here, the eigensolver's own (error ~ k eps) 1.8e-14 and 1.7e-14
+    # exact -k..k give maxima of 2.3e-15 (twice-rank 48) and 5.8e-15 (200)
+    # here, an eigensolver's own (error ~ k eps) 1.8e-14 and 1.7e-14
     _, sp_ = ladder_spin_matrices(ts)
     sy = (sp_ - sp_.conj().T) / 2j
     worst = max(
@@ -738,15 +760,18 @@ def test_wigner_D_matrix_matches_expm_with_exact_eigenvalues(ts, bound, rng):
 
 @pytest.mark.parametrize("tk", [*range(49), 96])
 def test_wigner_values_equal_copying_route(tk, rng):
-    # in-place _apply_d with a caller's phase table: the same bits as the
-    # copying route for every element function, at ranks 0..24 and 48
+    # the rank blocks against the per-rank dense-eigh route for every element
+    # function, at twice-ranks 0..48 and 96: each is within ~1e-14 of expm
+    # (test_wigner_D_matrix_matches_expm_with_exact_eigenvalues), and they
+    # differ by at most 7.4e-15 here; a wrong sign, slot, parity or padding
+    # is off by O(1)
     alpha, beta, gamma = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
     d = apply_d_copying(tk, beta, np.eye(tk + 1))
     tq_axis = tk - 2 * np.arange(tk + 1)
     left, right = np.exp(-0.5j * tq_axis * alpha), np.exp(-0.5j * tq_axis * gamma)
     expected = left[:, None] * d * right[None, :]
     got = wigner_D_matrix(tk / 2, alpha, beta, gamma)
-    assert got.tobytes() == expected.tobytes()
+    assert np.max(np.abs(got - expected)) <= 2e-14
     pairs = {(0, 0), (0, tk), (tk, 0), (tk, tk)}
     pairs |= {tuple(map(int, p)) for p in rng.integers(0, tk + 1, (8, 2))}
     for a, b in sorted(pairs):
@@ -754,19 +779,52 @@ def test_wigner_values_equal_copying_route(tk, rng):
         column[b] = 1.0
         d_ab = float(apply_d_copying(tk, beta, column)[a])
         qp, q = (tk - 2 * a) / 2, (tk - 2 * b) / 2
-        assert wigner_d(tk / 2, qp, q, beta) == d_ab
+        assert abs(wigner_d(tk / 2, qp, q, beta) - d_ab) <= 2e-14
         phase = -0.5 * ((tk - 2 * a) * alpha + (tk - 2 * b) * gamma)
-        assert wigner_D(tk / 2, qp, q, alpha, beta, gamma) == complex(
-            d_ab * (math.cos(phase) + 1j * math.sin(phase))
-        )
+        expected_D = d_ab * (math.cos(phase) + 1j * math.sin(phase))
+        assert abs(wigner_D(tk / 2, qp, q, alpha, beta, gamma) - expected_D) <= 2e-14
+
+
+@pytest.mark.scale
+def test_wigner_d_top_column_closed_form_past_the_rescale():
+    # at rank 550 the recurrence grows from its edge by about 2^550 = 4e165,
+    # whose square would overflow the column norm without the rescale:
+    # d^j_{m', j}(beta) = sqrt(C(2j, j - m')) cos^(j + m')(beta / 2)
+    # sin^(j - m')(beta / 2), and d stays orthogonal
+    tk, beta = 1100, 1.1
+    j = tk / 2
+    d = wigner_D_matrix(j, 0.0, beta, 0.0).real
+    mp = j - np.arange(tk + 1)
+    log_binom = [math.lgamma(tk + 1) - math.lgamma(j + m + 1) - math.lgamma(j - m + 1) for m in mp]
+    top = np.exp(
+        0.5 * np.array(log_binom)
+        + (j + mp) * math.log(math.cos(beta / 2))
+        + (j - mp) * math.log(math.sin(beta / 2))
+    )
+    assert np.max(np.abs(d[:, 0] - top)) <= 1e-13
+    assert np.max(np.abs(d @ d.T - np.eye(tk + 1))) <= 1e-13
 
 
 def test_apply_d_writes_in_place(rng):
-    complex_v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    for v in (rng.normal(size=(5, 3)), complex_v, complex_v.copy()[::-1]):
-        expected = apply_d_copying(4, 0.7, v)
-        assert angular._apply_d(4, angular._phases(4, 0.7), v) is v
-        assert np.array_equal(v, expected)
+    # twice-rank 4 is slot 1 of block (0, 0): rows 6..10 of its 17.  In place
+    # over a real matrix, a complex vector, a reversed view and a strided
+    # slice of a wider array (as rotate_tensors' work rows), within roundoff
+    # of the per-rank copying route (8.9e-16 at most here); rows outside the
+    # slot, zero on entry, stay zero and nothing outside v is written
+    g, rows, phase = _rank_blocks((0, 0))[0][1:2], slice(6, 11), angular._phases(16, 0.7)[8:]
+    wide = rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30))
+    work = wide.copy()
+    cases = [np.zeros((1, 17, 3)), np.zeros((1, 17), complex)]
+    cases += [np.zeros((1, 17), complex)[:, ::-1], work[1:2, 7:24]]
+    for v in cases:
+        v[0, : rows.start] = v[0, rows.stop :] = 0.0
+        v[0, rows] = rng.normal(size=v[0, rows].shape) + (1j if v.dtype == complex else 0)
+        expected = apply_d_copying(4, 0.7, v[0, rows].copy())
+        assert angular._apply_d(g, phase, v) is v
+        assert np.max(np.abs(v[0, rows] - expected)) <= 4e-15
+        assert not v[0, : rows.start].any() and not v[0, rows.stop :].any()
+    assert np.array_equal(work[::2], wide[::2])
+    assert np.array_equal(work[1, :7], wide[1, :7]) and np.array_equal(work[1, 24:], wide[1, 24:])
 
 
 def test_phases_middle_entries_are_lower_rank_tables():

@@ -720,7 +720,7 @@ def test_rotate_flips_axial_dipole():
     assert t_rot.value(1, 0) == pytest.approx(-0.4, abs=1e-13)
 
 
-@pytest.mark.parametrize("ts", [1, 2, 3, 4, 8, 16, 24, 32])
+@pytest.mark.parametrize("ts", [1, 2, 3, 4, 7, 8, 9, 16, 17, 24, 25, 32])
 def test_rotate_matches_conjugation_oracle(ts, rng):
     for _ in range(3):
         rho = random_density(rng, ts)
@@ -750,9 +750,9 @@ def conjugate_d_route(t, alpha, beta, gamma):
 
 
 def rotate_by_reversed_copies(t, alpha, beta, gamma):
-    """rotate_tensors as it ran before its columns were reversed once,
-    transcribed as it stood: each rank's reversed columns through the copying
-    _apply_d and back.  The bit-identity oracle."""
+    """rotate_tensors as it ran before its columns were reversed once and its
+    ranks ran in blocks, transcribed as it stood: each rank's reversed
+    columns through the copying per-rank dense-eigh route and back."""
     ts = t.s.twice_value
     q = np.arange(-ts, ts + 1)
     out = t.values * np.exp(1j * q * gamma)
@@ -764,14 +764,18 @@ def rotate_by_reversed_copies(t, alpha, beta, gamma):
 
 @pytest.mark.parametrize("ts", [0, 1, 2, 3, 5, 24])
 def test_rotate_equals_reversed_copy_route(ts, rng):
+    # the rank blocks against the per-rank dense-eigh route: at most 1.0e-14
+    # of max |t| over 40 random sets per spin up to 2s = 25; a wrong rank,
+    # slot, column offset or padding is off by O(1)
     for _ in range(4):
         t = FanoTensorSet(ts / 2, random_tensor_values(rng, ts))
         alpha, beta, gamma = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
         got = rotate_tensors(t, alpha, beta, gamma).values
-        assert np.array_equal(got, rotate_by_reversed_copies(t, alpha, beta, gamma))
+        expected = rotate_by_reversed_copies(t, alpha, beta, gamma)
+        assert np.max(np.abs(got - expected)) <= 3e-14 * np.max(np.abs(t.values))
 
 
-@pytest.mark.parametrize("ts", [1, 4, 13, 24, 32])
+@pytest.mark.parametrize("ts", [1, 4, 7, 8, 9, 13, 17, 24, 25, 32])
 def test_rotate_matches_d_matrix_route_over_beta(ts, rng):
     t = decompose(random_density(rng, ts))
     scale = np.max(np.abs(t.values))

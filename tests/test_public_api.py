@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,10 @@ def _argument_cases():
     }
     for label, (name, call) in spins.items():
         cases.append(pytest.param(call, name, True, id=f"{label}=True"))
+    # a Fraction beyond the float range, whose float() overflows
+    for label in ("HalfInteger.from_value", "tau_matrix s"):
+        name, call = spins[label]
+        cases.append(pytest.param(call, name, Fraction(10**400), id=f"{label}=Fraction(10**400)"))
 
     angles = {
         "spherical_harmonic": (
