@@ -178,16 +178,18 @@ def _cmd_singlet(args, parser) -> int:
     return 0
 
 
+def _unit(v: list[float], parser) -> list[float]:
+    """v scaled to unit length; math.hypot neither overflows nor underflows."""
+    norm = math.hypot(*v)
+    if not 0.0 < norm < math.inf:
+        parser.error("cannot normalize a zero or non-finite vector")
+    return [c / norm for c in v]
+
+
 def _cmd_correlation(args, parser) -> int:
     if args.twice_spin < 1:
         parser.error(f"--twice-spin must be >= 1, got {args.twice_spin}")
-    from .distributions import DirectionVector
-
-    try:
-        a = DirectionVector.normalized(args.a)
-        b = DirectionVector.normalized(args.b)
-    except DomainError as exc:
-        parser.error(str(exc))
+    a, b = (_unit(v, parser) for v in (args.a, args.b))
     s = args.twice_spin / 2.0
     grid = build_grid(max(2, args.twice_spin))
     exact = correlation_exact(s, a, b)

@@ -58,6 +58,7 @@ from .angular import (
     HalfInteger,
     _RankCache,
     _norm_legendre_table,
+    _require_array,
     _synthesize,
     require_angle,
     require_int,
@@ -78,7 +79,6 @@ from .tensor_ops import operator_components
 __all__ = [
     "DistributionKind",
     "SpinCoherentState",
-    "DirectionVector",
     "coefficient",
     "coefficient_table",
     "coherent_state",
@@ -222,47 +222,15 @@ def coherent_state(s, theta: float, phi: float) -> SpinCoherentState:
     return SpinCoherentState(s, theta, phi)
 
 
-@dataclass(frozen=True)
-class DirectionVector:
-    """Unit vector on the sphere (validated to 1e-12)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in "xyz":
-            require_real(getattr(self, name), name)
-        norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > 1e-12:
-            raise DomainError(f"direction must be a unit vector, |v| = {norm:.15g}")
-
-    @classmethod
-    def normalized(cls, v) -> "DirectionVector":
-        arr = np.asarray(v, dtype=float).reshape(-1)
-        if arr.shape != (3,):
-            raise DomainError(f"direction must have three components, got {v!r}")
-        norm = float(np.linalg.norm(arr))
-        if norm <= 0.0 or not math.isfinite(norm):
-            raise DomainError("cannot normalize a zero or non-finite vector")
-        arr = arr / norm
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
 def _direction(v, name: str) -> np.ndarray:
-    """A direction argument as a float array: a DirectionVector, or a list,
-    tuple or 1-d array of three components, each a finite real (never a
-    bool, named with its index when refused), of unit length to 1e-12."""
-    if isinstance(v, DirectionVector):
-        return v.as_array()
+    """A direction argument as a float array: a list, tuple or 1-d array of
+    three components, each a finite real (never a bool, named with its index
+    when refused), of unit length to 1e-12."""
     parts = v.tolist() if isinstance(v, np.ndarray) else v
     if not isinstance(parts, (list, tuple)) or len(parts) != 3:
         raise DomainError(f"{name}={v!r}: expected a unit vector of three components")
     x, y, z = (require_real(c, f"{name}[{i}]") for i, c in enumerate(parts))
-    norm = math.sqrt(x * x + y * y + z * z)
+    norm = math.hypot(x, y, z)
     if abs(norm - 1.0) > 1e-12:
         raise DomainError(
             f"{name}={v!r}: expected a unit vector (|{name}| = {norm:.12g}, tolerance 1e-12)"
@@ -375,12 +343,6 @@ def evaluate_bipartite(
     )
 
 
-def _bloch_vector(theta: np.ndarray, phi: np.ndarray, flip_z: bool) -> np.ndarray:
-    sin_t = np.sin(theta)
-    z = -np.cos(theta) if flip_z else np.cos(theta)
-    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z], axis=-1)
-
-
 def classical_spin_vector(kind: DistributionKind, s, theta, phi) -> np.ndarray:
     """Classical spin vector the kind associates with a point of the sphere.
 
@@ -396,11 +358,15 @@ def classical_spin_vector(kind: DistributionKind, s, theta, phi) -> np.ndarray:
 def _spin_vector(kind: DistributionKind, ts: int, theta, phi) -> np.ndarray:
     """classical_spin_vector at twice-spin ts, for angle arrays already checked."""
     s_val = ts / 2.0
-    if _require_kind(kind) is DistributionKind.P:
-        return s_val * _bloch_vector(theta, phi, flip_z=True)
-    if kind is DistributionKind.Q:
-        return (s_val + 1.0) * _bloch_vector(theta, phi, flip_z=True)
-    return math.sqrt(s_val * (s_val + 1.0)) * _bloch_vector(theta, phi, flip_z=False)
+    # each kind's magnitude, and the z sign of n(pi - theta, phi) for P and Q
+    magnitude, z_sign = {
+        DistributionKind.P: (s_val, -1.0),
+        DistributionKind.Q: (s_val + 1.0, -1.0),
+        DistributionKind.F: (math.sqrt(s_val * (s_val + 1.0)), 1.0),
+    }[_require_kind(kind)]
+    sin_t = np.sin(theta)
+    n = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z_sign * np.cos(theta)], axis=-1)
+    return magnitude * n
 
 
 def expectation(
@@ -425,7 +391,7 @@ def expectation(
             f"grid band limit {grid.band_limit} is below 2s = {ts}; the sphere "
             "average would not be exact"
         )
-    a = np.asarray(a, dtype=complex)
+    a = _require_array(a, "a", "entry", complex)
     if a.shape != (ts + 1, ts + 1):
         raise DomainError(
             f"operator shape {a.shape} does not match the spin-{ts}/2 space"

@@ -15,9 +15,11 @@ decompose_bipartite traces factor 1 first, so the second trace lands in the
 
 All four containers are immutable and validate their invariants on
 ingestion, where NaN and inf are refused.  Each adopts a read-only complex128
-ndarray that owns its data and copies anything else (_owned); every builder
-here hands over such an array (_frozen).  An error names the violated
-invariant, the first offending label, the measured defect and the tolerance.
+ndarray that owns its data and copies anything else (_owned) by the argument
+rule, which refuses a `matrix` or `values` that is not complex by name;
+every builder here hands over such an array (_frozen).  An error names the
+violated invariant, the first offending label, the measured defect and the
+tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import HalfInteger, _apply_d, _euler_angles, _phases, _rank_blocks, require_int
-from .angular import require_real, require_spin
+from .angular import _require_array, require_real, require_spin
 from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
 
@@ -54,11 +56,13 @@ EIGENVALUE_FLOOR = -1e-10
 TENSOR_TOL = 1e-12
 
 
-def _owned(values) -> np.ndarray:
+def _owned(values, name: str) -> np.ndarray:
     """`values` itself if a read-only complex128 ndarray owning its data,
-    else a read-only complex copy."""
+    else a read-only complex copy by the argument rule, which refuses what
+    is not complex by `name`."""
     adopt = type(values) is np.ndarray and values.dtype == complex and values.flags.owndata
-    a = values if adopt and not values.flags.writeable else np.array(values, dtype=complex)
+    adopt = adopt and not values.flags.writeable
+    a = values if adopt else _require_array(values, name, "entry", complex, copy=True)
     a.setflags(write=False)
     return a
 
@@ -73,7 +77,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _validate_state_matrix(matrix, dim: int, what: str) -> np.ndarray:
     """Check a density matrix and return it read-only (see _owned).  Every
     test reads `not defect <= tol`, which NaN fails."""
-    m = _owned(matrix)
+    m = _owned(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{what}: matrix must be square, got shape {m.shape}")
     if m.shape[0] != dim:
@@ -174,7 +178,7 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     measured in full for its first label and largest defect.  Errors come in
     the order out-of-range, normalization, hermiticity.  NaN fails every
     comparison and keeps the largest defect NaN; inf raises no warning."""
-    a = _owned(values)
+    a = _owned(values, "values")
     expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
     if a.shape != expected:
         raise ValidationError(

@@ -8,9 +8,11 @@ and their weights, and integrates any spherical-harmonic polynomial of
 degree <= 2L+1 to roundoff.  No other node set is accepted, since project's
 FFT and the weights assume exactly these nodes.
 
-Integrands are given as arrays of node values (at node_thetas, node_phis)
-and checked for shape, NaN and +-inf in one vectorized step; a sum of them
-that overflows the float range is refused.  project analyses node values
+Integrands are given as arrays of node values (at node_thetas, node_phis).
+They are converted by angular's argument rule (_require_array), which checks
+their shape and then refuses what is not numeric with a DomainError naming
+the argument, and checked for NaN and +-inf in one vectorized step; a sum of
+them that overflows the float range is refused.  project analyses node values
 into spherical-harmonic coefficients ring by ring: one FFT in phi per ring,
 then one sum over the rings against angular's half table
 Pbar[k, q >= 0, ring] = Y_kq(theta_ring, 0), one real product per order
@@ -27,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angular import _per_order, _q_signs, _ring_table, require_int
+from .angular import _per_order, _q_signs, _require_array, _ring_table, require_int
 from .errors import DomainError
 
 __all__ = ["SphereGrid", "build_grid", "integrate", "integrate_product", "project"]
@@ -104,16 +106,13 @@ def build_grid(band_limit: int) -> SphereGrid:
     return SphereGrid(band_limit)
 
 
-def _node_values(grid: SphereGrid, values) -> np.ndarray:
-    """Node values in grid order along the last axis (leading axes batched);
-    NaN and then +-inf are refused, naming the first such node in row-major
-    order; finite values are accepted in one isfinite pass."""
-    vals = np.asarray(values)
-    if vals.ndim == 0 or vals.shape[-1] != grid.n_nodes:
-        raise DomainError(
-            f"expected {grid.n_nodes} node values along the last axis, got array "
-            f"of shape {vals.shape}"
-        )
+def _node_values(grid: SphereGrid, values, name: str) -> np.ndarray:
+    """Node values in grid order along the last axis (leading axes batched),
+    converted by the argument rule, which checks the shape and then refuses
+    a non-numeric dtype by `name`; NaN and then +-inf are refused, naming the
+    first such node in row-major order; finite values are accepted in one
+    isfinite pass."""
+    vals = _require_array(values, name, "node value", shape=(..., grid.n_nodes))
     if not np.isfinite(vals).all():
         nan = np.isnan(vals)
         i = int(np.flatnonzero(nan if nan.any() else ~np.isfinite(vals))[0])
@@ -150,7 +149,7 @@ def integrate(grid: SphereGrid, f):
     grid.node_phis).  Accumulation is compensated (math.fsum); a sum that
     overflows is refused (DomainError).
     """
-    vals = _node_values(grid, f)
+    vals = _node_values(grid, f, "f")
     if vals.ndim != 1:
         raise DomainError(f"expected {grid.n_nodes} node values, got array of shape {vals.shape}")
     w = grid.weights
@@ -169,16 +168,11 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
     named by its first NaN, else its first +-inf.  A sum that overflows is
     refused as integrate refuses it.
     """
-    values = np.asarray(values)
-    if values.shape != (grid1.n_nodes, grid2.n_nodes):
-        raise DomainError(
-            f"expected values of shape {(grid1.n_nodes, grid2.n_nodes)}, "
-            f"got {values.shape}"
-        )
+    values = _require_array(values, "values", "value", shape=(grid1.n_nodes, grid2.n_nodes))
     if not np.isfinite(values).all():
         nan, bad = np.isnan(values), ~np.isfinite(values)
         first = np.where(nan.any(axis=1), nan.argmax(axis=1), bad.argmax(axis=1))
-        _node_values(grid1, values[np.arange(grid1.n_nodes), first])
+        _node_values(grid1, values[np.arange(grid1.n_nodes), first], "values")
     with _overflow_refused(values):
         inner = values @ grid2.weights
     return integrate(grid1, inner)
@@ -205,7 +199,7 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     Node values whose sums overflow are refused (DomainError).
     """
     k_max = require_int(k_max, "k_max", 0)
-    vals = _node_values(grid, values)
+    vals = _node_values(grid, values, "values")
     table = _ring_table(k_max, grid.thetas)  # [k, p, ring]
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
     ring_weights = grid.theta_weights * grid.phi_weight

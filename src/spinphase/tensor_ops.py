@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .angular import _ladder, _racah_many, _RankCache, _require_finite, require_int, require_spin
+from .angular import _ladder, _racah_many, _RankCache, _require_array, _require_finite
+from .angular import require_int, require_spin
 from .errors import DomainError
 
 __all__ = [
@@ -70,9 +71,10 @@ def operator_components(a: np.ndarray) -> np.ndarray:
 
     Maps [..., n, n] to the [..., k, 2s + q] layout, with the spin inferred
     from n = 2s+1.  Together with operator_from_components this is an exact
-    resolution of A.  A NaN or +-inf entry is refused by the argument rule.
+    resolution of A.  An entry that is not a complex number, NaN or +-inf is
+    refused by the argument rule.
     """
-    a = np.asarray(a, dtype=complex)
+    a = _require_array(a, "a", "entry", complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"operator must be a square matrix, got shape {a.shape}")
     _require_finite(a, "a", "entry")
@@ -88,12 +90,12 @@ def operator_from_components(s, comps: np.ndarray) -> np.ndarray:
     """Reassemble A = (1/(2s+1)) sum_kq tau^k_q^dag a^k_q from its components.
 
     Maps [..., k, 2s + q] back to [..., n, n].  The 1/(2s+1) matches the
-    tensor orthonormality Tr(tau tau^dag) = 2s+1.  A NaN or +-inf component
-    is refused by the argument rule.
+    tensor orthonormality Tr(tau tau^dag) = 2s+1.  A component that is not a
+    complex number, NaN or +-inf is refused by the argument rule.
     """
     ts = require_spin(s)
     n = ts + 1
-    comps = np.asarray(comps, dtype=complex)
+    comps = _require_array(comps, "comps", "entry", complex)
     if comps.shape[-2:] != (n, 2 * ts + 1):
         raise DomainError(f"components of shape {comps.shape} do not end in ({n}, {2 * ts + 1})")
     _require_finite(comps, "comps", "entry")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -299,11 +300,31 @@ def test_correlation_refusal_row_names_bound_and_tolerance(monkeypatch, capsys):
     assert captured.err == f"internal consistency error: {reasons[0]}\n"
 
 
-def test_correlation_zero_vector_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["correlation", "--twice-spin", "1", "--a", "0", "0", "0",
-              "--b", "0", "0", "1"])
-    assert exc.value.code == 2
+def test_correlation_zero_vector_is_usage_error(capsys):
+    for a in (["0", "0", "0"], ["nan", "0", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["correlation", "--twice-spin", "1", "--a", *a, "--b", "0", "0", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: cannot normalize a zero or non-finite vector\n"
+        )
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-170"])
+def test_correlation_scales_huge_and_tiny_vectors(scale, capsys):
+    # the norm neither overflows nor underflows: the direction is (1, 1, 0)'s
+    def rows(a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["correlation", "--twice-spin", "4", "--a", *a, "--b", "1", "0", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return parse_correlation(captured.out)[0]
+
+    expected = rows(["1", "1", "0"])
+    for kind, (quad, exact, _) in rows([scale, scale, "0"]).items():
+        assert quad == pytest.approx(expected[kind][0], rel=1e-15, abs=0)
+        assert exact == pytest.approx(expected[kind][1], rel=1e-15, abs=0)
 
 
 # ------------------------------------------------------------------- limit

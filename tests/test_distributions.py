@@ -11,7 +11,6 @@ from spinphase import (
     BandLimitError,
     ConsistencyError,
     DensityMatrix,
-    DirectionVector,
     DistributionKind,
     DomainError,
     FanoTensorSet,
@@ -42,7 +41,6 @@ from conftest import harmonic_table, random_bipartite_density, random_density, r
 from spinphase import distributions
 from spinphase.angular import _RankCache
 from spinphase.distributions import (
-    _bloch_vector,
     _label_weights,
     _require_real,
     _sign_matrix,
@@ -583,15 +581,6 @@ def test_classical_spin_vector_examples():
     )
 
 
-def test_direction_vector_validation():
-    with pytest.raises(DomainError):
-        DirectionVector(1.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        DirectionVector.normalized([0.0, 0.0, 0.0])
-    d = DirectionVector.normalized([3.0, 0.0, 4.0])
-    assert d.as_array() == pytest.approx([0.6, 0.0, 0.8])
-
-
 # ------------------------------------------------------------- expectation
 
 
@@ -788,13 +777,19 @@ def test_correlation_requires_unit_vectors():
     grid = build_grid(2)
     with pytest.raises(DomainError):
         correlation(P, 0.5, [0, 0, 2.0], [0, 0, 1.0], grid)
+    # the norm is taken without squaring, so it does not overflow to inf
+    with pytest.raises(DomainError, match=r"\(\|a\| = 1e\+200, tolerance 1e-12\)$"):
+        correlation(Q, 1, [1e200, 0, 0], [0.0, 0.0, 1.0], grid)
 
 
 def joint_matrix_correlation(kind, ts, a, b, grid):
     """prefactor * left @ W12 @ right with the full N x N joint distribution."""
     s = ts / 2
     prefactor = {P: s * s, Q: (s + 1) ** 2, F: s * (s + 1)}[kind]
-    nodes = _bloch_vector(grid.node_thetas, grid.node_phis, flip_z=kind is not F)
+    theta, phi = grid.node_thetas, grid.node_phis
+    # n(theta, phi), with P and Q reading n(pi - theta, phi)
+    z = np.cos(theta) if kind is F else np.cos(math.pi - theta)
+    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), z], axis=-1)
     w12 = evaluate_bipartite_many(
         kind, singlet_tensors(s), grid.node_thetas, grid.node_phis,
         grid.node_thetas, grid.node_phis,

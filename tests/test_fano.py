@@ -513,7 +513,9 @@ def test_builders_values_are_adopted_uncopied(rng, monkeypatch):
     }
     owned = fano._owned
     adopted = []
-    monkeypatch.setattr(fano, "_owned", lambda values: adopted.append(values) or owned(values))
+    monkeypatch.setattr(
+        fano, "_owned", lambda values, name: adopted.append(values) or owned(values, name)
+    )
     for name, build in builders.items():
         adopted.clear()
         held = build()

@@ -38,7 +38,6 @@ PUBLIC = [
     "singlet_tensors",
     "DistributionKind",
     "SpinCoherentState",
-    "DirectionVector",
     "coefficient",
     "coefficient_table",
     "coherent_state",
@@ -262,12 +261,6 @@ def _argument_cases():
     reals = {
         "is_product tol": ("tol", (math.nan, -1.0, True, "x", 10**400), lambda v: spinphase.is_product(t12, v)),
         "SphereGrid band_limit": ("band_limit", (True, 1.0), lambda v: spinphase.SphereGrid(v)),
-        "DirectionVector x": (
-            "x",
-            (True, "1", math.nan, np.float32(math.inf), np.float16(math.nan)),
-            lambda v: spinphase.DirectionVector(v, 0, 1),
-        ),
-        "DirectionVector z": ("z", (np.bool_(True),), lambda v: spinphase.DirectionVector(0, 0, v)),
     }
     for label, (name, values, call) in reals.items():
         for value in values:
@@ -290,7 +283,7 @@ def _argument_cases():
 
             for value in ("abc", [1, 1, 0], [0.0, 1.0]):
                 cases.append(pytest.param(refused_vector, name, value, id=f"{label} {name}={value!r}"))
-            for value in (True, math.nan, "1"):
+            for value in (True, np.True_, math.nan, np.float32(math.inf), np.float16(math.nan), "1"):
                 cases.append(
                     pytest.param(refused_component, name, value, id=f"{label} {name}[0]={value!r}")
                 )
@@ -306,6 +299,14 @@ def _argument_cases():
         ),
         "expectation": ("a", (3, 3), lambda v: spinphase.expectation(K.Q, t1, v, grid)),
     }
+    # a value numpy cannot convert to complex: a string, a ragged list, an
+    # object array holding a string (None in an object array converts to nan,
+    # refused by index as above)
+    unconvertible = {
+        "string": "abc",
+        "ragged": [[1, 2], [3]],
+        "object": np.array([["abc", 1.0], [0.0, 1.0]], dtype=object),
+    }
     for label, (name, shape, call) in entries.items():
         for value in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
 
@@ -315,6 +316,39 @@ def _argument_cases():
                 return call(array)
 
             cases.append(pytest.param(refused_entry, name, value, id=f"{label} {name}={value!r}"))
+        for what, value in unconvertible.items():
+            cases.append(pytest.param(call, name, value, id=f"{label} {name} {what}"))
+
+    # the containers' arrays, and node values that numpy cannot convert or
+    # that are not numeric, of the right shape
+    n = grid.n_nodes
+    arrays = {
+        "DensityMatrix": ("matrix", unconvertible, lambda v: spinphase.DensityMatrix(1, v)),
+        "CoupledFanoTensorSet": (
+            "values",
+            unconvertible,
+            lambda v: spinphase.CoupledFanoTensorSet(1, 1, v),
+        ),
+        "integrate": (
+            "f",
+            {"ragged": [[1, 2], [3]], "None": [None] * n, "string": ["a"] * n,
+             "object": np.full(n, None)},
+            lambda v: spinphase.integrate(grid, v),
+        ),
+        "project": (
+            "values",
+            {"ragged": [[1, 2], [3]], "None": [None] * n, "string": np.full((2, n), "a")},
+            lambda v: spinphase.project(grid, v, 2),
+        ),
+        "integrate_product": (
+            "values",
+            {"ragged": [[1, 2], [3]], "None": [[None] * n] * n},
+            lambda v: spinphase.integrate_product(grid, grid, v),
+        ),
+    }
+    for label, (name, values, call) in arrays.items():
+        for what, value in values.items():
+            cases.append(pytest.param(call, name, value, id=f"{label} {name} {what}"))
 
     kinds = {
         "coefficient": lambda k: spinphase.coefficient(k, 1, 0),
@@ -354,7 +388,6 @@ def test_numpy_floats_are_real_arguments_without_warning(value):
     with pytest.raises(DomainError, match=r"^x=.*: expected a finite real > 0.75$"):
         angular.require_real(value, "x", 0.75, strict=True)
     unit = type(value)(1.0)
-    assert spinphase.DirectionVector(unit, 0, 0).as_array().tolist() == [1.0, 0.0, 0.0]
     grid = spinphase.build_grid(2)
     assert spinphase.correlation(K.Q, 1, [unit, 0, 0], [0.0, 0.0, 1.0], grid) == (
         spinphase.correlation(K.Q, 1, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], grid)

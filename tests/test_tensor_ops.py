@@ -275,6 +275,15 @@ def test_tau_domain_errors():
 # ----------------------------------------------------------- components
 
 
+def test_object_none_entries_convert_to_nan_and_are_refused_by_index():
+    # numpy reads None as nan + nan j under a forced complex dtype, so an
+    # object array holding None is refused as a NaN entry, not as unconvertible
+    a = np.eye(3, dtype=object)
+    a[1, 2] = None
+    with pytest.raises(DomainError, match=r"^a\[1, 2\]=\(nan\+nanj\): expected a finite entry$"):
+        operator_components(a)
+
+
 @pytest.mark.parametrize("ts", [1, 2, 3])
 def test_components_of_identity(ts):
     comps = operator_components(np.eye(ts + 1))
