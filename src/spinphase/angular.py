@@ -18,8 +18,8 @@ _require_finite): a refusal is a DomainError naming the argument and its
 value.  Every array argument is converted in one place, _require_array:
 angles, tensor_ops' operators and components, expectation's operator, the
 fano containers' matrix and values, and quadrature's node values.  A value
-numpy cannot convert, or one of a non-numeric dtype where none is forced
-(node values), is refused by name.
+numpy cannot convert is refused by name (quadrature also refuses node values
+of a non-numeric dtype, after its shape check).
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
@@ -186,26 +186,14 @@ def _require_finite(a: np.ndarray, name: str, what: str) -> None:
         raise DomainError(f"{name}{where}={shown!r}: expected a finite {what}")
 
 
-def _require_array(value, name: str, what: str, dtype=None, copy: bool = False, shape=None):
-    """`value` as an ndarray of `dtype` (a copy if `copy`, else converted only
-    where needed), or with no dtype given of its own, which must be numeric
-    (bool, integer, float or complex).  A value numpy cannot convert, or of a
-    non-numeric dtype (object, string), is refused naming `name`: expected a
-    finite `what`.  A `shape` is checked before the dtype: the exact shape,
-    or (..., n) for n entries along the last axis after any leading axes."""
+def _require_array(value, name: str, what: str, dtype=None, copy: bool = False) -> np.ndarray:
+    """`value` as an ndarray of `dtype` (or of its own dtype if none is given),
+    a copy if `copy`, else converted only where needed.  A value numpy cannot
+    convert is refused naming `name`: expected a finite `what`."""
     try:
-        a = np.array(value, dtype=dtype, copy=True if copy else None)
+        return (np.array if copy else np.asarray)(value, dtype=dtype)
     except (TypeError, ValueError):
         raise DomainError(f"{name}={value!r}: expected a finite {what}") from None
-    if shape is not None and shape[0] is ... and a.shape[-1:] != shape[1:]:
-        raise DomainError(
-            f"expected {shape[1]} {what}s along the last axis, got array of shape {a.shape}"
-        )
-    if shape is not None and shape[0] is not ... and a.shape != shape:
-        raise DomainError(f"expected {what}s of shape {shape}, got {a.shape}")
-    if dtype is None and a.dtype.kind not in "biufc":
-        raise DomainError(f"{name}={value!r}: expected a finite {what}")
-    return a
 
 
 def require_angle(value, name: str, scalar: bool = False):

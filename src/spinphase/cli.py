@@ -179,11 +179,14 @@ def _cmd_singlet(args, parser) -> int:
 
 
 def _unit(v: list[float], parser) -> list[float]:
-    """v scaled to unit length; math.hypot neither overflows nor underflows."""
-    norm = math.hypot(*v)
-    if not 0.0 < norm < math.inf:
+    """v scaled to unit length.  v is first scaled by the power of two that
+    brings its largest |component| into [0.5, 1), which is exact, so the
+    norm neither overflows nor underflows and the result is the unscaled
+    v / |v| wherever that is representable."""
+    if not all(map(math.isfinite, v)) or not any(v):
         parser.error("cannot normalize a zero or non-finite vector")
-    return [c / norm for c in v]
+    w = np.ldexp(v, -math.frexp(max(map(abs, v)))[1])
+    return [float(c) for c in w / np.linalg.norm(w)]
 
 
 def _cmd_correlation(args, parser) -> int:

@@ -9,9 +9,9 @@ degree <= 2L+1 to roundoff.  No other node set is accepted, since project's
 FFT and the weights assume exactly these nodes.
 
 Integrands are given as arrays of node values (at node_thetas, node_phis).
-They are converted by angular's argument rule (_require_array), which checks
-their shape and then refuses what is not numeric with a DomainError naming
-the argument, and checked for NaN and +-inf in one vectorized step; a sum of
+They are converted by angular's argument rule (_require_array), their shape
+is checked, what is not numeric is refused with a DomainError naming the
+argument, and NaN and +-inf are refused in one vectorized step; a sum of
 them that overflows the float range is refused.  project analyses node values
 into spherical-harmonic coefficients ring by ring: one FFT in phi per ring,
 then one sum over the rings against angular's half table
@@ -108,11 +108,18 @@ def build_grid(band_limit: int) -> SphereGrid:
 
 def _node_values(grid: SphereGrid, values, name: str) -> np.ndarray:
     """Node values in grid order along the last axis (leading axes batched),
-    converted by the argument rule, which checks the shape and then refuses
-    a non-numeric dtype by `name`; NaN and then +-inf are refused, naming the
-    first such node in row-major order; finite values are accepted in one
-    isfinite pass."""
-    vals = _require_array(values, name, "node value", shape=(..., grid.n_nodes))
+    converted by the argument rule; after the shape check a non-numeric dtype
+    is refused by `name`; NaN and then +-inf are refused, naming the first
+    such node in row-major order; finite values are accepted in one isfinite
+    pass."""
+    vals = _require_array(values, name, "node value")
+    if vals.ndim == 0 or vals.shape[-1] != grid.n_nodes:
+        raise DomainError(
+            f"expected {grid.n_nodes} node values along the last axis, got array "
+            f"of shape {vals.shape}"
+        )
+    if vals.dtype.kind not in "biufc":  # object, string
+        raise DomainError(f"{name}={values!r}: expected a finite node value")
     if not np.isfinite(vals).all():
         nan = np.isnan(vals)
         i = int(np.flatnonzero(nan if nan.any() else ~np.isfinite(vals))[0])
@@ -168,13 +175,19 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
     named by its first NaN, else its first +-inf.  A sum that overflows is
     refused as integrate refuses it.
     """
-    values = _require_array(values, "values", "value", shape=(grid1.n_nodes, grid2.n_nodes))
-    if not np.isfinite(values).all():
-        nan, bad = np.isnan(values), ~np.isfinite(values)
+    vals = _require_array(values, "values", "value")
+    if vals.shape != (grid1.n_nodes, grid2.n_nodes):
+        raise DomainError(
+            f"expected values of shape {(grid1.n_nodes, grid2.n_nodes)}, got {vals.shape}"
+        )
+    if vals.dtype.kind not in "biufc":  # object, string
+        raise DomainError(f"values={values!r}: expected a finite value")
+    if not np.isfinite(vals).all():
+        nan, bad = np.isnan(vals), ~np.isfinite(vals)
         first = np.where(nan.any(axis=1), nan.argmax(axis=1), bad.argmax(axis=1))
-        _node_values(grid1, values[np.arange(grid1.n_nodes), first], "values")
-    with _overflow_refused(values):
-        inner = values @ grid2.weights
+        _node_values(grid1, vals[np.arange(grid1.n_nodes), first], "values")
+    with _overflow_refused(vals):
+        inner = vals @ grid2.weights
     return integrate(grid1, inner)
 
 

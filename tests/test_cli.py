@@ -301,7 +301,7 @@ def test_correlation_refusal_row_names_bound_and_tolerance(monkeypatch, capsys):
 
 
 def test_correlation_zero_vector_is_usage_error(capsys):
-    for a in (["0", "0", "0"], ["nan", "0", "1"]):
+    for a in (["0", "0", "0"], ["nan", "0", "1"], ["0", "nan", "1"], ["1", "inf", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(["correlation", "--twice-spin", "1", "--a", *a, "--b", "0", "0", "1"])
         assert exc.value.code == 2
@@ -310,7 +310,7 @@ def test_correlation_zero_vector_is_usage_error(capsys):
         )
 
 
-@pytest.mark.parametrize("scale", ["1e200", "1e-170"])
+@pytest.mark.parametrize("scale", ["1e200", "1e308", "1e-170", "1e-320"])
 def test_correlation_scales_huge_and_tiny_vectors(scale, capsys):
     # the norm neither overflows nor underflows: the direction is (1, 1, 0)'s
     def rows(a):
@@ -325,6 +325,21 @@ def test_correlation_scales_huge_and_tiny_vectors(scale, capsys):
     for kind, (quad, exact, _) in rows([scale, scale, "0"]).items():
         assert quad == pytest.approx(expected[kind][0], rel=1e-15, abs=0)
         assert exact == pytest.approx(expected[kind][1], rel=1e-15, abs=0)
+
+
+def test_correlation_unit_scaling_is_v_over_its_norm():
+    # the power-of-two prescaling is exact: in the float range the direction
+    # is v / np.linalg.norm(v) bit for bit, and a power-of-two multiple of v
+    # gives the same direction
+    from spinphase.cli import _unit
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(-100, 100, size=3)
+        assert _unit(v.tolist(), None) == (v / np.linalg.norm(v)).tolist()
+        v = rng.choice([-1.0, 1.0], size=3) * rng.uniform(0.5, 1.0, size=3)
+        for k in (-1000, -300, 1, 700, 1023):
+            assert _unit(np.ldexp(v, k).tolist(), None) == _unit(v.tolist(), None)
 
 
 # ------------------------------------------------------------------- limit
