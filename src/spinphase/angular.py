@@ -17,9 +17,9 @@ require_spin, require_projection, require_real, require_angle,
 _require_finite): a refusal is a DomainError naming the argument and its
 value.  Every array argument is converted in one place, _require_array:
 angles, tensor_ops' operators and components, expectation's operator, the
-fano containers' matrix and values, and quadrature's node values.  A value
-numpy cannot convert is refused by name (quadrature also refuses node values
-of a non-numeric dtype, after its shape check).
+fano containers' matrix and values, and quadrature's node values.  A string,
+bytes or array of either, and a value numpy cannot convert, are refused by
+name (quadrature also refuses non-numeric node values after its shape check).
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
@@ -162,14 +162,14 @@ def require_projection(ts: int, m, name: str = "m") -> int:
     return tm
 
 
-def require_real(value, name: str, lo: float | None = None, strict: bool = False) -> float:
-    """`value` as a float: a finite real number, never a bool, >= lo (> lo
-    if strict; None leaves it open)."""
+def require_real(value, name: str, lo: float | None = None) -> float:
+    """`value` as a float: a finite real number, never a bool, >= lo (None
+    leaves it open)."""
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
     x = value.item() if isinstance(value, np.generic) else value  # np.float32 compared as a float
     ok = ok and abs(x) <= sys.float_info.max  # not nan, inf or an int beyond floats
-    if not (ok and (lo is None or x > lo or (x == lo and not strict))):
-        span = "" if lo is None else f" {'>' if strict else '>='} {lo:g}"
+    if not (ok and (lo is None or x >= lo)):
+        span = "" if lo is None else f" >= {lo:g}"
         raise DomainError(f"{name}={value!r}: expected a finite real{span}")
     return float(x)
 
@@ -188,12 +188,15 @@ def _require_finite(a: np.ndarray, name: str, what: str) -> None:
 
 def _require_array(value, name: str, what: str, dtype=None, copy: bool = False) -> np.ndarray:
     """`value` as an ndarray of `dtype` (or of its own dtype if none is given),
-    a copy if `copy`, else converted only where needed.  A value numpy cannot
-    convert is refused naming `name`: expected a finite `what`."""
+    a copy if `copy`, else converted only where needed.  Strings and bytes,
+    which numpy would parse as numbers, are refused before any cast, as is a
+    value numpy cannot convert, naming `name`: expected a finite `what`."""
     try:
-        return (np.array if copy else np.asarray)(value, dtype=dtype)
+        if np.asarray(value).dtype.kind not in "SU":  # no copy of an ndarray
+            return (np.array if copy else np.asarray)(value, dtype=dtype)
     except (TypeError, ValueError):
-        raise DomainError(f"{name}={value!r}: expected a finite {what}") from None
+        pass
+    raise DomainError(f"{name}={value!r}: expected a finite {what}")
 
 
 def require_angle(value, name: str, scalar: bool = False):
@@ -207,10 +210,9 @@ def require_angle(value, name: str, scalar: bool = False):
     return float(a) if scalar else a
 
 
-def _euler_angles(alpha, beta, gamma) -> tuple[float, ...]:
-    """Three scalar z-y-z Euler angles as floats, each through require_angle."""
-    angles = zip((alpha, beta, gamma), ("alpha", "beta", "gamma"))
-    return tuple(require_angle(v, name, scalar=True) for v, name in angles)
+def _scalar_angles(**angles) -> tuple[float, ...]:
+    """Scalar angles as floats, each through require_angle named by its keyword."""
+    return tuple(require_angle(v, name, scalar=True) for name, v in angles.items())
 
 
 def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:
@@ -461,8 +463,7 @@ def spherical_harmonic(k: int, q: int, theta: float, phi: float) -> complex:
     """Y_{kq}(theta, phi), physics convention with Condon-Shortley phase."""
     k = require_int(k, "k", 0)
     q = require_int(q, "q", -k, k)
-    theta = require_angle(theta, "theta", scalar=True)
-    phi = require_angle(phi, "phi", scalar=True)
+    theta, phi = _scalar_angles(theta=theta, phi=phi)
     pbar = _norm_legendre_table(k, np.cos(np.array([theta])), abs(q))[k, abs(q), 0]
     return complex(_q_signs(q) * pbar * np.exp(1j * q * phi))
 
@@ -474,7 +475,7 @@ class _RankCache:
     number of entries.  An entry's bytes are its arrays' and its key's bytes
     objects'.  Holds the rank blocks of J_y eigenbases, Legendre coefficients,
     synthesis plans and ring tables here, tensor_ops' bands and distributions'
-    coefficient tables and label weights.
+    coefficient tables and signs.
 
     A miss builds the entry; the oldest entries are then evicted until the
     held bytes are back under max_bytes.  The newest entry always stays,
@@ -645,7 +646,7 @@ def wigner_D(k, qp, q, alpha: float, beta: float, gamma: float) -> complex:
     """Rotation-matrix element D^k_{q'q}(alpha, beta, gamma), z-y-z convention."""
     tk = require_spin(k, "k")
     tqp, tq = require_projection(tk, qp, "qp"), require_projection(tk, q, "q")
-    alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
+    alpha, beta, gamma = _scalar_angles(alpha=alpha, beta=beta, gamma=gamma)
     d = wigner_d(k, qp, q, beta)
     phase = -0.5 * (tqp * alpha + tq * gamma)
     return complex(d * (math.cos(phase) + 1j * math.sin(phase)))
@@ -658,7 +659,7 @@ def wigner_D_matrix(k, alpha: float, beta: float, gamma: float) -> np.ndarray:
     descending-m basis used everywhere in this package.  Unitary to roundoff.
     """
     tk = require_spin(k, "k")
-    alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
+    alpha, beta, gamma = _scalar_angles(alpha=alpha, beta=beta, gamma=gamma)
     d = _rank_d(tk, beta, np.eye(tk + 1))
     # exp(-i q alpha) down the rows and exp(-i q gamma) along the columns, q = k..-k
     out = _phases(tk, -alpha)[::-1, None] * d * _phases(tk, -gamma)[::-1]

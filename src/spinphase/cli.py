@@ -194,7 +194,8 @@ def _cmd_correlation(args, parser) -> int:
         parser.error(f"--twice-spin must be >= 1, got {args.twice_spin}")
     a, b = (_unit(v, parser) for v in (args.a, args.b))
     s = args.twice_spin / 2.0
-    grid = build_grid(max(2, args.twice_spin))
+    # band >= s is exact for correlation: a quarter of band 2s's nodes, a smaller bound
+    grid = build_grid(max(2, (args.twice_spin + 1) // 2))
     exact = correlation_exact(s, a, b)
     print("kind,quadrature,exact,abs_error")
     errors, refusals = [], []

@@ -25,10 +25,10 @@ distinct colatitudes only and the azimuthal sum on the distinct azimuths,
 onto their cells when those are no more than the points (any grid's nodes),
 O(K^2 R + K N) for R distinct colatitudes among N points with K = 2s, so
 O(K^3) on a band-K grid; no harmonic table over all points is built.  The
-joint form applies it along side 2's labels, then side 1's.  Coefficient
-tables are immutable and cached per spin, all three kinds in one entry of a
-byte-bounded _RankCache, and each kind's label weights sigma(k, q) c_k in
-another _RankCache, so everything here is safe for concurrent use.  The
+joint form applies it along side 2's labels, then side 1's.  A spin's
+coefficient tables, all three kinds, and the signs (-1)^q are one immutable
+entry of a byte-bounded _RankCache, the module's only cache, so all here is
+thread-safe; each call forms its label weights sigma(k, q) c_k from them.  The
 synthesis plan of each grid (its harmonic table, phases and ring maps) is
 cached by content in angular, so repeated evaluations on one grid build it
 once.
@@ -59,6 +59,7 @@ from .angular import (
     _RankCache,
     _norm_legendre_table,
     _require_array,
+    _scalar_angles,
     _synthesize,
     require_angle,
     require_int,
@@ -67,6 +68,7 @@ from .angular import (
 )
 from .errors import BandLimitError, ConsistencyError, DomainError
 from .fano import (
+    HERMITICITY_TOL,
     CoupledFanoTensorSet,
     DensityMatrix,
     FanoTensorSet,
@@ -129,17 +131,19 @@ def coefficient(kind: DistributionKind, s, k: int) -> float:
 
 @np.errstate(over="ignore")  # P's c_k reach inf from 2s = 1027; _table refuses them
 def _build_tables(ts: int) -> tuple[np.ndarray, ...]:
-    """The P, Q and F tables of one spin, in DistributionKind order."""
+    """The P, Q and F tables of one spin, in DistributionKind order, and the
+    signs (-1)^q for q = -2s..2s, whose tail [2s:] is (-1)^k for k = 0..2s."""
     # exact ratios r_k = (c_k / c_{k-1})^2, rational in 2s; the product of
     # square roots keeps c^2 from overflowing
     k = np.arange(1, ts + 1)
     up, down = ts + k + 1, ts - k + 1
     # s(s+1) = 2s(2s+2)/4, so F's r_1 = 1 exactly
     ratios = (up / down, down / up, (up * down) / (ts * (ts + 2)))
-    return tuple(np.concatenate(([1.0], np.cumprod(np.sqrt(r)))) for r in ratios)
+    tables = tuple(np.concatenate(([1.0], np.cumprod(np.sqrt(r)))) for r in ratios)
+    return tables + (np.where(np.arange(-ts, ts + 1) % 2, -1.0, 1.0),)
 
 
-# keyed by twice-spin; one entry holds all three kinds, 24 (2s + 1) bytes
+# keyed by twice-spin; an entry, all three kinds and the signs, is 8 (10s + 4) bytes
 _tables = _RankCache(_build_tables, max_bytes=10_000_000)
 
 
@@ -193,8 +197,7 @@ class SpinCoherentState:
 
     def __post_init__(self):
         ts = require_spin(self.s)
-        theta = require_angle(self.theta, "theta", scalar=True) % (2.0 * math.pi)
-        phi = require_angle(self.phi, "phi", scalar=True) % (2.0 * math.pi)
+        theta, phi = (x % (2.0 * math.pi) for x in _scalar_angles(theta=self.theta, phi=self.phi))
         c, sn = math.cos(0.5 * theta), math.sin(0.5 * theta)  # sn >= 0: theta / 2 < pi
         # index i holds m = s - i, so s - m = i and s + m = 2s - i.  The magnitudes
         # squared are binomial in p = c^2, and their ratios |a_(i+1) / a_i| =
@@ -251,30 +254,14 @@ def q_direct(rho: DensityMatrix, theta: float, phi: float) -> float:
     return (rho.dim / (4.0 * math.pi)) * overlap.real
 
 
-def _sign_matrix(kind: DistributionKind, ts: int) -> np.ndarray:
-    """sigma(k, q) as a [k, 2s + q] array: (-1)^(k+q), the singlet's
-    coefficients, for P and Q (zero where |q| > k); all ones for F."""
+def _signed(kind: DistributionKind, ts: int, w: np.ndarray) -> np.ndarray:
+    """sigma(k, q) w_k for w indexed by k: a [k, 2s + q] array for P and Q,
+    (-1)^k w_k (-1)^q, exact, nonzero also where |q| > k (label entries there
+    are zeros); a [k, 1] column for F, whose sigma is 1."""
     if kind is DistributionKind.F:
-        return np.ones((ts + 1, 2 * ts + 1))
-    return _singlet_coefficients(ts)
-
-
-def _build_weights(key: tuple) -> tuple[np.ndarray]:
-    """A _label_weights entry from its key (kind, twice-spin)."""
-    kind, ts = key
-    return (_sign_matrix(kind, ts) * _table(kind, ts)[:, None],)
-
-
-# keyed by (kind, twice-spin); an entry is 8 (2s + 1)(4s + 1) bytes, 20 kB at
-# 2s = 24.  Building one costs P and Q a quarter of an evaluate_many there
-_label_weights = _RankCache(_build_weights, max_bytes=10_000_000)
-
-
-def _weights(kind: DistributionKind, ts: int) -> np.ndarray:
-    """The kind's read-only label weights sigma(k, q) c_k as a [k, 2s + q]
-    array, cached per kind and spin (a P table that overflows is refused as
-    by _table)."""
-    return _label_weights((_require_kind(kind), ts))[0]
+        return w[:, None]
+    sign = _tables(ts)[3]
+    return np.multiply.outer(w * sign[ts:], sign)
 
 
 def _require_real(values, context: str):
@@ -296,13 +283,15 @@ def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.nd
     imaginary residue must stay within 1e-9 (ConsistencyError otherwise).
     """
     theta, phi = require_angle(theta, "theta"), require_angle(phi, "phi")
-    weighted = t.as_array() * _weights(kind, t.s.twice_value)
+    ts = t.s.twice_value
+    weighted = t.as_array() * _signed(kind, ts, _table(kind, ts))
     vals = _synthesize(weighted, theta, phi) / _SQRT4PI
     return _require_real(vals, f"evaluate({kind.value})")
 
 
 def evaluate(kind: DistributionKind, t: FanoTensorSet, theta: float, phi: float) -> float:
     """Distribution value at a single point of the sphere."""
+    theta, phi = _scalar_angles(theta=theta, phi=phi)
     return float(evaluate_many(kind, t, [theta], [phi])[0])
 
 
@@ -320,8 +309,8 @@ def evaluate_bipartite_many(
     """
     theta1, phi1 = require_angle(theta1, "theta1"), require_angle(phi1, "phi1")
     theta2, phi2 = require_angle(theta2, "theta2"), require_angle(phi2, "phi2")
-    w1 = _weights(kind, t12.s1.twice_value)
-    w2 = _weights(kind, t12.s2.twice_value)
+    ts1, ts2 = t12.s1.twice_value, t12.s2.twice_value
+    w1, w2 = _signed(kind, ts1, _table(kind, ts1)), _signed(kind, ts2, _table(kind, ts2))
     t4w = t12.as_array() * w1[:, :, None, None] * w2[None, None, :, :]
     # side 2's label axes first, then side 1's with side 2's points leading
     side2 = _synthesize(t4w, theta2, phi2)  # [k1, 2s1 + q1, m]
@@ -338,9 +327,8 @@ def evaluate_bipartite(
     phi2: float,
 ) -> float:
     """Joint distribution value at one pair of directions."""
-    return float(
-        evaluate_bipartite_many(kind, t12, [theta1], [phi1], [theta2], [phi2])[0, 0]
-    )
+    angles = _scalar_angles(theta1=theta1, phi1=phi1, theta2=theta2, phi2=phi2)
+    return float(evaluate_bipartite_many(kind, t12, *([x] for x in angles))[0, 0])
 
 
 def classical_spin_vector(kind: DistributionKind, s, theta, phi) -> np.ndarray:
@@ -383,7 +371,8 @@ def expectation(
     at band 2s.  The distribution and the classical image come from one
     batched synthesis on the grid nodes, sharing one Legendre table on the
     ring angles; the distribution values pass the same imaginary-residue
-    check as evaluate_many.
+    check as evaluate_many.  A complex integral blames a non-Hermitian `a`
+    (DomainError beyond fano.HERMITICITY_TOL), else raises ConsistencyError.
     """
     ts = t.s.twice_value
     if grid.band_limit < ts:
@@ -400,14 +389,21 @@ def expectation(
     # the operator resolution carries 1/(2s+1); its classical image inherits it
     inverse_weight = _SQRT4PI / (table * (ts + 1.0))
     weighted = np.stack([
-        t.as_array() * _weights(kind, ts),
-        operator_components(a) * _sign_matrix(kind, ts) * inverse_weight[:, None],
+        t.as_array() * _signed(kind, ts, table),
+        operator_components(a) * _signed(kind, ts, inverse_weight),
     ])
     # one synthesis for the distribution and the operator's classical image,
     # so the two share one Legendre table
     w_vals, a_classical = _synthesize(weighted, grid.node_thetas, grid.node_phis)
     integrand = _require_real(w_vals / _SQRT4PI, f"evaluate({kind.value})") * a_classical
-    return float(_require_real(integrate(grid, integrand), f"expectation({kind.value})"))
+    try:
+        return float(_require_real(integrate(grid, integrand), f"expectation({kind.value})"))
+    except ConsistencyError:
+        defect = float(np.max(np.abs(a - a.conj().T)))
+        if defect > HERMITICITY_TOL:
+            raise DomainError(f"a: expected a Hermitian operator (max |a - a^dag| = "
+                              f"{defect:.3e}, tolerance {HERMITICITY_TOL:g})") from None
+        raise
 
 
 def singlet_profile(kind: DistributionKind, s, theta12):

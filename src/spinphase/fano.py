@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import HalfInteger, _apply_d, _euler_angles, _phases, _rank_blocks, require_int
+from .angular import HalfInteger, _apply_d, _phases, _rank_blocks, _scalar_angles, require_int
 from .angular import _require_array, require_real, require_spin
 from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
@@ -354,7 +354,7 @@ def rotate_tensors(t: FanoTensorSet, alpha: float, beta: float, gamma: float) ->
     elementwise phases.  Matches decompose(R rho R^dag) to roundoff.
     """
     ts = t.s.twice_value
-    alpha, beta, gamma = _euler_angles(alpha, beta, gamma)
+    alpha, beta, gamma = _scalar_angles(alpha=alpha, beta=beta, gamma=gamma)
     top, pad = -(-ts // 8) * 8, -ts % 8  # ranks 0..top, columns q = top..-top
     work = np.zeros((top + 1, 2 * top + 1), dtype=complex)
     work[: ts + 1, pad : pad + 2 * ts + 1] = t.values[:, ::-1] * _phases(2 * ts, gamma)[::-1]

@@ -118,7 +118,7 @@ def _node_values(grid: SphereGrid, values, name: str) -> np.ndarray:
             f"expected {grid.n_nodes} node values along the last axis, got array "
             f"of shape {vals.shape}"
         )
-    if vals.dtype.kind not in "biufc":  # object, string
+    if vals.dtype.kind not in "biufc":  # object
         raise DomainError(f"{name}={values!r}: expected a finite node value")
     if not np.isfinite(vals).all():
         nan = np.isnan(vals)
@@ -180,7 +180,7 @@ def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):
         raise DomainError(
             f"expected values of shape {(grid1.n_nodes, grid2.n_nodes)}, got {vals.shape}"
         )
-    if vals.dtype.kind not in "biufc":  # object, string
+    if vals.dtype.kind not in "biufc":  # object
         raise DomainError(f"values={values!r}: expected a finite value")
     if not np.isfinite(vals).all():
         nan, bad = np.isnan(vals), ~np.isfinite(vals)

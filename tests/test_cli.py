@@ -275,6 +275,21 @@ def test_correlation_answers_q_and_f_where_p_is_refused(ts, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.scale
+def test_correlation_answers_at_twice_spin_1007(capsys):
+    # the command integrates on the coarsest exact grid, band ceil(s): on
+    # band 2s the roundoff bound, which grows with the node count, refuses
+    # every kind from 2s = 1007 on
+    assert main(["correlation", "--twice-spin", "1007", "--a", "0", "0", "1",
+                 "--b", "0", "1", "1"]) == 0
+    values, _ = parse_correlation(capsys.readouterr().out)
+    assert list(values) == ["p", "q", "f"]
+    expected = -503.5 * 504.5 / 3 * math.sqrt(0.5)
+    for quad, exact, _ in values.values():
+        assert exact == pytest.approx(expected, rel=1e-12)
+        assert quad == pytest.approx(expected, rel=1e-12)
+
+
 def test_correlation_refusal_row_names_bound_and_tolerance(monkeypatch, capsys):
     # a tolerance no roundoff bound meets forces the certificate's refusal:
     # every kind prints a refused row, and the command exits 4 on P's reason

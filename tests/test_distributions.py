@@ -40,13 +40,7 @@ from spinphase import (
 from conftest import harmonic_table, random_bipartite_density, random_density, random_direction
 from spinphase import distributions
 from spinphase.angular import _RankCache
-from spinphase.distributions import (
-    _label_weights,
-    _require_real,
-    _sign_matrix,
-    _tables,
-    _weights,
-)
+from spinphase.distributions import _require_real, _signed, _tables
 
 P, Q, F = DistributionKind.P, DistributionKind.Q, DistributionKind.F
 FOUR_PI = 4.0 * math.pi
@@ -64,6 +58,18 @@ def coefficient_squared_exact(kind, ts, k):
     return Fraction(
         fact(ts + k + 1), fact(ts - k) * (ts + 1) * ts**k * (ts + 2) ** k
     )
+
+
+def sign_matrix_loop(kind, ts):
+    """sigma(k, q) as a [k, 2s + q] array, label by label: (-1)^(k+q) for P
+    and Q, zero where |q| > k; all ones for F."""
+    if kind is F:
+        return np.ones((ts + 1, 2 * ts + 1))
+    out = np.zeros((ts + 1, 2 * ts + 1))
+    for k in range(ts + 1):
+        for q in range(-k, k + 1):
+            out[k, ts + q] = -1.0 if (k + q) % 2 else 1.0
+    return out
 
 
 def scs_overlap_oracle(rho, theta, phi):
@@ -378,7 +384,7 @@ def test_p_moment_reproduction(ts, rng):
 def harmonic_table_values(kind, t, theta, phi):
     """sum_kq sigma c_k t^k_q conj(Y_kq) / sqrt(4 pi) over the full table."""
     ts = t.s.twice_value
-    weighted = t.as_array() * _sign_matrix(kind, ts) * coefficient_table(kind, ts / 2)[:, None]
+    weighted = t.as_array() * sign_matrix_loop(kind, ts) * coefficient_table(kind, ts / 2)[:, None]
     y = harmonic_table(ts, theta, phi)
     return np.einsum("ab,abn->n", weighted, np.conj(y)) / math.sqrt(FOUR_PI)
 
@@ -520,8 +526,8 @@ def test_bipartite_q_matches_product_scs_oracle(rng):
 def einsum_bipartite_values(kind, t12, theta1, phi1, theta2, phi2):
     """The joint values as one contraction with both full harmonic tables."""
     ts1, ts2 = t12.s1.twice_value, t12.s2.twice_value
-    w1 = _sign_matrix(kind, ts1) * coefficient_table(kind, ts1 / 2)[:, None]
-    w2 = _sign_matrix(kind, ts2) * coefficient_table(kind, ts2 / 2)[:, None]
+    w1 = sign_matrix_loop(kind, ts1) * coefficient_table(kind, ts1 / 2)[:, None]
+    w2 = sign_matrix_loop(kind, ts2) * coefficient_table(kind, ts2 / 2)[:, None]
     t4w = t12.as_array() * w1[:, :, None, None] * w2[None, None, :, :]
     y1 = np.conj(harmonic_table(ts1, theta1, phi1))
     y2 = np.conj(harmonic_table(ts2, theta2, phi2))
@@ -619,13 +625,35 @@ def test_expectation_band_limit_error(rng):
         expectation(P, t, np.eye(5), build_grid(3))
 
 
-def test_expectation_names_imaginary_residue_and_tolerance(rng):
-    # A = i I has Tr(rho A) = i: a residue of 1, far above the 1e-9 limit
-    t = decompose(random_density(rng, 2))
-    with pytest.raises(
-        ConsistencyError, match=r"expectation\(Q\): imaginary residue 1\.000e\+00 exceeds 1e-09"
-    ):
-        expectation(Q, t, 1j * np.eye(3), build_grid(2))
+def test_expectation_names_imaginary_residue_and_tolerance(rng, monkeypatch):
+    # a Hermitian A's integral keeps a roundoff residue, which a zero
+    # tolerance refuses as an internal defect; the maximally mixed state's
+    # values are real, so the integral's check is the one that fails
+    monkeypatch.setattr(distributions, "_IMAG_TOL", 0.0)
+    t = decompose(DensityMatrix(2, np.eye(5) / 5))
+    for kind in DistributionKind:
+        message = rf"^expectation\({kind.value}\): imaginary residue \S+ exceeds 0\.0$"
+        with pytest.raises(ConsistencyError, match=message):
+            expectation(kind, t, random_hermitian(rng, 5), build_grid(4))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_expectation_refuses_non_hermitian_operator(seed):
+    # Tr(rho A) is complex for a non-Hermitian A: the input is at fault, and
+    # the refusal names A's defect and the tolerance
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    defect = np.max(np.abs(a - a.conj().T))
+    t = decompose(DensityMatrix(2, np.eye(5) / 5))
+    for kind in DistributionKind:
+        with pytest.raises(DomainError) as exc:
+            expectation(kind, t, a, build_grid(4))
+        assert str(exc.value) == (
+            f"a: expected a Hermitian operator (max |a - a^dag| = {defect:.3e}, tolerance 1e-12)"
+        )
+    # i I: Tr(rho A) = i, a residue of 1
+    with pytest.raises(DomainError, match=r"^a: .* = 2\.000e\+00, tolerance 1e-12\)$"):
+        expectation(Q, t, 1j * np.eye(5), build_grid(4))
 
 
 def test_coefficient_tables_share_one_cache_entry_per_spin():
@@ -635,15 +663,27 @@ def test_coefficient_tables_share_one_cache_entry_per_spin():
         assert coefficient_table(kind, 3.5) is table
 
 
-def test_weights_cached_per_kind_and_spin():
-    for kind in DistributionKind:
-        w = _weights(kind, 9)
-        assert w is _weights(kind, 9) and not w.flags.writeable
-        assert np.array_equal(w, _sign_matrix(kind, 9) * coefficient_table(kind, 4.5)[:, None])
-        assert (kind, 9) in _label_weights.cache_info()["keys"]
-    # P's table overflows from 2s = 1027 on: its weights are refused as the table is
-    with pytest.raises(DomainError, match="P coefficients at 2s = 1030 overflow"):
-        _weights(P, 1030)
+def test_signed_weights_match_loop_on_labels():
+    # sigma(k, q) c_k from the two sign vectors, on the labels |q| <= k; the
+    # entries beyond meet the tensor set's exact zeros
+    for ts in range(13):
+        labels = np.abs(np.arange(-ts, ts + 1)) <= np.arange(ts + 1)[:, None]
+        for kind in DistributionKind:
+            c = coefficient_table(kind, ts / 2)
+            got = np.broadcast_to(_signed(kind, ts, c), labels.shape)
+            assert np.array_equal(got[labels], (sign_matrix_loop(kind, ts) * c[:, None])[labels])
+    # P's table overflows from 2s = 1027 on: evaluation is refused as the table is
+    values = np.zeros((1031, 2061), dtype=complex)
+    values[0, 1030] = 1.0
+    message = "^P coefficients at 2s = 1030 overflow the float range from k=1030 on$"
+    with pytest.raises(DomainError, match=message):
+        evaluate_many(P, FanoTensorSet(515, values), [0.3], [0.2])
+
+
+def test_distributions_hold_one_cache():
+    # the coefficient tables and signs; label weights are formed per call
+    caches = [v for v in vars(distributions).values() if isinstance(v, _RankCache)]
+    assert caches == [_tables]
 
 
 # ----------------------------------------------------------------- profile
@@ -913,18 +953,3 @@ def test_correlation_memory_at_spin_one_hundred(kind):
         tracemalloc.stop()
     assert peak < 20e6
 
-
-def sign_matrix_loop(kind, ts):
-    if kind is F:
-        return np.ones((ts + 1, 2 * ts + 1))
-    out = np.zeros((ts + 1, 2 * ts + 1))
-    for k in range(ts + 1):
-        for q in range(-k, k + 1):
-            out[k, ts + q] = -1.0 if (k + q) % 2 else 1.0
-    return out
-
-
-@pytest.mark.parametrize("kind", list(DistributionKind))
-def test_sign_matrix_matches_loop(kind):
-    for ts in range(13):
-        assert np.array_equal(_sign_matrix(kind, ts), sign_matrix_loop(kind, ts))
