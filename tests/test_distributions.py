@@ -663,15 +663,32 @@ def test_coefficient_tables_share_one_cache_entry_per_spin():
         assert coefficient_table(kind, 3.5) is table
 
 
-def test_signed_weights_match_loop_on_labels():
-    # sigma(k, q) c_k from the two sign vectors, on the labels |q| <= k; the
-    # entries beyond meet the tensor set's exact zeros
+def on_labels(ts):
+    """The mask |q| <= k of a [k, 2s + q] array; the entries beyond meet the
+    tensor set's exact zeros."""
+    return np.abs(np.arange(-ts, ts + 1)) <= np.arange(ts + 1)[:, None]
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind))
+def test_sign_matrix_matches_loop(kind):
+    # sigma(k, q) alone, from the two sign vectors, on the labels |q| <= k
     for ts in range(13):
-        labels = np.abs(np.arange(-ts, ts + 1)) <= np.arange(ts + 1)[:, None]
-        for kind in DistributionKind:
-            c = coefficient_table(kind, ts / 2)
-            got = np.broadcast_to(_signed(kind, ts, c), labels.shape)
-            assert np.array_equal(got[labels], (sign_matrix_loop(kind, ts) * c[:, None])[labels])
+        labels = on_labels(ts)
+        got = np.broadcast_to(_signed(kind, ts, np.ones(ts + 1)), labels.shape)
+        assert np.array_equal(got[labels], sign_matrix_loop(kind, ts)[labels])
+
+
+def test_weights_cached_per_kind_and_spin():
+    # sigma(k, q) c_k is formed per call from one cached entry per spin,
+    # which holds every kind's c_k and the signs
+    entry = _tables(9)
+    assert entry is _tables(9) and not entry[3].flags.writeable
+    assert np.array_equal(entry[3], (-1.0) ** np.arange(-9, 10))
+    labels = on_labels(9)
+    for kind in DistributionKind:
+        c = coefficient_table(kind, 4.5)
+        got = np.broadcast_to(_signed(kind, 9, c), labels.shape)
+        assert np.array_equal(got[labels], (sign_matrix_loop(kind, 9) * c[:, None])[labels])
     # P's table overflows from 2s = 1027 on: evaluation is refused as the table is
     values = np.zeros((1031, 2061), dtype=complex)
     values[0, 1030] = 1.0
