@@ -18,8 +18,9 @@ _require_finite): a refusal is a DomainError naming the argument and its
 value.  Every array argument is converted in one place, _require_array:
 angles, tensor_ops' operators and components, expectation's operator, the
 fano containers' matrix and values, and quadrature's node values.  A string,
-bytes or array of either, and a value numpy cannot convert, are refused by
-name (quadrature also refuses non-numeric node values after its shape check).
+bytes or array of either (an object array holding one included), and a value
+numpy cannot convert, are refused by name (quadrature also refuses
+non-numeric node values after its shape check).
 
 Each quantity has one route: Clebsch-Gordan coefficients the uncached Racah
 sum of one array kernel (_racah_many, also behind tensor_ops' bands), d(beta)
@@ -189,10 +190,15 @@ def _require_finite(a: np.ndarray, name: str, what: str) -> None:
 def _require_array(value, name: str, what: str, dtype=None, copy: bool = False) -> np.ndarray:
     """`value` as an ndarray of `dtype` (or of its own dtype if none is given),
     a copy if `copy`, else converted only where needed.  Strings and bytes,
-    which numpy would parse as numbers, are refused before any cast, as is a
-    value numpy cannot convert, naming `name`: expected a finite `what`."""
+    which numpy would parse as numbers, are refused before any cast, also as
+    elements of an object array (scanned for them only at that dtype), as is
+    a value numpy cannot convert, naming `name`: expected a finite `what`."""
     try:
-        if np.asarray(value).dtype.kind not in "SU":  # no copy of an ndarray
+        probe = np.asarray(value)  # no copy of an ndarray
+        text = probe.dtype.kind in "SU" or (
+            probe.dtype == object and any(isinstance(x, (str, bytes)) for x in probe.flat)
+        )
+        if not text:
             return (np.array if copy else np.asarray)(value, dtype=dtype)
     except (TypeError, ValueError):
         pass

@@ -304,13 +304,15 @@ def _argument_cases():
     # a value numpy cannot convert to complex: a string, a ragged list, an
     # object array holding a string (None in an object array converts to nan,
     # refused by index as above); and strings numpy would parse as numbers,
-    # refused before any cast
+    # refused before any cast, also as the elements of an object array
     unconvertible = {
         "string": "abc",
         "ragged": [[1, 2], [3]],
         "object": np.array([["abc", 1.0], [0.0, 1.0]], dtype=object),
         "numeric strings": [["0.5", "0"], ["0", "0.5"]],
         "bytes array": np.array([[b"1", b"0"], [b"0", b"1"]]),
+        "object numeric strings": np.array([["1", "0"], ["0", "1"]], dtype=object),
+        "object bytes": np.array([[1.0, b"0"], [0.0, 1.0]], dtype=object),
     }
     for label, (name, shape, call) in entries.items():
         for value in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
@@ -382,6 +384,28 @@ def test_refused_argument_is_named_domain_error(call, name, value):
     # an angle inside an array is named with its index, e.g. theta[1]=nan
     message = str(info.value)
     assert re.match(rf"{name}(\[\d+(, \d+)*\])?={re.escape(repr(value))}:", message), message
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.array(["0.3"], dtype=object), np.array([0.3, b"0.3"], dtype=object)],
+    ids=["numeric string", "bytes"],
+)
+def test_text_in_an_object_angle_array_is_refused_by_name(value):
+    # numpy would parse either as a number under a forced float dtype
+    pattern = rf"^theta={re.escape(repr(value))}: expected a finite angle$"
+    with pytest.raises(DomainError, match=pattern):
+        angular.require_angle(value, "theta")
+    t = spinphase.decompose(spinphase.DensityMatrix(0.5, np.eye(2) / 2))
+    with pytest.raises(DomainError, match=r"^theta=array\("):
+        spinphase.evaluate_many(K.Q, t, value, np.zeros(value.shape))
+
+
+def test_numeric_object_arrays_are_still_converted():
+    angles = angular.require_angle(np.array([0.3, 1], dtype=object), "theta")
+    assert angles.dtype == float and np.array_equal(angles, [0.3, 1.0])
+    identity = spinphase.operator_components(np.eye(2, dtype=object))
+    assert np.array_equal(identity, spinphase.operator_components(np.eye(2)))
 
 
 @pytest.mark.parametrize("value", [np.float32(0.75), np.float16(0.75), np.float64(0.75)], ids=repr)

@@ -14,7 +14,7 @@ from spinphase import (
     wigner_D,
     wigner_D_matrix,
 )
-from spinphase import angular
+from spinphase import angular, tensor_ops
 from spinphase.angular import _RankCache
 from spinphase.tensor_ops import _bands, _build_bands
 from test_angular import ladder_spin_matrices, racah_cg_scalar
@@ -55,27 +55,45 @@ def band_index(n, offset):
     return j + max(-offset, 0), j + max(offset, 0)
 
 
+def band_of(blocks, ts, q):
+    """Band q (rows k = |q|..2s, column j the offset-q diagonal's entry j)
+    read from its slot of the packed blocks: block |q| // 8, half 0 for
+    q <= 0 and 1 for q > 0, slot |q| % 8, rows from k = |q|."""
+    b, i = divmod(abs(q), 8)
+    return blocks[b][int(q > 0), i, abs(q) - 8 * b :, : ts + 1 - abs(q)]
+
+
+def packed(bands, ts):
+    """Per-q bands (indexed by 2s + q) written into the packed layout: block
+    b = |q| // 8 is [2, min(8, L), L, L], L = 2s + 1 - 8b, zero elsewhere."""
+    n = ts + 1
+    blocks = [np.zeros((2, min(8, n - b), n - b, n - b)) for b in range(0, n, 8)]
+    for q, band in enumerate(bands, start=-ts):
+        b, i = divmod(abs(q), 8)
+        blocks[b][int(q > 0), i, abs(q) - 8 * b :, : n - abs(q)] = band
+    return blocks
+
+
 def trace_by_index(a):
     """operator_components as it read bands before the strided views,
-    transcribed as it stood: np.diagonal per q.  The bit-identity oracle."""
+    transcribed as it stood: np.diagonal and one complex product per q."""
     a = np.asarray(a, dtype=complex)
     ts = a.shape[-1] - 1
     out = np.zeros(a.shape[:-2] + (ts + 1, 2 * ts + 1), dtype=complex)
-    for q, band in enumerate(_bands(ts), start=-ts):
-        out[..., abs(q):, ts + q] = np.diagonal(a, -q, -2, -1) @ band.T
+    for q in range(-ts, ts + 1):
+        out[..., abs(q):, ts + q] = np.diagonal(a, -q, -2, -1) @ band_of(_bands(ts), ts, q).T
     return out
 
 
 def resolution_by_index(ts, comps):
     """operator_from_components as it wrote bands before the strided views,
-    transcribed as it stood: a fancy-index write per q.  The bit-identity
-    oracle."""
+    transcribed as it stood: one complex product and fancy-index write per q."""
     n = ts + 1
     comps = np.asarray(comps, dtype=complex)
     out = np.zeros(comps.shape[:-2] + (n, n), dtype=complex)
-    for q, band in enumerate(_bands(ts), start=-ts):
+    for q in range(-ts, ts + 1):
         rows, cols = band_index(n, -q)
-        out[..., rows, cols] = comps[..., abs(q):, ts + q] @ band
+        out[..., rows, cols] = comps[..., abs(q):, ts + q] @ band_of(_bands(ts), ts, q)
     out /= n
     return out
 
@@ -86,10 +104,10 @@ def resolution_by_index(ts, comps):
 @pytest.mark.parametrize("ts", range(13))
 def test_bands_equal_clebsch_gordan_build(ts):
     got = _build_bands(ts)
-    expected = bands_from_clebsch_gordan(ts)
-    assert len(got) == len(expected)
-    for band, ref in zip(got, expected):
-        assert np.array_equal(band, ref)
+    expected = packed(bands_from_clebsch_gordan(ts), ts)
+    assert len(got) == len(expected) == -(-(ts + 1) // 8)
+    for block, ref in zip(got, expected):
+        assert block.shape == ref.shape and np.array_equal(block, ref)
 
 
 def bands_from_scalar_racah(ts):
@@ -109,10 +127,11 @@ def bands_from_scalar_racah(ts):
 
 
 def assert_bands_bytes_equal(ts):
-    got, expected = _build_bands(ts), bands_from_scalar_racah(ts)
+    # every band value, and every zero of the padding, as the scalar build's
+    got, expected = _build_bands(ts), packed(bands_from_scalar_racah(ts), ts)
     assert len(got) == len(expected)
-    for band, ref in zip(got, expected):
-        assert band.shape == ref.shape and band.tobytes() == ref.tobytes()
+    for block, ref in zip(got, expected):
+        assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("ts", range(25))
@@ -144,7 +163,8 @@ def test_blocked_band_build_bytes_equal(monkeypatch):
 
 def test_band_build_temporaries_follow_the_block_budget(monkeypatch):
     # the largest 2s = 24 band holds 2925 terms, one block at the default
-    # budget; blocks of 300 terms hold a fraction of its temporaries
+    # budget; blocks of 300 terms hold a fraction of its temporaries.  The
+    # packed band blocks, allocated first, are the result and not counted
     def peak_beyond_result():
         tracemalloc.start()
         try:
@@ -160,18 +180,20 @@ def test_band_build_temporaries_follow_the_block_budget(monkeypatch):
 
 
 def band_bytes(ts):
-    """8 sum_q (n - |q|)^2 bytes: one spin's bands."""
+    """16 sum_b h L^2 bytes, L = n - 8b and h = min(8, L): one spin's packed
+    band blocks, zero padding and block 0's empty q = +0 slot included."""
     n = ts + 1
-    return 8 * sum((n - abs(q)) ** 2 for q in range(-ts, ts + 1))
+    return sum(16 * min(8, n - b) * (n - b) ** 2 for b in range(0, n, 8))
 
 
 def test_bands_cache_is_bounded_by_bytes():
     assert isinstance(_bands, _RankCache)
     assert _bands.max_bytes == 100_000_000
-    # 43.3 MB at 2s = 200: both factors of a 2s = 200 bipartite state fit,
-    # three spins that size do not
+    # 45.9 MB at 2s = 200 (the bands alone are 43.3 MB): both factors of a
+    # 2s = 200 bipartite state fit, three spins that size do not
+    assert band_bytes(200) == 45_929_616
     assert 2 * band_bytes(200) <= _bands.max_bytes < 3 * band_bytes(200)
-    for ts in range(6):
+    for ts in [*range(6), 8, 9, 17]:
         assert sum(b.nbytes for b in _bands(ts)) == band_bytes(ts)
 
 
@@ -326,30 +348,88 @@ def assert_same_bytes(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
-@pytest.mark.parametrize("ts", [*range(13), 24])
-def test_trace_and_resolution_equal_index_route_bytes(ts, batch, rng):
+# The blocked real products may sum in another order than one complex product
+# per band, so trace and resolution are held to the per-band oracles within
+# roundoff: 1e-14 of the largest |result|.  A wrong band, sign, slot or
+# diagonal moves a result by O(1) of that.
+ROUNDOFF = 1e-14
+
+
+def assert_within_roundoff(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.max(np.abs(got - expected), initial=0.0) <= ROUNDOFF * np.max(np.abs(expected))
+
+
+def assert_trace_and_resolution_match_per_band_route(ts, batch, rng):
     n = ts + 1
     a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
     comps = operator_components(a)
-    assert_same_bytes(comps, trace_by_index(a))
-    assert_same_bytes(operator_from_components(ts / 2, comps), resolution_by_index(ts, comps))
+    assert_within_roundoff(comps, trace_by_index(a))
+    assert_within_roundoff(operator_from_components(ts / 2, comps), resolution_by_index(ts, comps))
 
 
-@pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("ts", [*range(13), 24])
+def test_trace_and_resolution_equal_index_route_bytes(ts, batch, rng):
+    # the name says bytes; the bound is roundoff (ROUNDOFF above)
+    assert_trace_and_resolution_match_per_band_route(ts, batch, rng)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("ts", [64, 200])
+def test_trace_and_resolution_match_per_band_route_at_scale(ts, rng):
+    assert_trace_and_resolution_match_per_band_route(ts, (2,), rng)
+
+
+@pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6), (9, 17)])
 def test_trace_and_resolution_equal_index_route_on_bipartite_views(ts1, ts2, rng):
-    # the transposed views decompose_bipartite and reconstruct_bipartite pass
+    # the transposed views decompose_bipartite and reconstruct_bipartite pass,
+    # held to roundoff as above; (9, 17) spans two and three band blocks
     n1, n2 = ts1 + 1, ts2 + 1
     rho = rng.normal(size=(n1 * n2, n1 * n2)) + 1j * rng.normal(size=(n1 * n2, n1 * n2))
     mat4 = rho.reshape(n1, n2, n1, n2).transpose(1, 3, 0, 2)
     partial = operator_components(mat4).transpose(2, 3, 0, 1)
     assert not mat4.flags.c_contiguous and not partial.flags.c_contiguous
-    assert_same_bytes(partial, trace_by_index(mat4).transpose(2, 3, 0, 1))
+    assert_within_roundoff(partial, trace_by_index(mat4).transpose(2, 3, 0, 1))
     t12 = operator_components(partial)
-    assert_same_bytes(t12, trace_by_index(partial))
+    assert_within_roundoff(t12, trace_by_index(partial))
     back = operator_from_components(ts2 / 2, t12).transpose(2, 3, 0, 1)
-    assert_same_bytes(back, resolution_by_index(ts2, t12).transpose(2, 3, 0, 1))
-    assert_same_bytes(operator_from_components(ts1 / 2, back), resolution_by_index(ts1, back))
+    assert_within_roundoff(back, resolution_by_index(ts2, t12).transpose(2, 3, 0, 1))
+    assert_within_roundoff(operator_from_components(ts1 / 2, back), resolution_by_index(ts1, back))
+
+
+@pytest.mark.parametrize("ts", [0, 1, 7, 8, 9, 16, 24])
+def test_labels_past_their_rank_are_positive_zero(ts, rng):
+    # |q| > k: never written, or the zero rows of a band slot, +0.0 either way
+    n = ts + 1
+    a = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    comps = operator_components(a)
+    past = np.abs(np.arange(-ts, ts + 1)) > np.arange(n)[:, None]
+    zeros = comps[:, past]
+    assert np.all(zeros == 0.0)
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4, 9, 9), (0, 5, 5), (2, 0, 3, 3)])
+def test_trace_and_resolution_return_owned_c_contiguous_arrays(shape, rng):
+    n = shape[-1]
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    comps = operator_components(a[..., ::-1, :].swapaxes(-1, -2))  # from a strided view
+    back = operator_from_components((n - 1) / 2, comps)
+    for out, end in ((comps, (n, 2 * n - 1)), (back, (n, n))):
+        assert out.shape == shape[:-2] + end and out.dtype == complex
+        assert out.flags.c_contiguous and out.flags.owndata
+
+
+def test_chunked_batches_match_one_chunk(monkeypatch, rng):
+    # a budget under one batch column runs a chunk per first-axis entry
+    rho = rng.normal(size=(90, 90)) + 1j * rng.normal(size=(90, 90))
+    mat4 = rho.reshape(9, 10, 9, 10).transpose(1, 3, 0, 2)
+    whole = operator_components(mat4)
+    back = operator_from_components(4, whole)
+    monkeypatch.setattr(tensor_ops, "_CHUNK_BYTES", 1)
+    assert_within_roundoff(operator_components(mat4), whole)
+    assert_within_roundoff(operator_from_components(4, whole), back)
 
 
 @pytest.mark.parametrize("ts", range(9))
@@ -357,7 +437,7 @@ def test_tau_matrix_equals_index_route_bytes(ts):
     n = ts + 1
     for k, q in all_labels(ts):
         expected = np.zeros((n, n), dtype=complex)
-        expected[band_index(n, q)] = _bands(ts)[ts + q][k - abs(q)]
+        expected[band_index(n, q)] = band_of(_bands(ts), ts, q)[k - abs(q)]
         assert_same_bytes(tau_matrix(ts / 2, k, q), expected)
 
 
