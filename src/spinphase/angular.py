@@ -480,8 +480,8 @@ class _RankCache:
     read-only on entry and bounded by the bytes held rather than by the
     number of entries.  An entry's bytes are its arrays' and its key's bytes
     objects'.  Holds the rank blocks of J_y eigenbases, Legendre coefficients,
-    synthesis plans and ring tables here, tensor_ops' bands and distributions'
-    coefficient tables and signs.
+    synthesis plans and ring tables here, tensor_ops' bands, distributions'
+    coefficient tables and fano's label tables.
 
     A miss builds the entry; the oldest entries are then evicted until the
     held bytes are back under max_bytes.  The newest entry always stays,

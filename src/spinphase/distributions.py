@@ -26,12 +26,12 @@ onto their cells when those are no more than the points (any grid's nodes),
 O(K^2 R + K N) for R distinct colatitudes among N points with K = 2s, so
 O(K^3) on a band-K grid; no harmonic table over all points is built.  The
 joint form applies it along side 2's labels, then side 1's.  A spin's
-coefficient tables, all three kinds, and the signs (-1)^q are one immutable
-entry of a byte-bounded _RankCache, the module's only cache, so all here is
-thread-safe; each call forms its label weights sigma(k, q) c_k from them.  The
-synthesis plan of each grid (its harmonic table, phases and ring maps) is
-cached by content in angular, so repeated evaluations on one grid build it
-once.
+coefficient tables, all three kinds, are one immutable entry of a
+byte-bounded _RankCache, the module's only cache, and its signs (-1)^q are
+fano's label table (_labels), so all here is thread-safe; each call forms its
+label weights sigma(k, q) c_k from them.  The synthesis plan of each grid (its
+harmonic table, phases and ring maps) is cached by content in angular, so
+repeated evaluations on one grid build it once.
 
 The singlet correlation never forms the joint distribution on the grid: it
 projects each side's classical component (_spin_vector, behind
@@ -54,6 +54,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import fano
 from .angular import (
     HalfInteger,
     _RankCache,
@@ -131,19 +132,17 @@ def coefficient(kind: DistributionKind, s, k: int) -> float:
 
 @np.errstate(over="ignore")  # P's c_k reach inf from 2s = 1027; _table refuses them
 def _build_tables(ts: int) -> tuple[np.ndarray, ...]:
-    """The P, Q and F tables of one spin, in DistributionKind order, and the
-    signs (-1)^q for q = -2s..2s, whose tail [2s:] is (-1)^k for k = 0..2s."""
+    """The P, Q and F tables of one spin, in DistributionKind order."""
     # exact ratios r_k = (c_k / c_{k-1})^2, rational in 2s; the product of
     # square roots keeps c^2 from overflowing
     k = np.arange(1, ts + 1)
     up, down = ts + k + 1, ts - k + 1
     # s(s+1) = 2s(2s+2)/4, so F's r_1 = 1 exactly
     ratios = (up / down, down / up, (up * down) / (ts * (ts + 2)))
-    tables = tuple(np.concatenate(([1.0], np.cumprod(np.sqrt(r)))) for r in ratios)
-    return tables + (np.where(np.arange(-ts, ts + 1) % 2, -1.0, 1.0),)
+    return tuple(np.concatenate(([1.0], np.cumprod(np.sqrt(r)))) for r in ratios)
 
 
-# keyed by twice-spin; an entry, all three kinds and the signs, is 8 (10s + 4) bytes
+# keyed by twice-spin; an entry, all three kinds, is 8 (6s + 3) bytes
 _tables = _RankCache(_build_tables, max_bytes=10_000_000)
 
 
@@ -260,7 +259,7 @@ def _signed(kind: DistributionKind, ts: int, w: np.ndarray) -> np.ndarray:
     are zeros); a [k, 1] column for F, whose sigma is 1."""
     if kind is DistributionKind.F:
         return w[:, None]
-    sign = _tables(ts)[3]
+    sign = fano._labels(ts)[1]
     return np.multiply.outer(w * sign[ts:], sign)
 
 

@@ -21,7 +21,8 @@ ndarray that owns its data and copies anything else (_owned) by the argument
 rule, which refuses a `matrix` or `values` that is not complex by name;
 every builder here hands over such an array (_frozen).  An error names the
 violated invariant, the first offending label, the measured defect and the
-tolerance.
+tolerance.  The label tables the set checks read, each factor's |q| > k mask
+and signs (-1)^q, are built once per spin in a byte-bounded cache (_labels).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angular import HalfInteger, _apply_d, _phases, _rank_blocks, _scalar_angles, require_int
-from .angular import _require_array, require_real, require_spin
+from .angular import _RankCache, _require_array, require_real, require_spin
 from .errors import ValidationError
 from .tensor_ops import operator_components, operator_from_components
 
@@ -87,7 +88,8 @@ def _validate_state_matrix(matrix, dim: int, what: str) -> np.ndarray:
             f"{what}: dimension mismatch, expected {dim} rows for the declared "
             f"spin, got {m.shape[0]}"
         )
-    herm_defect = float(np.max(np.abs(m - m.conj().T)))
+    h = m.conj().T  # M^dag, made the Hermitian part in place below
+    herm_defect = float(np.max(np.abs(m - h)))
     if not herm_defect <= HERMITICITY_TOL:
         raise ValidationError(
             f"{what}: hermiticity violated (max |M - M^dag| = {herm_defect:.3e}, "
@@ -99,11 +101,15 @@ def _validate_state_matrix(matrix, dim: int, what: str) -> np.ndarray:
             f"{what}: unit trace violated (measured trace = {trace.real:.15g}"
             f"{trace.imag:+.3e}j, |trace - 1| = {abs(trace - 1.0):.3e}, tolerance {TRACE_TOL:g})"
         )
-    h = 0.5 * (m + m.conj().T)
+    h += m
+    h *= 0.5
+    diagonal = np.einsum("ii->i", h)  # a writable view of h's diagonal
+    diagonal -= EIGENVALUE_FLOOR
     try:  # h - floor I positive definite: accepted without the eigenvalues
-        np.linalg.cholesky(h - EIGENVALUE_FLOOR * np.eye(dim))
+        np.linalg.cholesky(h)
         return m
     except np.linalg.LinAlgError:
+        diagonal += EIGENVALUE_FLOOR
         min_eig = float(np.min(np.linalg.eigvalsh(h)))
     if not min_eig >= EIGENVALUE_FLOOR:
         raise ValidationError(
@@ -160,6 +166,19 @@ class BipartiteDensityMatrix:
         return self.s2.twice_value + 1
 
 
+def _build_labels(ts: int) -> tuple[np.ndarray, np.ndarray]:
+    """One factor's label tables at twice-spin ts: the mask |q| > k of a
+    [k, 2s + q] array and the signs (-1)^q for q = -2s..2s, whose tail
+    [2s:] is (-1)^k for k = 0..2s."""
+    q = np.arange(-ts, ts + 1)
+    return np.abs(q) > np.arange(ts + 1)[:, None], np.where(q % 2, -1.0, 1.0)
+
+
+# keyed by twice-spin; an entry is (n + 8)(2n - 1) bytes for n = 2s + 1,
+# 2.0 MB at 2s = 1000.  The package's one table of the signs (-1)^q
+_labels = _RankCache(_build_labels, max_bytes=10_000_000)
+
+
 def _first_label(bad: np.ndarray, k1: int, spins: tuple[int, ...]) -> str:
     """Label of the first True entry, in label order (k ascending, q
     descending), of a [k1, 2s1 + q1, k2, 2s2 + q2] block that starts at k1."""
@@ -175,9 +194,10 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return it
     read-only (see _owned), in one pass over k1 blocks; a single set is one
     block, viewed as [k, 2s + q, 1, 1].  Masks and (-1)^q signs broadcast from
-    each factor's [k, 2s + q].  Conjugation symmetry is tested with q1 = 0..k1
-    against (-q1, -q2), each pair once; only a block that breaks it is
-    measured in full for its first label and largest defect.  Errors come in
+    each factor's cached label tables (_labels).  Conjugation symmetry is
+    tested with q1 = 0..k1 against (-q1, -q2), each pair once; only a block
+    that breaks it is measured in full for its first label and largest
+    defect.  Errors come in
     the order out-of-range, normalization, hermiticity.  NaN fails every
     comparison and keeps the largest defect NaN; inf raises no warning."""
     a = _owned(values, "values")
@@ -188,9 +208,8 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
         )
     ts1, ts2 = (*spins, 0)[:2]
     a4 = a.reshape(ts1 + 1, 2 * ts1 + 1, ts2 + 1, 2 * ts2 + 1)
-    q1, q2 = np.arange(-ts1, ts1 + 1), np.arange(-ts2, ts2 + 1)
-    out1, out2 = abs(q1) > np.arange(ts1 + 1)[:, None], abs(q2) > np.arange(ts2 + 1)[:, None]
-    sign = 1 - 2 * ((q1[:, None, None] + q2) % 2)
+    (out1, sign1), (out2, sign2) = _labels(ts1), _labels(ts2)
+    sign = sign1[:, None, None] * sign2  # (-1)^(q1 + q2)
     blocks = [(0, ts1 + 1)] if len(spins) == 1 else [(k, k + 1) for k in range(ts1 + 1)]
     broken = []  # (first label, largest defect) of each block that breaks symmetry
     for lo, hi in blocks:

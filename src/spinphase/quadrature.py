@@ -11,8 +11,10 @@ FFT and the weights assume exactly these nodes.
 Integrands are given as arrays of node values (at node_thetas, node_phis).
 They are converted by angular's argument rule (_require_array), their shape
 is checked, what is not numeric is refused with a DomainError naming the
-argument, and NaN and +-inf are refused in one vectorized step; a sum of
-them that overflows the float range is refused.  project analyses node values
+argument, and NaN and +-inf are refused in one vectorized step.  integrate sums
+w_n f_n by numpy's pairwise sum, within (N + 1) eps sum_n w_n |f_n| of the
+exact weighted sum for N nodes, per real part; a sum of node values that
+overflows the float range is refused.  project analyses node values
 into spherical-harmonic coefficients ring by ring: one FFT in phi per ring,
 then one sum over the rings against angular's half table
 Pbar[k, q >= 0, ring] = Y_kq(theta_ring, 0), one real product per order
@@ -135,13 +137,12 @@ def _node_values(grid: SphereGrid, values, name: str) -> np.ndarray:
 
 @contextmanager
 def _overflow_refused(vals: np.ndarray):
-    """Run a sum of finite node values with float overflow raised (math.fsum
-    raises OverflowError, numpy FloatingPointError), and refuse it as a
-    DomainError naming the largest |node value|."""
+    """Run a sum of finite node values with float overflow raised, and refuse
+    it as a DomainError naming the largest |node value|."""
     try:
         with np.errstate(over="raise"):
             yield
-    except (OverflowError, FloatingPointError):
+    except FloatingPointError:
         with np.errstate(over="ignore"):
             largest = float(np.max(np.abs(vals)))
         raise DomainError(
@@ -150,20 +151,24 @@ def _overflow_refused(vals: np.ndarray):
 
 
 def integrate(grid: SphereGrid, f):
-    """Integrate node values over the sphere: weighted sum in fixed node order.
+    """Integrate node values over the sphere: the weighted sum sum_n w_n f_n.
 
     f is a 1-d array of node values in grid order (at grid.node_thetas,
-    grid.node_phis).  Accumulation is compensated (math.fsum); a sum that
-    overflows is refused (DomainError).
+    grid.node_phis); a real f gives a float, a complex f a complex.  The sum
+    is numpy's pairwise sum of the products w_n f_n in node order.  Each
+    product rounds once and the sum adds at most N - 1 roundings, so the
+    result is within (N + 1) eps sum_n w_n |f_n| of the exact weighted sum
+    for N nodes, eps the float epsilon, separately for the real and the
+    imaginary part (|f_n| then read as |Re f_n| or |Im f_n|) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 4).
+    A sum that overflows the float range is refused (DomainError).
     """
     vals = _node_values(grid, f, "f")
     if vals.ndim != 1:
         raise DomainError(f"expected {grid.n_nodes} node values, got array of shape {vals.shape}")
-    w = grid.weights
     with _overflow_refused(vals):
-        if np.iscomplexobj(vals):
-            return complex(math.fsum(w * vals.real), math.fsum(w * vals.imag))
-        return math.fsum(w * vals)
+        total = np.sum(grid.weights * vals)
+    return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
 def integrate_product(grid1: SphereGrid, grid2: SphereGrid, values: np.ndarray):

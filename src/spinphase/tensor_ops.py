@@ -116,11 +116,14 @@ def operator_components(a: np.ndarray) -> np.ndarray:
     Maps [..., n, n] to the [..., k, 2s + q] layout, with the spin inferred
     from n = 2s+1.  Together with operator_from_components this is an exact
     resolution of A.  An entry that is not a complex number, NaN or +-inf is
-    refused by the argument rule.
+    refused by the argument rule; a 0 x 0 operator is refused too
+    (DomainError).
     """
     a = _require_array(a, "a", "entry", complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"operator must be a square matrix, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        raise DomainError(f"operator must be at least 1 x 1 (spin 0), got shape {a.shape}")
     _require_finite(a, "a", "entry")
     n = a.shape[-1]
     ts = n - 1

@@ -41,6 +41,7 @@ from conftest import harmonic_table, random_bipartite_density, random_density, r
 from spinphase import distributions
 from spinphase.angular import _RankCache
 from spinphase.distributions import _require_real, _signed, _tables
+from spinphase.fano import _labels
 
 P, Q, F = DistributionKind.P, DistributionKind.Q, DistributionKind.F
 FOUR_PI = 4.0 * math.pi
@@ -680,10 +681,12 @@ def test_sign_matrix_matches_loop(kind):
 
 def test_weights_cached_per_kind_and_spin():
     # sigma(k, q) c_k is formed per call from one cached entry per spin,
-    # which holds every kind's c_k and the signs
+    # which holds every kind's c_k, and fano's cached signs (-1)^q
     entry = _tables(9)
-    assert entry is _tables(9) and not entry[3].flags.writeable
-    assert np.array_equal(entry[3], (-1.0) ** np.arange(-9, 10))
+    assert entry is _tables(9) and len(entry) == 3
+    signs = _labels(9)[1]
+    assert signs is _labels(9)[1] and not signs.flags.writeable
+    assert np.array_equal(signs, (-1.0) ** np.arange(-9, 10))
     labels = on_labels(9)
     for kind in DistributionKind:
         c = coefficient_table(kind, 4.5)

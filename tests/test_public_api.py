@@ -1,6 +1,8 @@
 """The package's public surface, pinned name by name."""
 
+import importlib
 import math
+import pkgutil
 import re
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import spinphase
+from conftest import random_bipartite_density, random_density
 from spinphase import DistributionKind as K
 from spinphase import DomainError, angular, quadrature
 from spinphase.angular import HalfInteger
@@ -96,6 +99,52 @@ def test_no_lru_cache_left_for_cg_or_bands():
     assert not hasattr(angular, "lru_cache")
     assert not hasattr(tensor_ops, "lru_cache")
     assert not hasattr(distributions, "lru_cache")
+
+
+def package_caches() -> dict:
+    """Every _RankCache a module of the package holds, by its defining name."""
+    caches = {}
+    for info in pkgutil.iter_modules(spinphase.__path__, "spinphase."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if isinstance(value, angular._RankCache) and value not in caches.values():
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def test_every_cache_is_bounded_and_stays_within_its_bound():
+    caches = package_caches()
+    assert sorted(caches) == [
+        "spinphase.angular._legendre_coefficients",
+        "spinphase.angular._plans",
+        "spinphase.angular._rank_blocks",
+        "spinphase.angular._ring_tables",
+        "spinphase.distributions._tables",
+        "spinphase.fano._labels",
+        "spinphase.tensor_ops._bands",
+    ]
+    for name, cache in caches.items():
+        assert 0 < cache.max_bytes <= 100_000_000, name
+    # the warm_states benchmark's calls, at its spins
+    rng = np.random.default_rng(7)
+    for ts in (4, 8, 16, 24):
+        grid = spinphase.build_grid(ts)
+        t = spinphase.decompose(random_density(rng, ts))
+        for kind in (K.Q, K.F) + ((K.P,) if ts < 24 else ()):
+            spinphase.integrate(grid, spinphase.evaluate_many(kind, t, grid.node_thetas,
+                                                              grid.node_phis))
+        spinphase.expectation(K.Q, t, spinphase.spin_operators(ts / 2)[2], grid)
+        spinphase.reconstruct(spinphase.rotate_tensors(t, 0.3, 1.1, -0.7))
+    for ts in (2, 4, 6):
+        rho12 = random_bipartite_density(rng, ts, ts)
+        t12 = spinphase.decompose_bipartite(rho12)
+        spinphase.reduce(rho12, 1)
+        spinphase.is_product(t12, 1e-9)
+        spinphase.reconstruct_bipartite(t12)
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info["bytes"] <= info["max_bytes"], name
+    assert {4, 8, 16, 24} <= set(caches["spinphase.fano._labels"].cache_info()["keys"])
 
 
 # ------------------------------------------------------- the argument rule

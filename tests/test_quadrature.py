@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,45 @@ def test_overflowing_node_sums_are_refused():
         project(grid, np.full(grid.n_nodes, 3e307), 2)
     # sums that fit are still taken
     assert integrate(grid, np.full(grid.n_nodes, 1e307)) == pytest.approx(FOUR_PI * 1e307)
+
+
+def exact_weighted_sum(weights, values) -> Fraction:
+    """sum_n w_n f_n over float weights and values, in exact rationals."""
+    return sum(map(Fraction.__mul__, map(Fraction, weights.tolist()),
+                   map(Fraction, values.tolist())), Fraction(0))
+
+
+def adversarial_node_values(case, n, rng):
+    """Real node values that defeat a plain sum: +-1e16 pairs that cancel
+    (on a shuffle of the nodes, so across rings of different weight) over
+    values of order one, or magnitudes spread from 1e-300 to 1e300 with
+    random signs."""
+    if case == "cancelling":
+        big = np.resize([1e16, -1e16], n)
+        return rng.permutation(big) + rng.normal(size=n)
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+
+
+@pytest.mark.parametrize("band", [1, 4, 24, 64])
+@pytest.mark.parametrize("case", ["cancelling", "wide", "complex"])
+def test_integrate_within_stated_bound_of_exact_sum(band, case, rng):
+    # |integrate - sum w f| <= (N + 1) eps sum w |f| per real part, the
+    # exact sums in rationals; the bound holds for any order of the sum
+    grid = build_grid(band)
+    n = grid.n_nodes
+    if case == "complex":
+        f = adversarial_node_values("cancelling", n, rng) + 1j * adversarial_node_values(
+            "wide", n, rng
+        )
+    else:
+        f = adversarial_node_values(case, n, rng)
+    got = integrate(grid, f)
+    assert isinstance(got, complex if case == "complex" else float)
+    eps = Fraction(np.finfo(float).eps)
+    for part in (np.real, np.imag):
+        exact = exact_weighted_sum(grid.weights, part(f))
+        bound = (n + 1) * eps * exact_weighted_sum(grid.weights, np.abs(part(f)))
+        assert abs(Fraction(float(part(got))) - exact) <= bound
 
 
 # ------------------------------------------------------------------ project

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,14 @@ def test_tau_matrix_equals_index_route_bytes(ts):
 def test_components_rejects_non_square():
     with pytest.raises(DomainError):
         operator_components(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_components_refuse_empty_operator_by_shape(shape):
+    # n = 0 would give 2s = -1: refused by name, not by numpy's allocation
+    message = rf"^operator must be at least 1 x 1 \(spin 0\), got shape {re.escape(str(shape))}$"
+    with pytest.raises(DomainError, match=message):
+        operator_components(np.zeros(shape))
 
 
 # ---------------------------------------------------------- spin matrices
