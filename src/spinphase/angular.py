@@ -217,8 +217,12 @@ def require_angle(value, name: str, scalar: bool = False):
 
 
 def _scalar_angles(**angles) -> tuple[float, ...]:
-    """Scalar angles as floats, each through require_angle named by its keyword."""
-    return tuple(require_angle(v, name, scalar=True) for name, v in angles.items())
+    """Scalar angles as floats: a finite built-in float as it is, any other
+    value through require_angle named by its keyword."""
+    return tuple(
+        v if type(v) is float and math.isfinite(v) else require_angle(v, name, scalar=True)
+        for name, v in angles.items()
+    )
 
 
 def clebsch_gordan(s1, s2, s, m1, m2, m) -> float:

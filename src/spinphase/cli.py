@@ -63,11 +63,23 @@ def _entry_to_complex(entry, row: int, col: int) -> complex:
         ) from None
 
 
-def _parse_matrix(raw, what: str) -> np.ndarray:
+def _parse_matrix(raw, what: str, booleans: bool) -> np.ndarray:
+    """The [n, n] complex matrix of a nested [re, im] array.  One np.array
+    conversion when it gives real numbers of shape (n, n, 2) and the file
+    holds no JSON true or false (numpy reads true as 1); any other input takes
+    the per-entry loop, which names the first bad row or entry."""
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{what}: 'matrix' must be a non-empty nested array")
     n = len(raw)
     out = np.zeros((n, n), dtype=complex)
+    if not booleans:
+        try:
+            bulk = np.array(raw)
+        except (TypeError, ValueError, OverflowError):
+            bulk = None
+        if bulk is not None and bulk.dtype.kind in "fiu" and bulk.shape == (n, n, 2):
+            out.real, out.imag = bulk[..., 0], bulk[..., 1]
+            return out
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise ValidationError(
@@ -89,7 +101,8 @@ def load_density_file(path: str):
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -102,7 +115,7 @@ def load_density_file(path: str):
         raise ValidationError(f"{path}: top level must be a JSON object")
     if "matrix" not in doc:
         raise ValidationError(f"{path}: missing field 'matrix'")
-    matrix = _parse_matrix(doc["matrix"], path)
+    matrix = _parse_matrix(doc["matrix"], path, "true" in text or "false" in text)
     bipartite = "twice_spin_1" in doc or "twice_spin_2" in doc
     spins = []
     for key in ("twice_spin_1", "twice_spin_2") if bipartite else ("twice_spin",):

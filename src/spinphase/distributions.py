@@ -34,15 +34,17 @@ harmonic table, phases and ring maps) is cached by content in angular, so
 repeated evaluations on one grid build it once.
 
 The singlet correlation never forms the joint distribution on the grid: it
-projects each side's classical component (_spin_vector, behind
-classical_spin_vector, the one statement of each kind's magnitude and
-orientation), a band-1 function, onto ranks 0 and 1 ring by ring
-(quadrature.project) and contracts the two [k, 1 + q] arrays with the
-singlet's coefficients and c_0^2, c_1^2, O(N log N) for N nodes.  It needs
-band >= s (BandLimitError otherwise; coarser grids alias), where every
-higher rank's projection is an exact zero.  Its roundoff bound travels with
-it, and a result the bound cannot certify to 1e-9 s(s+1)/3 raises
-ConsistencyError.  A P coefficient that a call would return or use and that
+projects each side's classical component, a band-1 function built from the
+grid's ring and azimuth factors (each kind's magnitude and z sign stated once,
+in _spin_scale, which classical_spin_vector shares), onto ranks 0 and 1 ring
+by ring (quadrature.project) and contracts the two [k, 1 + q] arrays with the
+singlet's coefficients and c_0^2, c_1^2 in Python scalars, O(N log N) for N
+nodes.  It needs band >= s (BandLimitError otherwise; coarser grids alias),
+where every higher rank's projection is an exact zero.  Its roundoff bound
+travels with it, and a result the bound cannot certify to 1e-9 s(s+1)/3
+raises ConsistencyError.  The scalar results of expectation and correlation
+pass the imaginary-residue check of evaluate_many as Python numbers
+(_real_scalar).  A P coefficient that a call would return or use and that
 overflows the float range is refused with DomainError (_finite).
 """
 
@@ -102,6 +104,9 @@ _SQRT4PI = math.sqrt(4.0 * math.pi)
 _IMAG_TOL = 1e-9
 # correlation's roundoff bound, relative to the closed form's scale s(s+1)/3
 _CORRELATION_RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
+# the singlet's t^{kk}_{q,-q} for k <= 1 as [k][1 + q] (_singlet_coefficients(1))
+_SINGLET_RANK1 = _singlet_coefficients(1).tolist()
 
 
 class DistributionKind(Enum):
@@ -263,13 +268,23 @@ def _signed(kind: DistributionKind, ts: int, w: np.ndarray) -> np.ndarray:
     return np.multiply.outer(w * sign[ts:], sign)
 
 
-def _require_real(values, context: str):
-    """Real part of an array or scalar whose imaginary residue is within
-    _IMAG_TOL (ConsistencyError otherwise)."""
-    residue = float(np.max(np.abs(np.imag(values)), initial=0.0))
+def _check_residue(residue: float, context: str) -> None:
+    """Refuse an imaginary residue beyond _IMAG_TOL, or NaN (ConsistencyError)."""
     if not residue <= _IMAG_TOL:
         raise ConsistencyError(f"{context}: imaginary residue {residue:.3e} exceeds {_IMAG_TOL}")
+
+
+def _require_real(values, context: str):
+    """Real part of an array whose imaginary residue is within _IMAG_TOL
+    (ConsistencyError otherwise)."""
+    _check_residue(float(np.max(np.abs(np.imag(values)), initial=0.0)), context)
     return np.real(values)
+
+
+def _real_scalar(z: complex, context: str) -> float:
+    """_require_real for a Python complex (or float): its real part."""
+    _check_residue(abs(z.imag), context)
+    return z.real
 
 
 def evaluate_many(kind: DistributionKind, t: FanoTensorSet, theta, phi) -> np.ndarray:
@@ -342,15 +357,20 @@ def classical_spin_vector(kind: DistributionKind, s, theta, phi) -> np.ndarray:
     return _spin_vector(kind, require_spin(s), theta, phi)
 
 
+def _spin_scale(kind: DistributionKind, ts: int) -> tuple[float, float]:
+    """The kind's classical magnitude at twice-spin ts, and the z sign of its
+    direction: -1 for P and Q, which read n(pi - theta, phi), 1 for F."""
+    s_val = ts / 2.0
+    if _require_kind(kind) is DistributionKind.P:
+        return s_val, -1.0
+    if kind is DistributionKind.Q:
+        return s_val + 1.0, -1.0
+    return math.sqrt(s_val * (s_val + 1.0)), 1.0
+
+
 def _spin_vector(kind: DistributionKind, ts: int, theta, phi) -> np.ndarray:
     """classical_spin_vector at twice-spin ts, for angle arrays already checked."""
-    s_val = ts / 2.0
-    # each kind's magnitude, and the z sign of n(pi - theta, phi) for P and Q
-    magnitude, z_sign = {
-        DistributionKind.P: (s_val, -1.0),
-        DistributionKind.Q: (s_val + 1.0, -1.0),
-        DistributionKind.F: (math.sqrt(s_val * (s_val + 1.0)), 1.0),
-    }[_require_kind(kind)]
+    magnitude, z_sign = _spin_scale(kind, ts)
     sin_t = np.sin(theta)
     n = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z_sign * np.cos(theta)], axis=-1)
     return magnitude * n
@@ -396,7 +416,7 @@ def expectation(
     w_vals, a_classical = _synthesize(weighted, grid.node_thetas, grid.node_phis)
     integrand = _require_real(w_vals / _SQRT4PI, f"evaluate({kind.value})") * a_classical
     try:
-        return float(_require_real(integrate(grid, integrand), f"expectation({kind.value})"))
+        return _real_scalar(integrate(grid, integrand), f"expectation({kind.value})")
     except ConsistencyError:
         defect = float(np.max(np.abs(a - a.conj().T)))
         if defect > HERMITICITY_TOL:
@@ -445,14 +465,19 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
 
     Each side's classical component along a (b) is a band-1 function, so on
     such a grid its projections onto ranks k >= 2 are exact zeros and only
-    ranks 0 and 1 are projected (quadrature.project with k_max = 1).  The two
-    [k, 1 + q] arrays are contracted with the singlet's coefficients
-    t^{kk}_{q,-q} and the kind's c_k^2: the quadrature sum left @ W12 @ right
-    with the products grouped differently, in O(N log N) time (one FFT per
-    ring) and O(N) memory for N nodes; the N x N joint matrix is never
-    formed, and no c_k beyond c_1 enters, so every kind answers at any spin.  The projections' roundoff
-    bounds are carried through the contraction; ConsistencyError is raised
-    when the result's bound exceeds 1e-9 s(s+1)/3.
+    ranks 0 and 1 are projected (quadrature.project with k_max = 1).  The
+    component is built on the product grid from ring factors (magnitude
+    sin theta_r and magnitude z_sign cos theta_r, _spin_scale) times azimuth
+    factors (a_x cos phi_c + a_y sin phi_c, and a_z): 2(R + C) sines and
+    cosines for R rings and C azimuths.  The two [k, 1 + q] arrays are
+    contracted in Python scalars with the singlet's coefficients
+    t^{kk}_{q,-q} (_SINGLET_RANK1) and the kind's c_k^2: the quadrature sum
+    left @ W12 @ right with the products grouped differently, in O(N log N)
+    time (one FFT per ring) and O(N) memory for N nodes; the N x N joint
+    matrix is never formed, and no c_k beyond c_1 enters, so every kind
+    answers at any spin.  The projections' roundoff bounds are carried
+    through the contraction; ConsistencyError is raised when the result's
+    bound exceeds 1e-9 s(s+1)/3, or its imaginary residue exceeds 1e-9.
     """
     ts = require_spin(s, lo=1)
     if grid.band_limit < 2 or 2 * grid.band_limit < ts:
@@ -460,30 +485,39 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
             f"grid band limit {grid.band_limit} is too coarse for 2s = {ts}; "
             "correlation needs band >= 2 and 2 * band >= 2s"
         )
-    av, bv = _direction(a, "a"), _direction(b, "b")
+    d = np.array([_direction(a, "a"), _direction(b, "b")])
     s_val = ts / 2.0
-    vectors = _spin_vector(kind, ts, grid.node_thetas, grid.node_phis)
-    (left, right), (left_err, right_err) = project(
-        grid, np.stack([vectors @ av, vectors @ bv]), 1
-    )
-    # side 1's column 1 + q meets side 2's column 1 - q
-    right, right_err = right[:, ::-1], right_err[:, ::-1]
-    # the kind's weights sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
-    coupling = _singlet_coefficients(1) * _table(kind, ts, 1)[:, None] ** 2 / (4.0 * math.pi)
-    terms = coupling * left * right
-    # per term |LR - L'R'| <= |L'| dR + dL |R'| + dL dR, plus the sum's rounding
-    pair_err = np.abs(left) * right_err + left_err * np.abs(right) + left_err * right_err
-    bound = float(
-        np.sum(np.abs(coupling) * pair_err)
-        + terms.size * np.finfo(float).eps * np.sum(np.abs(terms))
-    )
+    # side d's node (ring r, azimuth c) holds the ring factors magnitude sin t_r
+    # and magnitude z_sign cos t_r times the azimuth factor d_x cos p_c + d_y sin p_c
+    # and d_z: sides [2, R, C], no [N, 3] vectors
+    magnitude, z_sign = _spin_scale(kind, ts)
+    thetas, phis = grid.thetas, grid.phis
+    sin_t, cos_t = magnitude * np.sin(thetas), (magnitude * z_sign) * np.cos(thetas)
+    azimuths = d[:, :2] @ np.array([np.cos(phis), np.sin(phis)])
+    sides = sin_t[:, None] * azimuths[:, None, :] + (d[:, 2:] * cos_t)[..., None]
+    (left, right), (left_err, right_err) = project(grid, sides.reshape(2, -1), 1)
+    left, right, left_err, right_err = (x.tolist() for x in (left, right, left_err, right_err))
+    # side 1's column 1 + q meets side 2's column 1 - q; the kind's weights
+    # sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
+    total, bound, abs_total = 0j, 0.0, 0.0
+    for k, (signs, c) in enumerate(zip(_SINGLET_RANK1, _table(kind, ts, 1).tolist())):
+        for i, sign in enumerate(signs):
+            coupling = sign * (c * c) / (4.0 * math.pi)
+            l, r, dl, dr = left[k][i], right[k][2 - i], left_err[k][i], right_err[k][2 - i]
+            term = coupling * l * r
+            total += term
+            abs_total += abs(term)
+            # |LR - L'R'| <= |L'| dR + dL |R'| + dL dR
+            bound += abs(coupling) * (abs(l) * dr + dl * abs(r) + dl * dr)
+    # plus the rounding of the sum of the [2, 3] terms
+    bound += 6 * _EPS * abs_total
     tolerance = _CORRELATION_RTOL * s_val * (s_val + 1.0) / 3.0
     if not bound <= tolerance:
         raise ConsistencyError(
             f"correlation({kind.value}): roundoff bound {bound:.3e} exceeds "
             f"tolerance {tolerance:.3e} ({_CORRELATION_RTOL:g} s(s+1)/3)"
         )
-    return float(_require_real(np.sum(terms), f"correlation({kind.value})"))
+    return _real_scalar(total, f"correlation({kind.value})")
 
 
 def classical_limit_table(kind: DistributionKind, k: int, s_list) -> list[float]:

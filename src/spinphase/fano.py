@@ -22,7 +22,11 @@ rule, which refuses a `matrix` or `values` that is not complex by name;
 every builder here hands over such an array (_frozen).  An error names the
 violated invariant, the first offending label, the measured defect and the
 tolerance.  The label tables the set checks read, each factor's |q| > k mask
-and signs (-1)^q, are built once per spin in a byte-bounded cache (_labels).
+and signs (-1)^q, are built once per spin in a byte-bounded cache (_labels),
+which also gives the singlet's coefficients.  A coupled set is checked in
+blocks of k1 rows within a fixed 64 KiB budget (_BLOCK_BYTES): one block up
+to 2s1 = 2s2 = 4, one row a block from 2s1 = 2s2 = 8, with the same
+decisions and messages as a row-by-row check.
 """
 
 from __future__ import annotations
@@ -178,6 +182,9 @@ def _build_labels(ts: int) -> tuple[np.ndarray, np.ndarray]:
 # 2.0 MB at 2s = 1000.  The package's one table of the signs (-1)^q
 _labels = _RankCache(_build_labels, max_bytes=10_000_000)
 
+# _validate_set's budget for a block of a coupled set's k1 rows, in bytes
+_BLOCK_BYTES = 65_536
+
 
 def _first_label(bad: np.ndarray, k1: int, spins: tuple[int, ...]) -> str:
     """Label of the first True entry, in label order (k ascending, q
@@ -192,13 +199,17 @@ def _first_label(bad: np.ndarray, k1: int, spins: tuple[int, ...]) -> str:
 @np.errstate(invalid="ignore", over="ignore")  # inf - inf and 0 * inf: refused, not warned
 def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     """Check a tensor-set array [k1, 2s1 + q1(, k2, 2s2 + q2)] and return it
-    read-only (see _owned), in one pass over k1 blocks; a single set is one
-    block, viewed as [k, 2s + q, 1, 1].  Masks and (-1)^q signs broadcast from
-    each factor's cached label tables (_labels).  Conjugation symmetry is
-    tested with q1 = 0..k1 against (-q1, -q2), each pair once; only a block
-    that breaks it is measured in full for its first label and largest
-    defect.  Errors come in
-    the order out-of-range, normalization, hermiticity.  NaN fails every
+    read-only (see _owned), in one pass over blocks of k1 rows: a single set
+    is one block, viewed as [k, 2s + q, 1, 1]; a coupled set takes as many
+    rows a block as fit _BLOCK_BYTES, at least one (all of a set up to
+    2s1 = 2s2 = 4, one row a block from 2s1 = 2s2 = 8).  Masks and (-1)^q
+    signs broadcast from each factor's cached label tables (_labels).
+    Out-of-range entries are refused first, at their first label in label
+    order.  Conjugation symmetry is then tested with q1 = 0..hi - 1 against
+    (-q1, -q2), each pair once, for a block of rows k1 < hi (entries past a
+    row's rank were checked to be zero); only a block that breaks it is
+    measured in full for its first label and largest defect.  Errors come
+    in the order out-of-range, normalization, hermiticity.  NaN fails every
     comparison and keeps the largest defect NaN; inf raises no warning."""
     a = _owned(values, "values")
     expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
@@ -210,9 +221,10 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     a4 = a.reshape(ts1 + 1, 2 * ts1 + 1, ts2 + 1, 2 * ts2 + 1)
     (out1, sign1), (out2, sign2) = _labels(ts1), _labels(ts2)
     sign = sign1[:, None, None] * sign2  # (-1)^(q1 + q2)
-    blocks = [(0, ts1 + 1)] if len(spins) == 1 else [(k, k + 1) for k in range(ts1 + 1)]
+    rows = ts1 + 1 if len(spins) == 1 else max(1, _BLOCK_BYTES // a4[0].nbytes)
     broken = []  # (first label, largest defect) of each block that breaks symmetry
-    for lo, hi in blocks:
+    for lo in range(0, ts1 + 1, rows):
+        hi = min(lo + rows, ts1 + 1)
         b = a4[lo:hi]
         outside = out1[lo:hi, :, None, None] | out2
         if b.any(where=outside):
@@ -406,10 +418,9 @@ def singlet_density(s) -> BipartiteDensityMatrix:
 
 def _singlet_coefficients(ts: int) -> np.ndarray:
     """The singlet's nonzero coupled coefficients t^{kk}_{q,-q} = (-1)^(k+q)
-    as a [k, 2s + q] array, zero where |q| > k."""
-    k = np.arange(ts + 1)[:, None]
-    q = np.arange(-ts, ts + 1)
-    return np.where(np.abs(q) > k, 0.0, np.where((k + q) % 2, -1.0, 1.0))
+    as a [k, 2s + q] array, zero where |q| > k (from _labels)."""
+    outside, sign = _labels(ts)
+    return np.where(outside, 0.0, np.multiply.outer(sign[ts:], sign))
 
 
 def singlet_tensors(s) -> CoupledFanoTensorSet:

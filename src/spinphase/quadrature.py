@@ -14,18 +14,20 @@ is checked, what is not numeric is refused with a DomainError naming the
 argument, and NaN and +-inf are refused in one vectorized step.  integrate sums
 w_n f_n by numpy's pairwise sum, within (N + 1) eps sum_n w_n |f_n| of the
 exact weighted sum for N nodes, per real part; a sum of node values that
-overflows the float range is refused.  project analyses node values
+overflows the float range is refused (_overflow_refused, one np.errstate
+around the sum).  project analyses node values
 into spherical-harmonic coefficients ring by ring: one FFT in phi per ring,
 then one sum over the rings against angular's half table
 Pbar[k, q >= 0, ring] = Y_kq(theta_ring, 0), one real product per order
 (the Driscoll-Healy / SHTns structure), so the harmonic table over all nodes
-is never built.
+is never built.  What a projection needs of the grid alone, its ring weights
+and its order tables for q = -L..L, is kept on the grid, O(L) numbers; no
+table of N entries is cached beyond node_thetas, node_phis and weights.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -98,9 +100,31 @@ class SphereGrid:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        out = np.repeat(self.theta_weights * self.phi_weight, self.n_phi)
+        out = np.repeat(self._ring_weights, self.n_phi)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _ring_weights(self) -> np.ndarray:
+        """Each ring's node weight theta_weight * phi_weight, [n_theta]."""
+        out = self.theta_weights * self.phi_weight
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _orders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """project's order tables for q = -L..L (_order_tables)."""
+        return _order_tables(self.band_limit, self.n_phi)
+
+
+def _order_tables(k_max: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For q = -k_max..k_max, read-only: the FFT column q mod n_phi, |q| and
+    conj(Y_kq)'s q < 0 sign (angular._q_signs)."""
+    q = np.arange(-k_max, k_max + 1)
+    tables = (q % n_phi, np.abs(q), _q_signs(q))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def build_grid(band_limit: int) -> SphereGrid:
@@ -135,19 +159,27 @@ def _node_values(grid: SphereGrid, values, name: str) -> np.ndarray:
     return vals
 
 
-@contextmanager
-def _overflow_refused(vals: np.ndarray):
-    """Run a sum of finite node values with float overflow raised, and refuse
-    it as a DomainError naming the largest |node value|."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            largest = float(np.max(np.abs(vals)))
-        raise DomainError(
-            f"node sum overflows the float range (largest |node value| {largest:.6g})"
-        ) from None
+class _overflow_refused:
+    """Guard that runs a sum of finite node values under one
+    np.errstate(over="raise") and refuses its overflow as a DomainError
+    naming the largest |node value|."""
+
+    __slots__ = ("vals", "state")
+
+    def __init__(self, vals: np.ndarray):
+        self.vals, self.state = vals, np.errstate(over="raise")
+
+    def __enter__(self) -> None:
+        self.state.__enter__()
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        self.state.__exit__(kind, exc, traceback)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            with np.errstate(over="ignore"):
+                largest = float(np.max(np.abs(self.vals)))
+            raise DomainError(
+                f"node sum overflows the float range (largest |node value| {largest:.6g})"
+            ) from None
 
 
 def integrate(grid: SphereGrid, f):
@@ -213,20 +245,27 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     ring]: O(k_max^2 n_theta) work and memory, not the O(k_max^2 N) of a
     full harmonic table.  The table comes read-only from angular's ring table
     cache, keyed by (k_max, grid.thetas), so repeated calls on one grid build
-    it once; the bound reads |Pbar| in blocks of at most _BOUND_BLOCK_BYTES.
-    Node values whose sums overflow are refused (DomainError).
+    it once; the grid holds its ring weights and, for q = -L..L, the FFT
+    columns, |q| and q < 0 signs, so a call with k_max <= L reads slices of
+    them (O(L) each, built on first use).  The bound reads |Pbar| in blocks
+    of at most _BOUND_BLOCK_BYTES.  Node values whose sums overflow are
+    refused (DomainError).
     """
     k_max = require_int(k_max, "k_max", 0)
     vals = _node_values(grid, values, "values")
     table = _ring_table(k_max, grid.thetas)  # [k, p, ring]
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
-    ring_weights = grid.theta_weights * grid.phi_weight
-    q = np.arange(-k_max, k_max + 1)
-    signed_weights = ring_weights[:, None] * _q_signs(q)  # conj(Y_kq)'s q < 0 sign
+    band, ring_weights = grid.band_limit, grid._ring_weights
+    if k_max <= band:
+        columns, orders, signs = (t[band - k_max : band + k_max + 1] for t in grid._orders)
+    else:
+        columns, orders, signs = _order_tables(k_max, grid.n_phi)
+    signed_weights = ring_weights[:, None] * signs  # conj(Y_kq)'s q < 0 sign
     step = max(1, _BOUND_BLOCK_BYTES // table[0].nbytes)
     with _overflow_refused(vals):
-        spectra = np.fft.fft(rings, axis=-1)[..., q % grid.n_phi] * signed_weights
-        spectra = spectra.reshape(-1, grid.n_theta, q.size).transpose(2, 0, 1)  # [q, batch, ring]
+        spectra = np.fft.fft(rings, axis=-1)[..., columns] * signed_weights
+        # [q, batch, ring]
+        spectra = spectra.reshape(-1, grid.n_theta, columns.size).transpose(2, 0, 1)
         coefficients = _per_order(spectra, table.transpose(1, 2, 0)).transpose(1, 2, 0)
         coefficients = coefficients.reshape(vals.shape[:-1] + coefficients.shape[1:])
         del spectra  # its bytes make room for the |Pbar| blocks of the bound
@@ -234,5 +273,5 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
         bound = np.concatenate([
             np.einsum("kpr,...r->...kp", np.abs(table[k : k + step]), abs_rings)
             for k in range(0, k_max + 1, step)
-        ], axis=-2)[..., np.abs(q)]
+        ], axis=-2)[..., orders]
     return coefficients, grid.n_nodes * np.finfo(float).eps * bound

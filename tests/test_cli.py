@@ -6,9 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from spinphase import BipartiteDensityMatrix, decompose_bipartite, distributions, singlet_density
-from spinphase.cli import main
-from conftest import random_bipartite_density
+from spinphase import (
+    BipartiteDensityMatrix,
+    DensityMatrix,
+    DomainError,
+    ValidationError,
+    decompose_bipartite,
+    distributions,
+    singlet_density,
+)
+from spinphase.cli import load_density_file, main
+from conftest import random_bipartite_density, random_density
 
 FOUR_PI = 4.0 * math.pi
 
@@ -515,3 +523,113 @@ def test_unreadable_json_is_validation_error(tmp_path, capsys, content):
     path.write_bytes(content)
     assert main(["tensors", str(path)]) == 3
     assert str(path) in capsys.readouterr().err
+
+
+# ------------------------------------------------------- bulk matrix read
+
+
+def loop_matrix(raw, what):
+    """The matrix field read entry by entry (transcribed from the loader's
+    per-entry route): the [n, n] complex matrix, or its ValidationError."""
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(f"{what}: 'matrix' must be a non-empty nested array")
+    n = len(raw)
+    out = np.zeros((n, n), dtype=complex)
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValidationError(
+                f"{what}: matrix row {i} has length "
+                f"{len(row) if isinstance(row, list) else 'non-list'}, expected {n}"
+            )
+        for j, entry in enumerate(row):
+            numbers = isinstance(entry, (list, tuple)) and len(entry) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry
+            )
+            if not numbers:
+                raise ValidationError(
+                    f"matrix entry at row {i}, col {j} must be a [re, im] number pair, "
+                    f"got {entry!r}"
+                )
+            try:
+                out[i, j] = complex(float(entry[0]), float(entry[1]))
+            except OverflowError:
+                raise ValidationError(
+                    f"matrix entry at row {i}, col {j} is outside the float range"
+                ) from None
+    return out
+
+
+def bulk_files(tmp_path):
+    rng = np.random.default_rng(27)
+    files = []
+    for ts in (0, 1, 4, 44):
+        files.append(write_state(tmp_path / f"s{ts}.json", ts, random_density(rng, ts).matrix))
+    files.append(write_bipartite(
+        tmp_path / "b23.json", 2, 3, random_bipartite_density(rng, 2, 3).matrix
+    ))
+    # integer entries, signed zeros, and a JSON true outside the matrix
+    path = tmp_path / "ints.json"
+    path.write_text('{"twice_spin": 1, "note": true, "matrix": '
+                    '[[[1, -0.0], [0, 0]], [[-0.0, 0], [0, -0.0]]]}')
+    files.append(str(path))
+    path = tmp_path / "half.json"
+    path.write_text('{"twice_spin": 1, "matrix": [[[0.5, 0], [0, -0.0]], [[0, 0.0], [0.5, 0]]]}')
+    files.append(str(path))
+    return files
+
+
+def test_bulk_read_is_bytes_equal_to_entry_loop(tmp_path):
+    for path in bulk_files(tmp_path):
+        doc = json.loads(open(path).read())
+        state = load_density_file(path)
+        expected = loop_matrix(doc["matrix"], path)
+        assert state.matrix.dtype == expected.dtype and state.matrix.shape == expected.shape
+        assert state.matrix.tobytes() == expected.tobytes(), path
+
+
+BIG = "1" + "0" * 400
+REFUSED_MATRICES = {
+    "string entry": '[[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]',
+    "string pair": '[["0.5 0", [0, 0]], [[0, 0], [0.5, 0]]]',
+    "boolean entry": "[[[0.5, 0], [0, 0]], [[0, 0], [true, 0]]]",
+    "boolean false": "[[[0.5, false], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "null entry": "[[[0.5, 0], [0, null]], [[0, 0], [0.5, 0]]]",
+    "over-long integer": f"[[[0.5, 0], [0, 0]], [[0, 0], [0.5, {BIG}]]]",
+    "over-long integer among floats": f"[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{BIG}, 0.0]]]",
+    "over-long integers only": f"[[[{BIG}, 0], [0, 0]], [[0, 0], [1, 0]]]",
+    "ragged row": "[[[0.5, 0], [0, 0]], [[0, 0]]]",
+    "long row": "[[[0.5, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "row not a list": "[[[0.5, 0], [0, 0]], 3]",
+    "entry a number": "[[0.5, [0, 0]], [[0, 0], [0.5, 0]]]",
+    "entry of three": "[[[0.5, 0, 0], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "entry of one": "[[[0.5], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "entry too deep": "[[[[0.5, 0]], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "all pairs of three": "[[[0.5, 0, 0], [0, 0, 0]], [[0, 0, 0], [0.5, 0, 0]]]",
+    "empty": "[]",
+    "not a list": '{"a": 1}',
+    "NaN entry": "[[[0.5, 0], [0, 0]], [[0, 0], [NaN, 0]]]",
+    "infinite entry": "[[[0.5, 0], [0, 0]], [[0, 0], [Infinity, 0]]]",
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_MATRICES))
+def test_bulk_read_keeps_every_refusal(tmp_path, name):
+    path = tmp_path / "refused.json"
+    path.write_text(f'{{"twice_spin": 1, "matrix": {REFUSED_MATRICES[name]}}}')
+    raw = json.loads(path.read_text())["matrix"]
+    try:
+        expected = loop_matrix(raw, str(path))
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            load_density_file(str(path))
+        assert str(info.value) == str(exc)
+        return
+    # finite-pair matrices that parse reach the state check: the same refusal
+    with pytest.raises(ValidationError) as info:
+        load_density_file(str(path))
+    with pytest.raises(ValidationError) as oracle:
+        try:
+            DensityMatrix(0.5, expected)
+        except DomainError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    assert str(info.value) == str(oracle.value)

@@ -31,6 +31,7 @@ from spinphase import (
     evaluate_many,
     expectation,
     integrate,
+    project,
     q_direct,
     singlet_profile,
     singlet_tensors,
@@ -868,6 +869,33 @@ def test_correlation_equals_joint_matrix_route(kind, ts, rng):
         ref = joint_matrix_correlation(kind, ts, a, b, grid)
         got = correlation(kind, ts / 2, a, b, grid)
         assert abs(got - ref) <= 1e-12 * abs(ref), (band, got, ref)
+
+
+def node_vector_correlation(kind, ts, a, b, grid):
+    """correlation's value from the [N, 3] node vectors of classical_spin_vector
+    and a numpy contraction of the [2, 3] projections (the route before ring x
+    azimuth factors, transcribed)."""
+    vectors = classical_spin_vector(kind, ts / 2, grid.node_thetas, grid.node_phis)
+    (left, right), _ = project(grid, np.stack([vectors @ a, vectors @ b]), 1)
+    k, q = np.arange(2)[:, None], np.arange(-1, 2)
+    singlet = np.where(np.abs(q) > k, 0.0, np.where((k + q) % 2, -1.0, 1.0))
+    coupling = singlet * coefficient_table(kind, ts / 2)[:2, None] ** 2 / (4.0 * math.pi)
+    return float(np.real(np.sum(coupling * left * right[:, ::-1])))
+
+
+@pytest.mark.parametrize("kind", list(DistributionKind))
+@pytest.mark.parametrize("ts", [1, 2, 3, 7, 16, 64, 400])
+def test_correlation_matches_node_vector_integrand(kind, ts):
+    rng = np.random.default_rng(1000 + ts)
+    z, x = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    u = random_direction(rng)
+    pairs = [(u, u), (u, -u), (z, x), (random_direction(rng), random_direction(rng)),
+             (random_direction(rng), random_direction(rng))]
+    grid = build_grid(max(2, (ts + 1) // 2))
+    scale = ts / 2 * (ts / 2 + 1) / 3
+    for a, b in pairs:
+        got = correlation(kind, ts / 2, a, b, grid)
+        assert abs(got - node_vector_correlation(kind, ts, a, b, grid)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("kind", list(DistributionKind))

@@ -29,7 +29,8 @@ from spinphase import (
     wigner_D_matrix,
 )
 from conftest import random_bipartite_density, random_density
-from spinphase.fano import EIGENVALUE_FLOOR
+from spinphase import fano
+from spinphase.fano import EIGENVALUE_FLOOR, TENSOR_TOL
 from test_angular import apply_d_copying, random_tensor_values
 from test_tensor_ops import all_labels
 
@@ -403,6 +404,109 @@ def test_tensor_set_rejects_non_finite_without_warnings(spins, label, value):
     with pytest.raises(ValidationError):
         build_set(frozen_copy(vals), spins)
     assert_same_verdict(vals, spins)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def per_row_rule(values, spins, what):
+    """The coupled-set check one k1 row at a time, as it ran before rows were
+    grouped into blocks (transcribed).  Returns the array or raises."""
+    a = np.array(values, dtype=complex)
+    ts1, ts2 = spins
+    (out1, sign1), (out2, sign2) = fano._labels(ts1), fano._labels(ts2)
+    sign = sign1[:, None, None] * sign2
+    broken = []
+    for lo in range(ts1 + 1):
+        hi = lo + 1
+        b = a[lo:hi]
+        outside = out1[lo:hi, :, None, None] | out2
+        if b.any(where=outside):
+            raise ValidationError(
+                f"{what} has out-of-range labels: "
+                f"{fano._first_label(outside & (b != 0), lo, spins)} is nonzero, expected exactly 0"
+            )
+        pair = b[:, ts1 : ts1 + hi].conj() - sign[ts1 : ts1 + hi] * b[:, ts1::-1, :, ::-1][:, :hi]
+        if not np.all(abs(pair) <= TENSOR_TOL):
+            defect = np.abs(b.conj() - sign * b[:, ::-1, :, ::-1])
+            bad = ~(defect <= TENSOR_TOL)
+            broken.append((fano._first_label(bad, lo, spins), np.max(defect[bad])))
+    t00 = a[0, ts1, 0, ts2]
+    norm_defect = abs(t00 - 1.0)
+    if not norm_defect <= TENSOR_TOL:
+        raise ValidationError(
+            f"{what}: normalization violated: rank-0 coefficient = {t00:.15g}, "
+            f"expected 1 (defect {norm_defect:.3e}, tolerance {TENSOR_TOL:g})"
+        )
+    if broken:
+        raise ValidationError(
+            f"{what}: hermiticity (conjugation symmetry) violated, first at "
+            f"{broken[0][0]}: largest |conj(t) - (-1)^q t_(-q)| = "
+            f"{np.max([d for _, d in broken]):.3e} exceeds tolerance {TENSOR_TOL:g}"
+        )
+    return a
+
+
+def planted_defects(rng, spins):
+    """(name, [(label index, value added)]) cases for a coupled set: each
+    defect kind in the first and last row of every block, so on both sides
+    of each block boundary, plus pairs of defects in different blocks."""
+    ts1, ts2 = spins
+    row_bytes = 16 * (2 * ts1 + 1) * (ts2 + 1) * (2 * ts2 + 1)
+    rows = max(1, fano._BLOCK_BYTES // row_bytes)
+    edges = sorted({k for lo in range(0, ts1 + 1, rows) for k in (lo, min(lo + rows, ts1 + 1) - 1)})
+
+    def inside(k1):
+        k2 = int(rng.integers(0, ts2 + 1))
+        return (k1, ts1 + int(rng.integers(-k1, k1 + 1)), k2, ts2 + int(rng.integers(-k2, k2 + 1)))
+
+    def outside(k1):
+        if k1 < ts1:
+            return (k1, ts1 + k1 + 1, int(rng.integers(0, ts2 + 1)), ts2)
+        return (k1, ts1 - 1, 0, ts2 + 1)  # ts2 >= 1 here: q2 = 1 at k2 = 0
+
+    cases = []
+    for k1 in edges:
+        cases += [
+            (f"out-of-range k1={k1}", [(outside(k1), 0.5)]),
+            (f"symmetry above k1={k1}", [(inside(k1), 1.01 * TENSOR_TOL * 1j)]),
+            (f"symmetry below k1={k1}", [(inside(k1), 0.99 * TENSOR_TOL)]),
+            (f"nan k1={k1}", [(inside(k1), np.nan)]),
+            (f"+inf k1={k1}", [(inside(k1), np.inf)]),
+            (f"-inf k1={k1}", [(inside(k1), -np.inf)]),
+        ]
+    cases.append(("normalization", [((0, ts1, 0, ts2), 2 * TENSOR_TOL)]))
+    first, last = edges[0], edges[-1]
+    cases += [
+        ("symmetry in two blocks", [(inside(first), 1e-9), (inside(last), 3e-9j)]),
+        ("symmetry then out-of-range", [(inside(first), 1e-6), (outside(last), 1.0)]),
+        ("nan then symmetry", [(inside(first), np.nan), (inside(last), 1e-6)]),
+        ("normalization and symmetry", [((0, ts1, 0, ts2), 1e-6), (inside(last), 1e-6)]),
+    ]
+    return cases
+
+
+RULES = ("out-of-range", "normalization", "hermiticity")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spins", [(1, 1), (2, 2), (4, 4), (6, 6), (4, 9), (9, 4), (8, 8)])
+def test_coupled_blocks_match_per_row_check(spins, rng):
+    what = "coupled tensor set"
+    outcomes = set()
+    for name, defects in [("valid", [])] + planted_defects(rng, spins):
+        vals = valid_set(spins, int(rng.integers(2**31)))
+        for index, delta in defects:
+            vals[index] += delta
+        try:
+            expected = per_row_rule(vals, spins, what)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as info:
+                build_set(vals, spins)
+            assert str(info.value) == str(exc), name
+            outcomes.update(w for w in RULES if w in str(exc))
+            continue
+        assert np.array_equal(build_set(vals, spins).values, expected), name
+        outcomes.add("accepted")
+    assert outcomes == {"accepted", *RULES}
 
 
 # ------------------------------------------------------ ownership of values
