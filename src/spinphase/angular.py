@@ -614,34 +614,36 @@ def _phases(tk: int, angle: float) -> np.ndarray:
     return np.exp(1j * angle * np.arange(-0.5 * tk, 0.5 * tk + 1.0))
 
 
-def _apply_d(g: np.ndarray, phase: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """d^k(beta) @ v[s] written over v [slots, n, ...] for each slot s of
-    _rank_blocks' g, phase = exp(i beta mu) on g's mu >= 0.  With y = G^T v
-    per row parity, d v is G_even Re(w) and G_odd Im(w), w = phase (y_even +
-    i y_odd): four batched real products, no d formed, no eigensolver per
-    angle, a complex v as its float view.  G's zero padding ignores v's rows
-    there and writes zeros.  Unitary to roundoff at any rank."""
+def _apply_d(g: np.ndarray, phase: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
+    """d^k(beta) @ v[s] written over v [slots, rows, ...] for each slot s of
+    _rank_blocks' g, or of a run of its rows that starts at block row
+    `first`, phase = exp(i beta mu) on g's mu >= 0.  With y = G^T v per row
+    parity (of the block row), d v is G_even Re(w) and G_odd Im(w), w = phase
+    (y_even + i y_odd): four batched real products, no d formed, no
+    eigensolver per angle, a complex v as its float view.  G's zero padding
+    ignores v's rows there and writes zeros.  Unitary to roundoff at any rank."""
     cols = v.reshape(g.shape[:2] + (-1,))
     cols = cols.view(float) if np.iscomplexobj(v) else cols
-    even, odd = g[:, ::2], g[:, 1::2]
-    y = odd.transpose(0, 2, 1) @ cols[:, 1::2] * 1j
-    y += even.transpose(0, 2, 1) @ cols[:, ::2]
+    e, o = first % 2, 1 - first % 2  # v's first row of even, then odd, parity
+    even, odd = g[:, e::2], g[:, o::2]
+    y = odd.transpose(0, 2, 1) @ cols[:, o::2] * 1j
+    y += even.transpose(0, 2, 1) @ cols[:, e::2]
     y *= phase[:, None]
-    cols[:, ::2] = even @ y.real
-    cols[:, 1::2] = odd @ y.imag
+    cols[:, e::2] = even @ y.real
+    cols[:, o::2] = odd @ y.imag
     return v
 
 
 def _rank_d(tk: int, beta: float, v: np.ndarray) -> np.ndarray:
-    """d^k(beta) @ v, v of tk + 1 rows q = k..-k, by the rank's slot s of its
-    block, v zero-padded to the block's rows 7 - s..; d^0 = 1."""
+    """d^k(beta) @ v written over v, a C-contiguous float array of tk + 1
+    rows q = k..-k, by the rows 7 - s.. of the rank's slot s in its block;
+    d^0 = 1."""
     if tk == 0:
         return v
     b, s = divmod((tk + 1) // 2 - 1, 8)
-    g = _rank_blocks((tk % 2, b))[0][s : s + 1]
-    padded = np.zeros(g.shape[:2] + v.shape[1:])
-    padded[0, 7 - s : 8 - s + tk] = v
-    return _apply_d(g, _phases(g.shape[1] - 1, beta)[-g.shape[2] :], padded)[0, 7 - s : 8 - s + tk]
+    block = _rank_blocks((tk % 2, b))[0]
+    phase = _phases(block.shape[1] - 1, beta)[-block.shape[2] :]
+    return _apply_d(block[s : s + 1, 7 - s : 8 - s + tk], phase, v, 7 - s)
 
 
 def wigner_d(k, qp, q, beta: float) -> float:

@@ -9,11 +9,14 @@ descending (m1 outer), matching the single-system convention.
 A tensor set holds one read-only dense array: [k, 2s + q] for one spin and
 [k1, 2s1 + q1, k2, 2s2 + q2] for two, zero where |q| > k.  decompose and
 reconstruct, single and bipartite, all go through the one trace/resolution
-pair of tensor_ops (one real product per block of eight |q|), which the
-bipartite forms apply one factor at a time on transposed views, the other
-factor's indices as the batch: decompose_bipartite traces factor 1 first, so
-the second trace lands in the [k1, q1, k2, q2] layout, and
-reconstruct_bipartite resolves factor 2 first.
+pair of tensor_ops (one gather, one real product per block of eight |q| and
+one scatter, through index tables built once per spin), which the bipartite
+forms apply one factor at a time on transposed views, the other factor's
+indices as the batch: decompose_bipartite traces factor 1 first, so the
+second trace lands in the [k1, q1, k2, q2] layout, and reconstruct_bipartite
+resolves factor 1 first, on a view whose matrix-first order is the set
+itself, then factor 2 on the partial the same way, so both read whole runs,
+and one transposed write gives the [(m1, m2), (m1', m2')] matrix.
 
 All four containers are immutable and validate their invariants on
 ingestion, where NaN and inf are refused.  Each adopts a read-only complex128
@@ -341,12 +344,14 @@ def reconstruct_bipartite(t12: CoupledFanoTensorSet) -> BipartiteDensityMatrix:
             (tau^{k1}_{q1} x tau^{k2}_{q2})^dag.
     """
     n1, n2 = t12.s1.twice_value + 1, t12.s2.twice_value + 1
-    # [k1, q1, k2, q2] -> (k1, q1, m2, m2') -> (m2, m2', m1, m1'), written once
-    partial = operator_from_components(t12.s2, t12.values).transpose(2, 3, 0, 1)
-    resolved = operator_from_components(t12.s1, partial)  # (m2, m2', m1, m1')
+    # factor 1 on the (k2, q2, k1, q1) view, whose matrix-first view is t12
+    # itself, then factor 2 on the (m1, m1', k2, q2) view of that, whose
+    # matrix-first view is the partial: both read whole runs
+    partial = operator_from_components(t12.s1, t12.values.transpose(2, 3, 0, 1))
+    resolved = operator_from_components(t12.s2, partial.transpose(2, 3, 0, 1))
     del partial  # about 2x the matrix: released before out is allocated
     out = np.empty((n1 * n2, n1 * n2), dtype=complex)
-    out.reshape(n1, n2, n1, n2).transpose(1, 3, 0, 2)[...] = resolved
+    out.reshape(n1, n2, n1, n2)[...] = resolved.transpose(0, 2, 1, 3)  # (m1, m1', m2, m2')
     del resolved  # not held while the container validates
     return BipartiteDensityMatrix(t12.s1, t12.s2, _frozen(out))
 

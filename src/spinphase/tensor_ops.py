@@ -9,12 +9,16 @@ at offset q), so tau^0_0 is the identity and every higher rank is traceless.
 Only those bands are stored, per spin, in a byte-bounded cache (100 MB): in
 blocks of eight |q|, both signs, each band zero-padded to its block's size.
 Component arrays use the layout [..., k, 2s + q], zero where |q| > k.  Both
-routines broadcast over the leading axes and take one real BLAS product per
-block, with the real and imaginary parts and the batch in its columns: the
-trace gathers the block's diagonals of A, and the resolution writes its
-products into two skewed layouts of A's rows, where each diagonal is a
-column, and adds those.  A batch runs in chunks along its first axis, so the
-work arrays stay small.
+routines broadcast over the leading axes and run through two int32 index
+tables built once per spin beside the blocks, over the blocks' slot rows
+laid end to end: `entry`, the flat index in A of each row's diagonal entry,
+and `label`, the flat index of its (k, q) in the component layout.  The
+trace gathers A at entry once, takes one real BLAS product per block, with
+the real and imaginary parts and the batch in its columns, and scatters the
+result once to label; the resolution gathers at label, takes the transposed
+products and gathers A's entries back from the rows that lie on their
+diagonal (`kept`).  A batch runs in chunks along its first axis, as wide as
+the block-0 work arrays allow in _CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -36,10 +40,15 @@ __all__ = [
 
 
 _BLOCK = 8  # |q| values per band block
-# bytes of one chunk's work arrays: a batch runs in chunks along its first
-# axis, so a bipartite form holds a few of these, not a copy of its operand
+# a batch runs in chunks along its first axis, so a bipartite form holds a
+# few chunks' work arrays, not a copy of its operand; a chunk's width is set
+# by block 0's work arrays (column_bytes) in this budget, and the arrays of
+# all blocks' rows take about n/8 + 1/2 times as much for the trace of four
+# matrices or more and 1.5 times for the resolution
 _CHUNK_BYTES = 1 << 19
-_HALF = np.arange(2)[:, None, None]  # block axis 0: q = -|q|, then q = +|q|
+# a trace of fewer matrices scatters each one on its own: a scatter of whole
+# rows of the batch costs more per row than up to three 1-D scatters
+_FEW_MATRICES = 4
 
 
 def _build_bands(ts: int) -> tuple[np.ndarray, ...]:
@@ -66,9 +75,41 @@ def _build_bands(ts: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-# integer-keyed by twice-spin; one spin's blocks are 16 sum_b h L^2 bytes,
-# 45.9 MB at 2s = 200, so both factors of a 2s = 200 bipartite state fit
-_bands = _RankCache(_build_bands, max_bytes=100_000_000)
+def _index_tables(ts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The int32 index tables of the trace and the resolution.  Their rows
+    are every block's slot rows laid end to end, block b's as [2, h, L] with
+    its halves reversed (slot (0, i) holds q = 8b + i and slot (1, i)
+    q = -(8b + i)), so block 0's empty q = +0 slot is the first n rows.
+    entry: the flat index in A of row j's diagonal entry, (j + max(q, 0),
+    j + max(-q, 0)); past a diagonal's end it wraps mod n onto entries of A
+    that meet the band's zero columns.  label: the flat index of
+    (k = 8b + j, q) in the [k, 2s + q] layout.  kept: for each flat index of
+    A, the one row that holds that entry on its diagonal."""
+    n = ts + 1
+    rows = []  # q, j and b over block b's [2, h, L] rows
+    for b in range(0, n, _BLOCK):
+        d = b + np.arange(min(_BLOCK, n - b))[:, None]
+        rows.append(np.broadcast_arrays(np.stack([d, -d]), np.arange(n - b), b))
+    q, j, b = (np.concatenate([r[i].ravel() for r in rows]) for i in range(3))
+    wrapped = (j + np.abs(q)) % n
+    entry = np.where(q > 0, wrapped * n + j, j * n + wrapped)
+    label = (b + j) * (2 * ts + 1) + ts + q  # row j holds k = b + j
+    kept = np.empty(n * n, dtype=np.int32)
+    on_diagonal = j < n - np.abs(q)
+    on_diagonal[:n] = False  # block 0's q = +0 slot; q = 0 is its slot (1, 0)
+    kept[entry[on_diagonal]] = np.flatnonzero(on_diagonal)
+    return entry.astype(np.int32), label.astype(np.int32), kept
+
+
+def _build_spin(ts: int) -> tuple[np.ndarray, ...]:
+    """One spin's cache entry: its band blocks, then entry, label and kept."""
+    return (*_build_bands(ts), *_index_tables(ts))
+
+
+# integer-keyed by twice-spin; one spin's blocks are 16 sum_b h L^2 bytes
+# and its tables 4 (2 sum_b 2 h L + n^2), 46.4 MB in all at 2s = 200 (0.5 MB
+# of tables), so both factors of a 2s = 200 bipartite state fit
+_bands = _RankCache(_build_spin, max_bytes=100_000_000)
 
 
 def _diagonal(n: int, offset: int) -> slice:
@@ -95,8 +136,8 @@ def tau_matrix(s, k: int, q: int) -> np.ndarray:
 
 def _chunks(x: np.ndarray, out: np.ndarray, column_bytes: int):
     """(x part, out part) view pairs with a leading batch axis: slices along
-    the first batch axis whose work arrays, column_bytes per batch column,
-    fit _CHUNK_BYTES, or x and out whole with a unit axis for one matrix."""
+    the first batch axis whose batch columns, column_bytes each, fit
+    _CHUNK_BYTES, or x and out whole with a unit axis for one matrix."""
     if x.ndim == 2:
         yield x[None], out[None]
         return
@@ -105,9 +146,34 @@ def _chunks(x: np.ndarray, out: np.ndarray, column_bytes: int):
         yield x[i : i + step], out[i : i + step]
 
 
-def _matrix_first(x: np.ndarray) -> np.ndarray:
-    """A view of [..., a, b] as [a, b, ...]."""
-    return x.transpose((x.ndim - 2, x.ndim - 1, *range(x.ndim - 2)))
+def _flat(x: np.ndarray) -> np.ndarray:
+    """[..., a, b] as [a b, batch], matrix first: a view where the axes
+    merge, else a copy."""
+    matrix_first = x.transpose((x.ndim - 2, x.ndim - 1, *range(x.ndim - 2)))
+    return matrix_first.reshape(x.shape[-2] * x.shape[-1], -1)
+
+
+def _part(work: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous view of the given shape on the front of work, or a new
+    array if work is None: the first chunk's work arrays serve every chunk."""
+    if work is None:
+        return np.empty(shape, dtype=complex)
+    return work.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _products(blocks, x: np.ndarray, out: np.ndarray, transpose: bool) -> None:
+    """out = band @ x over each block's rows of the [rows, batch] complex
+    arrays, in the tables' order (halves reversed), the bands transposed for
+    the resolution: one real product per block, the real and imaginary parts
+    and the batch in its columns."""
+    x, out = x.view(float), out.view(float)
+    lo = 0
+    for block in blocks:
+        shape = block.shape[:3] + (x.shape[1],)
+        hi = lo + math.prod(shape[:3])
+        band = block[::-1].swapaxes(2, 3) if transpose else block[::-1]
+        np.matmul(band, x[lo:hi].reshape(shape), out=out[lo:hi].reshape(shape))
+        lo = hi
 
 
 def operator_components(a: np.ndarray) -> np.ndarray:
@@ -127,23 +193,30 @@ def operator_components(a: np.ndarray) -> np.ndarray:
     _require_finite(a, "a", "entry")
     n = a.shape[-1]
     ts = n - 1
-    out = np.zeros(a.shape[:-2] + (n, 2 * ts + 1), dtype=complex)
-    # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one, A[j, j + d]
-    # for q = -d and A[j + d, j] for q = d, indexed j + d - n: a negative index
-    # counts from the end, and past the diagonal's end the index wraps onto other
-    # entries of A, which meet the band's zero columns
-    j = np.arange(n)
-    rows = _HALF * (j[:, None] - n) + j  # [half, |q|, j]; the columns are rows[::-1]
-    blocks = _bands(ts)
-    for part, part_out in _chunks(a, out, 512 * n):  # block 0's gather and product
-        a_t, out_t = _matrix_first(part), _matrix_first(part_out)
-        for b, block in zip(range(0, n, _BLOCK), blocks):
-            h, size = block.shape[1:3]
-            diag = a_t[rows[:, b : b + h, :size], rows[::-1, b : b + h, :size]]
-            res = (block @ diag.view(float).reshape(2, h, size, -1)).view(complex)
-            res = res.reshape(diag.shape)  # [half, |q| - b, k - b, ...]
-            out_t[b:, ts + b : ts + b + h] = res[1].swapaxes(0, 1)  # q = 0 is written next
-            out_t[b:, ts - b - h + 1 : ts - b + 1] = res[0, ::-1].swapaxes(0, 1)
+    *blocks, entry, label, _ = _bands(ts)
+    size = n * (2 * ts + 1)
+    # up to three matrices are each scattered straight into a zeroed output;
+    # more go through one zeroed buffer and one transposed copy, which is
+    # faster than a scatter through the output's strided rows
+    few = math.prod(a.shape[:-2]) < _FEW_MATRICES
+    out = (np.zeros if few else np.empty)(a.shape[:-2] + (n, 2 * ts + 1), dtype=complex)
+    res = comps = None
+    # chunks as wide as block 0's work arrays allow: each product then has
+    # the columns, and so the values, of the per-block route the tests keep
+    for part, part_out in _chunks(a, out, 512 * n):
+        # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one
+        taken = _flat(part)[entry]
+        res = _part(res, taken.shape)
+        _products(blocks, taken, res, transpose=False)
+        del taken  # its memory can serve the buffer below
+        rows, matrices = res[n:], part_out.reshape(-1, size)  # not the q = +0 slot
+        if few:
+            for matrix, column in zip(matrices, rows.T):
+                matrix[label[n:]] = column
+        else:  # the same labels in every chunk: the zeros stay
+            comps = np.zeros((size, len(matrices)), dtype=complex) if comps is None else comps
+            comps[label[n:], : len(matrices)] = rows
+            matrices[...] = comps[:, : len(matrices)].T
     return out
 
 
@@ -161,25 +234,17 @@ def operator_from_components(s, comps: np.ndarray) -> np.ndarray:
         raise DomainError(f"components of shape {comps.shape} do not end in ({n}, {2 * ts + 1})")
     _require_finite(comps, "comps", "entry")
     out = np.empty(comps.shape[:-2] + (n, n), dtype=complex)
-    j = np.arange(n)
-    columns = ts + (2 * _HALF - 1) * j[:, None]  # [half, |q|, 1]: the column of q
-    blocks = _bands(ts)
-    for part, part_out in _chunks(comps, out, 32 * n * (n + 1) + 256 * n):  # skew, gather
-        c_t, shape = _matrix_first(part), (n, n) + part.shape[:-2]
-        # A's rows laid end to end in rows of n + 1 turn its offset -q diagonal
-        # into a column: column -q of skew[0] for q <= 0, column q of skew[1],
-        # laid out from A^T, for q > 0.  The band's zero columns write zeros past
-        # a diagonal's end, onto the half of A that the other skew holds
-        skew = np.zeros((2, n * (n + 1)) + part.shape[:-2], dtype=complex)
-        lanes = skew.view(float).reshape(2, n, n + 1, -1)
-        for b, block in zip(range(0, n, _BLOCK), blocks):
-            h, size = block.shape[1:3]
-            comp = c_t[b + j[:size], columns[:, b : b + h]]  # [half, |q| - b, k - b, ...]
-            lane = lanes[:, :size, b : b + h].swapaxes(1, 2)  # [half, |q| - b, j, ...]
-            np.matmul(block.swapaxes(2, 3), comp.view(float).reshape(lane.shape), out=lane)
-        upper, lower = skew[:, : n * n].reshape((2,) + shape)
-        upper += lower.swapaxes(0, 1)
-        np.multiply(upper, 1 / n, out=_matrix_first(part_out))
+    *blocks, _, label, kept = _bands(ts)
+    res = None
+    # the per-block route's chunks, so its products' columns and values
+    for part, part_out in _chunks(comps, out, 32 * n * (n + 1) + 256 * n):
+        taken = _flat(part)[label]
+        res = _part(res, taken.shape)
+        _products(blocks, taken, res, transpose=True)
+        del taken  # its memory can serve the gather below
+        resolved = res[kept]
+        resolved += 0.0  # -0.0 to +0.0: a zero entry of A reads +0.0
+        np.multiply(resolved, 1 / n, out=part_out.reshape(-1, n * n).T)
     return out
 
 

@@ -8,8 +8,10 @@ import pytest
 from spinphase import (
     DomainError,
     clebsch_gordan,
+    decompose_bipartite,
     operator_components,
     operator_from_components,
+    reconstruct_bipartite,
     spin_operators,
     tau_matrix,
     wigner_D,
@@ -17,7 +19,8 @@ from spinphase import (
 )
 from spinphase import angular, tensor_ops
 from spinphase.angular import _RankCache
-from spinphase.tensor_ops import _bands, _build_bands
+from spinphase.tensor_ops import _bands, _build_bands, _build_spin, _index_tables
+from conftest import random_bipartite_density
 from test_angular import ladder_spin_matrices, racah_cg_scalar
 
 # ---------------------------------------------------------------- oracles
@@ -96,6 +99,71 @@ def resolution_by_index(ts, comps):
         rows, cols = band_index(n, -q)
         out[..., rows, cols] = comps[..., abs(q):, ts + q] @ band_of(_bands(ts), ts, q)
     out /= n
+    return out
+
+
+def chunks_as_before(x, out, column_bytes):
+    """tensor_ops._chunks before the index tables, transcribed as it stood."""
+    if x.ndim == 2:
+        yield x[None], out[None]
+        return
+    step = max(1, (1 << 19) // (column_bytes * max(1, math.prod(x.shape[1:-2]))))
+    for i in range(0, x.shape[0], step):
+        yield x[i : i + step], out[i : i + step]
+
+
+def matrix_first(x):
+    return x.transpose((x.ndim - 2, x.ndim - 1, *range(x.ndim - 2)))
+
+
+HALF = np.arange(2)[:, None, None]
+
+
+def trace_by_blocks(a):
+    """operator_components as it ran before the index tables, transcribed as
+    it stood: per band block, one fancy gather of A's diagonals, one real
+    product and two slice writes."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1]
+    ts = n - 1
+    out = np.zeros(a.shape[:-2] + (n, 2 * ts + 1), dtype=complex)
+    j = np.arange(n)
+    rows = HALF * (j[:, None] - n) + j
+    blocks = _bands(ts)[:-3]
+    for part, part_out in chunks_as_before(a, out, 512 * n):
+        a_t, out_t = matrix_first(part), matrix_first(part_out)
+        for b, block in zip(range(0, n, 8), blocks):
+            h, size = block.shape[1:3]
+            diag = a_t[rows[:, b : b + h, :size], rows[::-1, b : b + h, :size]]
+            res = (block @ diag.view(float).reshape(2, h, size, -1)).view(complex)
+            res = res.reshape(diag.shape)
+            out_t[b:, ts + b : ts + b + h] = res[1].swapaxes(0, 1)
+            out_t[b:, ts - b - h + 1 : ts - b + 1] = res[0, ::-1].swapaxes(0, 1)
+    return out
+
+
+def resolution_by_blocks(ts, comps):
+    """operator_from_components as it ran before the index tables, transcribed
+    as it stood: per band block, one fancy gather of components and one real
+    product into two skewed buffers, added and scaled by 1/n."""
+    n = ts + 1
+    comps = np.asarray(comps, dtype=complex)
+    out = np.empty(comps.shape[:-2] + (n, n), dtype=complex)
+    j = np.arange(n)
+    columns = ts + (2 * HALF - 1) * j[:, None]
+    blocks = _bands(ts)[:-3]
+    for part, part_out in chunks_as_before(comps, out, 32 * n * (n + 1) + 256 * n):
+        c_t, shape = matrix_first(part), (n, n) + part.shape[:-2]
+        skew = np.zeros((2, n * (n + 1)) + part.shape[:-2], dtype=complex)
+        lanes = skew.view(float).reshape(2, n, n + 1, -1)
+        for b, block in zip(range(0, n, 8), blocks):
+            h, size = block.shape[1:3]
+            comp = c_t[b + j[:size], columns[:, b : b + h]]
+            lane = lanes[:, :size, b : b + h].swapaxes(1, 2)
+            np.matmul(block.swapaxes(2, 3), comp.view(float).reshape(lane.shape), out=lane)
+        upper, lower = skew[:, : n * n].reshape((2,) + shape)
+        upper += lower.swapaxes(0, 1)
+        np.multiply(upper, 1 / n, out=matrix_first(part_out))
     return out
 
 
@@ -180,19 +248,29 @@ def test_band_build_temporaries_follow_the_block_budget(monkeypatch):
     assert peak_beyond_result() < 0.5 * whole
 
 
-def band_bytes(ts):
+def block_bytes(ts):
     """16 sum_b h L^2 bytes, L = n - 8b and h = min(8, L): one spin's packed
     band blocks, zero padding and block 0's empty q = +0 slot included."""
     n = ts + 1
     return sum(16 * min(8, n - b) * (n - b) ** 2 for b in range(0, n, 8))
 
 
+def band_bytes(ts):
+    """One spin's cache entry: its band blocks, then the int32 tables entry
+    and label over the blocks' sum_b 2 h L slot rows and kept over A's n^2
+    entries."""
+    n = ts + 1
+    rows = sum(2 * min(8, n - b) * (n - b) for b in range(0, n, 8))
+    return block_bytes(ts) + 4 * (2 * rows + n * n)
+
+
 def test_bands_cache_is_bounded_by_bytes():
     assert isinstance(_bands, _RankCache)
     assert _bands.max_bytes == 100_000_000
-    # 45.9 MB at 2s = 200 (the bands alone are 43.3 MB): both factors of a
-    # 2s = 200 bipartite state fit, three spins that size do not
-    assert band_bytes(200) == 45_929_616
+    # 46.4 MB at 2s = 200 (the blocks 45.9 MB, the bands alone 43.3 MB): both
+    # factors of a 2s = 200 bipartite state fit, three spins that size do not
+    assert block_bytes(200) == 45_929_616
+    assert band_bytes(200) == 46_427_236
     assert 2 * band_bytes(200) <= _bands.max_bytes < 3 * band_bytes(200)
     for ts in [*range(6), 8, 9, 17]:
         assert sum(b.nbytes for b in _bands(ts)) == band_bytes(ts)
@@ -200,7 +278,7 @@ def test_bands_cache_is_bounded_by_bytes():
 
 def test_band_cache_evicts_oldest_and_counts_bytes():
     # a budget of the 2s = 6 and 2s = 5 entries together; 2s = 8 alone is bigger
-    cache = _RankCache(_build_bands, max_bytes=band_bytes(6) + band_bytes(5))
+    cache = _RankCache(_build_spin, max_bytes=band_bytes(6) + band_bytes(5))
     cache(6)
     cache(5)
     assert cache.cache_info()["keys"] == (6, 5)
@@ -215,7 +293,7 @@ def test_band_cache_evicts_oldest_and_counts_bytes():
     info = cache.cache_info()
     assert info["keys"] == (8,)
     assert info["bytes"] == band_bytes(8) > info["max_bytes"]
-    for got, ref in zip(cache(8), _build_bands(8)):
+    for got, ref in zip(cache(8), _build_spin(8)):
         assert np.array_equal(got, ref)
 
 
@@ -397,6 +475,72 @@ def test_trace_and_resolution_equal_index_route_on_bipartite_views(ts1, ts2, rng
     back = operator_from_components(ts2 / 2, t12).transpose(2, 3, 0, 1)
     assert_within_roundoff(back, resolution_by_index(ts2, t12).transpose(2, 3, 0, 1))
     assert_within_roundoff(operator_from_components(ts1 / 2, back), resolution_by_index(ts1, back))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("ts", [*range(13), 16, 17, 24, 40])
+def test_trace_and_resolution_equal_block_route_bytes(ts, batch, rng):
+    # the index tables reorder no arithmetic: each block's product is the
+    # same, so every value, and every zero's sign, is the per-block route's
+    n = ts + 1
+    a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
+    comps = operator_components(a)
+    assert_same_bytes(comps, trace_by_blocks(a))
+    assert_same_bytes(operator_from_components(ts / 2, comps), resolution_by_blocks(ts, comps))
+
+
+@pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6), (9, 17)])
+def test_trace_and_resolution_equal_block_route_bytes_on_bipartite_views(ts1, ts2, rng):
+    # the transposed views decompose_bipartite and reconstruct_bipartite pass:
+    # the traces of factor 1 then factor 2, and the resolutions of factor 1
+    # on the [k2, q2, k1, q1] view then of factor 2 on the partial's view
+    n1, n2 = ts1 + 1, ts2 + 1
+    rho = rng.normal(size=(n1 * n2, n1 * n2)) + 1j * rng.normal(size=(n1 * n2, n1 * n2))
+    mat4 = rho.reshape(n1, n2, n1, n2).transpose(1, 3, 0, 2)
+    partial = operator_components(mat4)
+    assert_same_bytes(partial, trace_by_blocks(mat4))
+    partial = partial.transpose(2, 3, 0, 1)
+    t12 = operator_components(partial)
+    assert_same_bytes(t12, trace_by_blocks(partial))
+    view = t12.transpose(2, 3, 0, 1)
+    back = operator_from_components(ts1 / 2, view)
+    assert_same_bytes(back, resolution_by_blocks(ts1, view))
+    view = back.transpose(2, 3, 0, 1)
+    assert not view.flags.c_contiguous
+    assert_same_bytes(operator_from_components(ts2 / 2, view), resolution_by_blocks(ts2, view))
+
+
+@pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6), (9, 17)])
+def test_reconstruct_bipartite_order_is_within_roundoff_of_factor_2_first(ts1, ts2, rng):
+    # reconstruct_bipartite resolves factor 1 first; resolving factor 2 first
+    # sums the same terms in another order, so the two agree to roundoff
+    n1, n2 = ts1 + 1, ts2 + 1
+    t12 = decompose_bipartite(random_bipartite_density(rng, ts1, ts2))
+    partial = resolution_by_blocks(ts2, t12.values).transpose(2, 3, 0, 1)
+    expected = resolution_by_blocks(ts1, partial).transpose(2, 0, 3, 1).reshape(n1 * n2, -1)
+    assert_within_roundoff(reconstruct_bipartite(t12).matrix, expected)
+
+
+@pytest.mark.parametrize("ts", [*range(10), 16, 17, 24, 40])
+def test_index_tables_are_owned_int32_and_in_range(ts):
+    n = ts + 1
+    entry, label, kept = _bands(ts)[-3:]
+    for table in (entry, label, kept):
+        assert table.dtype == np.int32 and table.flags.owndata and not table.flags.writeable
+    rows = sum(2 * min(8, n - b) * (n - b) for b in range(0, n, 8))
+    assert entry.shape == label.shape == (rows,) and kept.shape == (n * n,)
+    assert 0 <= label.min() and label.max() < n * (2 * ts + 1)
+    assert 0 <= entry.min() and entry.max() < n * n
+    # every entry of A comes from exactly one kept row, none of block 0's q = +0 slot
+    assert np.array_equal(entry[kept], np.arange(n * n)) and kept.min() >= n
+    # the scattered labels, all rows but the first n, are each written once
+    assert np.unique(label[n:]).size == rows - n
+
+
+def test_index_tables_are_small_beside_the_blocks():
+    # at 2s = 200 the three tables take 0.50 MB, 1.1 % of the 45.9 MB of blocks
+    tables = _index_tables(200)
+    assert sum(t.nbytes for t in tables) <= 0.02 * block_bytes(200)
 
 
 @pytest.mark.parametrize("ts", [0, 1, 7, 8, 9, 16, 24])
