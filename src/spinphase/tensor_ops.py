@@ -13,12 +13,16 @@ routines broadcast over the leading axes and run through two int32 index
 tables built once per spin beside the blocks, over the blocks' slot rows
 laid end to end: `entry`, the flat index in A of each row's diagonal entry,
 and `label`, the flat index of its (k, q) in the component layout.  The
-trace gathers A at entry once, takes one real BLAS product per block, with
-the real and imaginary parts and the batch in its columns, and scatters the
-result once to label; the resolution gathers at label, takes the transposed
+trace gathers A at entry, takes one real BLAS product per block, with the
+real and imaginary parts and the batch in its columns, and scatters the
+result to label; the resolution gathers at label, takes the transposed
 products and gathers A's entries back from the rows that lie on their
 diagonal (`kept`).  A batch runs in chunks along its first axis, as wide as
-the block-0 work arrays allow in _CHUNK_BYTES.
+the per-block route's block-0 work arrays allowed in _CHUNK_BYTES, so each
+product has that route's columns and values; a trace chunk whose rows pass
+the budget is gathered and multiplied in runs of blocks, and its scatter
+goes through one [labels, batch] buffer of at most two budgets, or matrix
+by matrix.
 """
 
 from __future__ import annotations
@@ -41,13 +45,14 @@ __all__ = [
 
 _BLOCK = 8  # |q| values per band block
 # a batch runs in chunks along its first axis, so a bipartite form holds a
-# few chunks' work arrays, not a copy of its operand; a chunk's width is set
-# by block 0's work arrays (column_bytes) in this budget, and the arrays of
-# all blocks' rows take about n/8 + 1/2 times as much for the trace of four
-# matrices or more and 1.5 times for the resolution
+# few chunks' work arrays, not a copy of its operand
 _CHUNK_BYTES = 1 << 19
-# a trace of fewer matrices scatters each one on its own: a scatter of whole
-# rows of the batch costs more per row than up to three 1-D scatters
+# a trace chunk of fewer matrices scatters each one on its own into its
+# zeroed rows: through the [labels, batch] buffer, 2 and 3 matrices took
+# 1.07x and 1.03x as long at 2s = 24 and 1.18x and 1.10x at 2s = 64, one
+# matrix 0.99-1.02x and 1.03x, four 0.97x and 1.02x, while 1-3 took
+# 0.90-0.98x at 2s = 4 (operator_components per call, medians of 10 fresh
+# processes that each timed both paths in turn)
 _FEW_MATRICES = 4
 
 
@@ -153,27 +158,41 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return matrix_first.reshape(x.shape[-2] * x.shape[-1], -1)
 
 
-def _part(work: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous view of the given shape on the front of work, or a new
-    array if work is None: the first chunk's work arrays serve every chunk."""
-    if work is None:
-        return np.empty(shape, dtype=complex)
-    return work.reshape(-1)[: math.prod(shape)].reshape(shape)
+def _runs(blocks, rows: int, columns: int):
+    """(rows, blocks) per run of consecutive blocks whose slot rows (`rows`
+    in all), gathered and multiplied over `columns` complex columns, fit
+    _CHUNK_BYTES, one block at least: rows is the run's slice of the index
+    tables' rows."""
+    if 32 * rows * columns <= _CHUNK_BYTES:  # one run: a warm call skips the loop
+        yield slice(0, rows), blocks
+        return
+    lo = hi = 0
+    run = []
+    for block in blocks:
+        size = math.prod(block.shape[:3])  # its 2 h L slot rows
+        if run and 32 * (hi - lo + size) * columns > _CHUNK_BYTES:
+            yield slice(lo, hi), run
+            lo, run = hi, []
+        run.append(block)
+        hi += size
+    yield slice(lo, hi), run
 
 
-def _products(blocks, x: np.ndarray, out: np.ndarray, transpose: bool) -> None:
-    """out = band @ x over each block's rows of the [rows, batch] complex
-    arrays, in the tables' order (halves reversed), the bands transposed for
-    the resolution: one real product per block, the real and imaginary parts
-    and the batch in its columns."""
-    x, out = x.view(float), out.view(float)
+def _products(blocks, x: np.ndarray, transpose: bool) -> np.ndarray:
+    """band @ x over each block's rows of the [rows, batch] complex array x,
+    in the tables' order (halves reversed), the bands transposed for the
+    resolution: one real product per block, the real and imaginary parts and
+    the batch in its columns."""
+    out = np.empty_like(x)
+    x_re, out_re = x.view(float), out.view(float)
     lo = 0
     for block in blocks:
-        shape = block.shape[:3] + (x.shape[1],)
+        shape = block.shape[:3] + (x_re.shape[1],)
         hi = lo + math.prod(shape[:3])
         band = block[::-1].swapaxes(2, 3) if transpose else block[::-1]
-        np.matmul(band, x[lo:hi].reshape(shape), out=out[lo:hi].reshape(shape))
+        np.matmul(band, x_re[lo:hi].reshape(shape), out=out_re[lo:hi].reshape(shape))
         lo = hi
+    return out
 
 
 def operator_components(a: np.ndarray) -> np.ndarray:
@@ -195,27 +214,33 @@ def operator_components(a: np.ndarray) -> np.ndarray:
     ts = n - 1
     *blocks, entry, label, _ = _bands(ts)
     size = n * (2 * ts + 1)
-    # up to three matrices are each scattered straight into a zeroed output;
-    # more go through one zeroed buffer and one transposed copy, which is
-    # faster than a scatter through the output's strided rows
-    few = math.prod(a.shape[:-2]) < _FEW_MATRICES
-    out = (np.zeros if few else np.empty)(a.shape[:-2] + (n, 2 * ts + 1), dtype=complex)
-    res = comps = None
-    # chunks as wide as block 0's work arrays allow: each product then has
-    # the columns, and so the values, of the per-block route the tests keep
+    out = np.empty(a.shape[:-2] + (n, 2 * ts + 1), dtype=complex)
+    comps = None
+    # the per-block route's chunks, so its products' columns and values
     for part, part_out in _chunks(a, out, 512 * n):
-        # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one
-        taken = _flat(part)[entry]
-        res = _part(res, taken.shape)
-        _products(blocks, taken, res, transpose=False)
-        del taken  # its memory can serve the buffer below
-        rows, matrices = res[n:], part_out.reshape(-1, size)  # not the q = +0 slot
-        if few:
-            for matrix, column in zip(matrices, rows.T):
-                matrix[label[n:]] = column
-        else:  # the same labels in every chunk: the zeros stay
-            comps = np.zeros((size, len(matrices)), dtype=complex) if comps is None else comps
-            comps[label[n:], : len(matrices)] = rows
+        flat, matrices = _flat(part), part_out.reshape(-1, size)
+        # many matrices go through one zeroed [labels, batch] buffer and one
+        # transposed copy, faster than a scatter through the output's strided
+        # rows; a few scatter per matrix, and so do more if the buffer would
+        # pass two chunk budgets, where it is mostly the slower too (timed
+        # alone, 1.1-2.1x the 1-D scatters of 4-25 matrices at 2s = 48 to 100)
+        buffered = _FEW_MATRICES <= len(matrices) <= 2 * _CHUNK_BYTES // (16 * size)
+        if not buffered:
+            matrices.fill(0.0)
+        for rows, run in _runs(blocks, len(entry), len(matrices)):
+            # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one
+            res = _products(run, flat[entry[rows]], transpose=False)
+            skip = n if rows.start == 0 else 0  # block 0's q = +0 slot
+            labels, res = label[rows][skip:], res[skip:]
+            if buffered:  # made once the gathered rows are freed; every chunk
+                # writes the same labels, so its zeros stay
+                comps = np.zeros((size, len(matrices)), dtype=complex) if comps is None else comps
+                comps[labels, : len(matrices)] = res
+            else:
+                for matrix, column in zip(matrices, res.T):
+                    matrix[labels] = column
+            del res  # freed before the next rows are gathered
+        if buffered:
             matrices[...] = comps[:, : len(matrices)].T
     return out
 
@@ -235,14 +260,9 @@ def operator_from_components(s, comps: np.ndarray) -> np.ndarray:
     _require_finite(comps, "comps", "entry")
     out = np.empty(comps.shape[:-2] + (n, n), dtype=complex)
     *blocks, _, label, kept = _bands(ts)
-    res = None
     # the per-block route's chunks, so its products' columns and values
     for part, part_out in _chunks(comps, out, 32 * n * (n + 1) + 256 * n):
-        taken = _flat(part)[label]
-        res = _part(res, taken.shape)
-        _products(blocks, taken, res, transpose=True)
-        del taken  # its memory can serve the gather below
-        resolved = res[kept]
+        resolved = _products(blocks, _flat(part)[label], transpose=True)[kept]
         resolved += 0.0  # -0.0 to +0.0: a zero entry of A reads +0.0
         np.multiply(resolved, 1 / n, out=part_out.reshape(-1, n * n).T)
     return out

@@ -510,10 +510,39 @@ def test_trace_and_resolution_equal_block_route_bytes_on_bipartite_views(ts1, ts
     assert_same_bytes(operator_from_components(ts2 / 2, view), resolution_by_blocks(ts2, view))
 
 
-@pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6), (9, 17)])
+@pytest.mark.parametrize("ts, batch", [(24, (40,)), (64, (8,)), (64, (40,))])
+def test_trace_in_runs_of_blocks_equals_block_route_bytes(ts, batch, rng):
+    # chunks whose rows of all blocks pass the chunk budget are gathered and
+    # multiplied in runs of blocks, with the per-block route's columns: at
+    # 2s = 24 through the buffer, at 2s = 64 matrix by matrix, in chunks of
+    # 15 and then 10 matrices for the batch of 40
+    n = ts + 1
+    a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
+    assert_same_bytes(operator_components(a), trace_by_blocks(a))
+
+
+@pytest.mark.parametrize("ts, batch", [(24, (40,)), (64, (8,))])
+def test_batched_trace_work_memory_is_bounded_by_the_chunk_budget(ts, batch, rng):
+    # its rows in runs of blocks within one budget, and the [labels, batch]
+    # buffer within two; gathering all blocks' rows at once took 1.6 MiB
+    # beyond the 1.0 MiB result at 2s = 64
+    n = ts + 1
+    a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
+    operator_components(a)  # builds the bands outside the trace
+    tracemalloc.start()
+    try:
+        comps = operator_components(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - comps.nbytes <= 3 * tensor_ops._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6), (9, 17), (16, 16), (24, 24)])
 def test_reconstruct_bipartite_order_is_within_roundoff_of_factor_2_first(ts1, ts2, rng):
     # reconstruct_bipartite resolves factor 1 first; resolving factor 2 first
     # sums the same terms in another order, so the two agree to roundoff
+    # (ROUNDOFF, 1e-14 of the largest |entry|; 1.6e-15 was seen at (24, 24))
     n1, n2 = ts1 + 1, ts2 + 1
     t12 = decompose_bipartite(random_bipartite_density(rng, ts1, ts2))
     partial = resolution_by_blocks(ts2, t12.values).transpose(2, 3, 0, 1)
