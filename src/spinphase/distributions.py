@@ -34,18 +34,16 @@ harmonic table, phases and ring maps) is cached by content in angular, so
 repeated evaluations on one grid build it once.
 
 The singlet correlation never forms the joint distribution on the grid: it
-projects each side's classical component, a band-1 function built from the
-grid's ring and azimuth factors (each kind's magnitude and z sign stated once,
-in _spin_scale, which classical_spin_vector shares), onto ranks 0 and 1 ring
-by ring (quadrature.project) and contracts the two [k, 1 + q] arrays with the
-singlet's coefficients and c_0^2, c_1^2 in Python scalars, O(N log N) for N
-nodes.  It needs band >= s (BandLimitError otherwise; coarser grids alias),
-where every higher rank's projection is an exact zero.  Its roundoff bound
-travels with it, and a result the bound cannot certify to 1e-9 s(s+1)/3
-raises ConsistencyError.  The scalar results of expectation and correlation
-pass the imaginary-residue check of evaluate_many as Python numbers
-(_real_scalar).  A P coefficient that a call would return or use and that
-overflows the float range is refused with DomainError (_finite).
+projects each side's classical component (magnitude and z sign from
+_spin_scale, shared with classical_spin_vector) onto ranks 0 and 1 as ring
+sums times azimuth sums, O(R + C) for R rings and C azimuths, and contracts
+them with the singlet's coefficients and c_0^2, c_1^2.  It needs band >= s
+(BandLimitError otherwise; coarser grids alias), and a result its first-order
+roundoff bound cannot certify to 1e-9 s(s+1)/3 raises ConsistencyError.
+The scalar results of expectation and correlation pass the imaginary-residue
+check of evaluate_many as Python numbers (_real_scalar).  A P coefficient
+that a call would return or use and that overflows the float range is
+refused with DomainError (_finite).
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ from .fano import (
     _frozen,
     _singlet_coefficients,
 )
-from .quadrature import SphereGrid, integrate, project
+from .quadrature import SphereGrid, integrate
 from .tensor_ops import operator_components
 
 __all__ = [
@@ -107,6 +105,12 @@ _CORRELATION_RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 # the singlet's t^{kk}_{q,-q} for k <= 1 as [k][1 + q] (_singlet_coefficients(1))
 _SINGLET_RANK1 = _singlet_coefficients(1).tolist()
+# correlation's [signed, absolute][coordinate][(k, 1 + q)] tables: Y_k|q|(t, 0) (-1)^q
+# (q < 0) over its ring factor, exp(-i q p) on cos p, sin p, 1, the ring sums' [row, column]
+_Y_RANK1 = np.array([0.0, 1.0, 0.0, math.sqrt(1.5), math.sqrt(3.0), -math.sqrt(1.5)]) / _SQRT4PI
+_PHASE = np.array([[1, 1j, 0], [0, 0, 1], [1, -1j, 0]]).T[:, [1, 1, 1, 0, 1, 2]]
+_Y_RANK1, _PHASE = np.array([_Y_RANK1, abs(_Y_RANK1)])[:, None], np.array([_PHASE, abs(_PHASE)])
+_RING_ROWS, _RING_COLUMNS = np.array([[0], [0], [1]]), np.array([0, 0, 0, 2, 1, 2])
 
 
 class DistributionKind(Enum):
@@ -229,20 +233,21 @@ def coherent_state(s, theta: float, phi: float) -> SpinCoherentState:
     return SpinCoherentState(s, theta, phi)
 
 
-def _direction(v, name: str) -> np.ndarray:
-    """A direction argument as a float array: a list, tuple or 1-d array of
+def _direction(v, name: str) -> tuple[float, float, float]:
+    """A direction argument as three floats: a list, tuple or 1-d array of
     three components, each a finite real (never a bool, named with its index
     when refused), of unit length to 1e-12."""
     parts = v.tolist() if isinstance(v, np.ndarray) else v
     if not isinstance(parts, (list, tuple)) or len(parts) != 3:
         raise DomainError(f"{name}={v!r}: expected a unit vector of three components")
-    x, y, z = (require_real(c, f"{name}[{i}]") for i, c in enumerate(parts))
+    x, y, z = (c if type(c) is float and math.isfinite(c) else require_real(c, f"{name}[{i}]")
+               for i, c in enumerate(parts))
     norm = math.hypot(x, y, z)
     if abs(norm - 1.0) > 1e-12:
         raise DomainError(
             f"{name}={v!r}: expected a unit vector (|{name}| = {norm:.12g}, tolerance 1e-12)"
         )
-    return np.array([x, y, z])
+    return x, y, z
 
 
 def q_direct(rho: DensityMatrix, theta: float, phi: float) -> float:
@@ -354,7 +359,10 @@ def classical_spin_vector(kind: DistributionKind, s, theta, phi) -> np.ndarray:
     arrays; the vector is then the last axis.
     """
     theta, phi = require_angle(theta, "theta"), require_angle(phi, "phi")
-    return _spin_vector(kind, require_spin(s), theta, phi)
+    magnitude, z_sign = _spin_scale(kind, require_spin(s))
+    sin_t = np.sin(theta)
+    n = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z_sign * np.cos(theta)], axis=-1)
+    return magnitude * n
 
 
 def _spin_scale(kind: DistributionKind, ts: int) -> tuple[float, float]:
@@ -366,14 +374,6 @@ def _spin_scale(kind: DistributionKind, ts: int) -> tuple[float, float]:
     if kind is DistributionKind.Q:
         return s_val + 1.0, -1.0
     return math.sqrt(s_val * (s_val + 1.0)), 1.0
-
-
-def _spin_vector(kind: DistributionKind, ts: int, theta, phi) -> np.ndarray:
-    """classical_spin_vector at twice-spin ts, for angle arrays already checked."""
-    magnitude, z_sign = _spin_scale(kind, ts)
-    sin_t = np.sin(theta)
-    n = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z_sign * np.cos(theta)], axis=-1)
-    return magnitude * n
 
 
 def expectation(
@@ -450,7 +450,7 @@ def correlation_exact(s, a, b) -> float:
     ts = require_spin(s)
     av, bv = _direction(a, "a"), _direction(b, "b")
     s_val = ts / 2.0
-    return -s_val * (s_val + 1.0) / 3.0 * float(av @ bv)
+    return -s_val * (s_val + 1.0) / 3.0 * float(np.dot(av, bv))
 
 
 def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
@@ -463,21 +463,22 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     band_limit >= s.  Coarser grids alias to wrong values, so they raise
     BandLimitError, as does band_limit < 2.
 
-    Each side's classical component along a (b) is a band-1 function, so on
-    such a grid its projections onto ranks k >= 2 are exact zeros and only
-    ranks 0 and 1 are projected (quadrature.project with k_max = 1).  The
-    component is built on the product grid from ring factors (magnitude
-    sin theta_r and magnitude z_sign cos theta_r, _spin_scale) times azimuth
-    factors (a_x cos phi_c + a_y sin phi_c, and a_z): 2(R + C) sines and
-    cosines for R rings and C azimuths.  The two [k, 1 + q] arrays are
-    contracted in Python scalars with the singlet's coefficients
-    t^{kk}_{q,-q} (_SINGLET_RANK1) and the kind's c_k^2: the quadrature sum
-    left @ W12 @ right with the products grouped differently, in O(N log N)
-    time (one FFT per ring) and O(N) memory for N nodes; the N x N joint
-    matrix is never formed, and no c_k beyond c_1 enters, so every kind
-    answers at any spin.  The projections' roundoff bounds are carried
-    through the contraction; ConsistencyError is raised when the result's
-    bound exceeds 1e-9 s(s+1)/3, or its imaginary residue exceeds 1e-9.
+    Each side's classical component along d is a band-1 function, so only
+    its projections onto ranks 0 and 1 enter.  Its coordinate i is a ring
+    factor (sin t, sin t, z_sign cos t) times an azimuth factor (cos p,
+    sin p, 1), so the quadrature sum a_kq = sum_n w_n f_n conj(Y_kq(n)) is
+    sum_i magnitude d_i times sum_r w_r Y_k|q|(t_r, 0) (ring factor i) times
+    sum_c (azimuth factor i) (-1)^q (q < 0) exp(-i q p_c): O(R + C) for R
+    rings and C azimuths.  The [k, 1 + q] arrays are contracted with the
+    singlet's t^{kk}_{q,-q} and the kind's c_k^2 (no c_k beyond c_1, so
+    every kind answers at any spin).  The roundoff bound is first order, an
+    eps a rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 3): a term of a_kq meets at most R + 3 roundings in
+    its ring sum, C + 2 in its azimuth sum and 11 after, so a_kq is within
+    (R + C + 16) eps of its sums taken in absolute values; the contraction
+    carries that and adds 15 eps of its terms' absolute sum (7 in c_1^2 /
+    4 pi, 3 in products, 5 in additions).  A bound beyond 1e-9 s(s+1)/3, or
+    an imaginary residue beyond 1e-9, raises ConsistencyError.
     """
     ts = require_spin(s, lo=1)
     if grid.band_limit < 2 or 2 * grid.band_limit < ts:
@@ -485,33 +486,32 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
             f"grid band limit {grid.band_limit} is too coarse for 2s = {ts}; "
             "correlation needs band >= 2 and 2 * band >= 2s"
         )
-    d = np.array([_direction(a, "a"), _direction(b, "b")])
-    s_val = ts / 2.0
-    # side d's node (ring r, azimuth c) holds the ring factors magnitude sin t_r
-    # and magnitude z_sign cos t_r times the azimuth factor d_x cos p_c + d_y sin p_c
-    # and d_z: sides [2, R, C], no [N, 3] vectors
     magnitude, z_sign = _spin_scale(kind, ts)
-    thetas, phis = grid.thetas, grid.phis
-    sin_t, cos_t = magnitude * np.sin(thetas), (magnitude * z_sign) * np.cos(thetas)
-    azimuths = d[:, :2] @ np.array([np.cos(phis), np.sin(phis)])
-    sides = sin_t[:, None] * azimuths[:, None, :] + (d[:, 2:] * cos_t)[..., None]
-    (left, right), (left_err, right_err) = project(grid, sides.reshape(2, -1), 1)
-    left, right, left_err, right_err = (x.tolist() for x in (left, right, left_err, right_err))
-    # side 1's column 1 + q meets side 2's column 1 - q; the kind's weights
-    # sigma(k, q) c_k and sigma(k, -q) c_k multiply to c_k^2
+    d = np.array([_direction(a, "a"), _direction(b, "b")]) * [1.0, 1.0, z_sign] * magnitude
+    # [signed, absolute] ring sums of w_r {sin, cos}(t_r) {1, cos, sin}(t_r) (|cos| for cos)
+    one, cos_t, sin_t = np.ones(grid.n_theta), np.cos(grid.thetas), np.sin(grid.thetas)
+    ring = np.array([[sin_t, cos_t], [sin_t, np.abs(cos_t)]]) * grid._ring_weights
+    ring = ring @ np.array([[one, cos_t, sin_t], [one, np.abs(cos_t), sin_t]]).swapaxes(1, 2)
+    # and azimuth sums of {cos, sin, 1}(p_c) {cos, sin, 1}(p_c) (|cos|, |sin| for cos, sin)
+    one, cos_p, sin_p = np.ones(grid.n_phi), np.cos(grid.phis), np.sin(grid.phis)
+    az = np.array([[cos_p, sin_p, one], [np.abs(cos_p), np.abs(sin_p), one]])
+    sums = _Y_RANK1 * ring[:, _RING_ROWS, _RING_COLUMNS] * (az @ az.swapaxes(1, 2) @ _PHASE)
+    # each side's a_kq, and its bound: (R + C + 16) eps its sums of absolute values
+    sides = np.array([d, np.abs(d) * ((grid.n_theta + grid.n_phi + 16) * _EPS)]) @ sums
+    (left, right), (left_err, right_err) = sides.reshape(2, 2, 2, 3).tolist()
+    # side 1's (k, q) meets side 2's (k, -q): sigma(k, q) c_k sigma(k, -q) c_k = c_k^2
     total, bound, abs_total = 0j, 0.0, 0.0
     for k, (signs, c) in enumerate(zip(_SINGLET_RANK1, _table(kind, ts, 1).tolist())):
         for i, sign in enumerate(signs):
             coupling = sign * (c * c) / (4.0 * math.pi)
-            l, r, dl, dr = left[k][i], right[k][2 - i], left_err[k][i], right_err[k][2 - i]
+            l, r = left[k][i], right[k][2 - i]
+            dl, dr = left_err[k][i].real, right_err[k][2 - i].real
             term = coupling * l * r
-            total += term
-            abs_total += abs(term)
+            total, abs_total = total + term, abs_total + abs(term)
             # |LR - L'R'| <= |L'| dR + dL |R'| + dL dR
             bound += abs(coupling) * (abs(l) * dr + dl * abs(r) + dl * dr)
-    # plus the rounding of the sum of the [2, 3] terms
-    bound += 6 * _EPS * abs_total
-    tolerance = _CORRELATION_RTOL * s_val * (s_val + 1.0) / 3.0
+    bound += 15 * _EPS * abs_total
+    tolerance = _CORRELATION_RTOL * ts * (ts + 2.0) / 12.0  # s(s+1)/3 = 2s (2s + 2) / 12
     if not bound <= tolerance:
         raise ConsistencyError(
             f"correlation({kind.value}): roundoff bound {bound:.3e} exceeds "

@@ -285,14 +285,30 @@ def test_correlation_answers_q_and_f_where_p_is_refused(ts, capsys):
 
 @pytest.mark.scale
 def test_correlation_answers_at_twice_spin_1007(capsys):
-    # the command integrates on the coarsest exact grid, band ceil(s): on
-    # band 2s the roundoff bound, which grows with the node count, refuses
-    # every kind from 2s = 1007 on
+    # the command integrates on the coarsest exact grid, band ceil(s), a
+    # quarter of band 2s's nodes; its bound grows with R + C, not R C
     assert main(["correlation", "--twice-spin", "1007", "--a", "0", "0", "1",
                  "--b", "0", "1", "1"]) == 0
     values, _ = parse_correlation(capsys.readouterr().out)
     assert list(values) == ["p", "q", "f"]
     expected = -503.5 * 504.5 / 3 * math.sqrt(0.5)
+    for quad, exact, _ in values.values():
+        assert exact == pytest.approx(expected, rel=1e-12)
+        assert quad == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("ts, b, dot", [(2013, ["0", "1", "1"], math.sqrt(0.5)),
+                                        (2400, ["0", "0", "1"], 1.0)], ids=["2013", "2400"])
+def test_correlation_answers_at_large_twice_spin(ts, b, dot, capsys):
+    # an N eps bound for N nodes refused both (3.383e-04 against 3.380e-04
+    # and 6.154e-04 against 4.804e-04); the per-stage bound is about 1.9e-12
+    # and 1.6e-12 of s(s+1)/3
+    assert main(["correlation", "--twice-spin", str(ts), "--a", "0", "0", "1", "--b", *b]) == 0
+    values, _ = parse_correlation(capsys.readouterr().out)
+    assert list(values) == ["p", "q", "f"]
+    s = ts / 2
+    expected = -s * (s + 1) / 3 * dot
     for quad, exact, _ in values.values():
         assert exact == pytest.approx(expected, rel=1e-12)
         assert quad == pytest.approx(expected, rel=1e-12)

@@ -898,6 +898,65 @@ def test_correlation_matches_node_vector_integrand(kind, ts):
         assert abs(got - node_vector_correlation(kind, ts, a, b, grid)) <= 1e-14 * scale
 
 
+def projection_correlation(kind, ts, a, b, grid):
+    """(value, roundoff bound) by correlation's route before the ring x azimuth
+    sums, transcribed: each side's component as [R, C] node values from ring
+    and azimuth factors, projected onto ranks 0 and 1 by quadrature.project
+    (one FFT per ring, N eps bound for N nodes), and contracted in Python
+    scalars with the projections' bounds carried through."""
+    d = np.array([a, b], dtype=float)
+    magnitude, z_sign = distributions._spin_scale(kind, ts)
+    sin_t, cos_t = magnitude * np.sin(grid.thetas), (magnitude * z_sign) * np.cos(grid.thetas)
+    azimuths = d[:, :2] @ np.array([np.cos(grid.phis), np.sin(grid.phis)])
+    sides = sin_t[:, None] * azimuths[:, None, :] + (d[:, 2:] * cos_t)[..., None]
+    (left, right), (left_err, right_err) = project(grid, sides.reshape(2, -1), 1)
+    left, right, left_err, right_err = (x.tolist() for x in (left, right, left_err, right_err))
+    total, bound, abs_total = 0j, 0.0, 0.0
+    c = coefficient_table(kind, ts / 2)[:2].tolist()
+    for k, signs in enumerate(distributions._SINGLET_RANK1):
+        for i, sign in enumerate(signs):
+            coupling = sign * (c[k] * c[k]) / (4.0 * math.pi)
+            l, r, dl, dr = left[k][i], right[k][2 - i], left_err[k][i], right_err[k][2 - i]
+            term = coupling * l * r
+            total += term
+            abs_total += abs(term)
+            bound += abs(coupling) * (abs(l) * dr + dl * abs(r) + dl * dr)
+    return total.real, bound + 6 * np.finfo(float).eps * abs_total
+
+
+def correlation_bound(monkeypatch, kind, ts, a, b, grid):
+    """correlation's roundoff bound, read from the refusal that a zero
+    tolerance forces; the message shows it to four digits."""
+    with monkeypatch.context() as m:
+        m.setattr(distributions, "_CORRELATION_RTOL", 0.0)
+        with pytest.raises(ConsistencyError) as exc:
+            correlation(kind, ts / 2, a, b, grid)
+    return float(str(exc.value).split("roundoff bound ")[1].split()[0])
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 5, 8, 16, 24, 64, 400])
+def test_correlation_matches_projection_route(ts, monkeypatch):
+    rng = np.random.default_rng(2900 + ts)
+    z, x = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    u = random_direction(rng)
+    pairs = [(u, u), (u, -u), (z, x), (random_direction(rng), random_direction(rng)),
+             (random_direction(rng), random_direction(rng))]
+    scale = ts / 2 * (ts / 2 + 1) / 3
+    # the coarsest exact grid (the CLI's) and the band-2s one
+    for band in sorted({max(2, (ts + 1) // 2), max(2, ts)}):
+        grid = build_grid(band)
+        for kind in DistributionKind:
+            for a, b in pairs:
+                old, old_bound = projection_correlation(kind, ts, a, b, grid)
+                # every case here is one the old bound accepts, so it must answer
+                assert old_bound <= 1e-9 * scale
+                got = correlation(kind, ts / 2, a, b, grid)
+                assert abs(got - old) <= 1e-14 * scale, (band, kind, got, old)
+                # the four digits shown may round the bound up by 5e-4 of itself
+                bound = correlation_bound(monkeypatch, kind, ts, a, b, grid) * (1 - 5e-4)
+                assert bound >= abs(got - correlation_exact(ts / 2, a, b)), (band, kind)
+
+
 @pytest.mark.parametrize("kind", list(DistributionKind))
 @pytest.mark.parametrize("ts, band", [(5, 2), (8, 3), (64, 2)])
 def test_correlation_refuses_grids_below_band_s(kind, ts, band):
@@ -961,8 +1020,34 @@ def test_correlation_closed_form_at_large_spin(kind, ts, rng):
 
 
 @pytest.mark.scale
+@pytest.mark.parametrize("kind", [P, Q, F])
+def test_correlation_answers_at_twice_spin_1007_on_band_2s(kind):
+    # an N eps bound for the N nodes refused every kind here (8.474e-05
+    # against 8.467e-05); the per-stage (R + C + 16) eps bound answers
+    a, b = [0, 0, 1.0], [0, math.sqrt(0.5), math.sqrt(0.5)]
+    got = correlation(kind, 503.5, a, b, build_grid(1007))
+    assert got == pytest.approx(correlation_exact(503.5, a, b), rel=1e-12)
+
+
+@pytest.mark.scale
+def test_correlation_memory_at_twice_spin_2000():
+    # ring and azimuth sums over R = 1001 and C = 2002 nodes: 0.19-0.33 MB
+    # measured; the [2, R, C] node values alone would take 32 MB
+    grid = build_grid(1000)
+    tracemalloc.start()
+    try:
+        correlation(F, 1000.0, [0, 0, 1.0], [0, 1.0, 0], grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+
+
+@pytest.mark.scale
 @pytest.mark.parametrize("kind", [Q, F])
 def test_correlation_memory_at_spin_thirty_two(kind):
+    # ring and azimuth sums, O(R + C): 16-26 kB measured, the first call at
+    # a spin with its coefficient tables
     grid = build_grid(64)
     tracemalloc.start()
     try:
@@ -975,8 +1060,7 @@ def test_correlation_memory_at_spin_thirty_two(kind):
 
 @pytest.mark.scale
 def test_correlation_memory_at_spin_sixty_four():
-    # 39 MB with the one signed table that project builds; a signed table
-    # built beside a q >= 0 copy of it reads 55 MB
+    # ring and azimuth sums, O(R + C): 38 kB measured
     grid = build_grid(128)
     tracemalloc.start()
     try:
@@ -990,8 +1074,7 @@ def test_correlation_memory_at_spin_sixty_four():
 @pytest.mark.scale
 @pytest.mark.parametrize("kind", [P, F])
 def test_correlation_memory_at_spin_one_hundred(kind):
-    # about 10 MB: two components of the grid's nodes and their FFTs; a
-    # projection onto every rank would peak at 80 MB
+    # ring and azimuth sums, O(R + C): 42-56 kB measured
     grid = build_grid(200)
     tracemalloc.start()
     try:
