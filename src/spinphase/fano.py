@@ -318,7 +318,11 @@ class CoupledFanoTensorSet:
 
 
 def decompose(rho: DensityMatrix) -> FanoTensorSet:
-    """Multipole coefficients t^k_q = Tr(rho tau^k_q)."""
+    """Multipole coefficients t^k_q = Tr(rho tau^k_q).
+
+    Its bits are those of operator_components on rho's matrix alone; the
+    same matrix traced in a batch may differ in the last bits (see there).
+    """
     return FanoTensorSet(rho.s, _frozen(operator_components(rho.matrix)))
 
 

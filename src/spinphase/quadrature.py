@@ -20,9 +20,9 @@ into spherical-harmonic coefficients ring by ring: one FFT in phi per ring,
 then one sum over the rings against angular's half table
 Pbar[k, q >= 0, ring] = Y_kq(theta_ring, 0), one real product per order
 (the Driscoll-Healy / SHTns structure), so the harmonic table over all nodes
-is never built.  What a projection needs of the grid alone, its ring weights
-and its order tables for q = -L..L, is kept on the grid, O(L) numbers; no
-table of N entries is cached beyond node_thetas, node_phis and weights.
+is never built.  What a projection needs of the grid alone, its ring weights,
+is kept on the grid, O(L) numbers; no table of N entries is cached beyond
+node_thetas, node_phis and weights.
 """
 
 from __future__ import annotations
@@ -110,21 +110,6 @@ class SphereGrid:
         out = self.theta_weights * self.phi_weight
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def _orders(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """project's order tables for q = -L..L (_order_tables)."""
-        return _order_tables(self.band_limit, self.n_phi)
-
-
-def _order_tables(k_max: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For q = -k_max..k_max, read-only: the FFT column q mod n_phi, |q| and
-    conj(Y_kq)'s q < 0 sign (angular._q_signs)."""
-    q = np.arange(-k_max, k_max + 1)
-    tables = (q % n_phi, np.abs(q), _q_signs(q))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
 
 
 def build_grid(band_limit: int) -> SphereGrid:
@@ -245,22 +230,17 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
     ring]: O(k_max^2 n_theta) work and memory, not the O(k_max^2 N) of a
     full harmonic table.  The table comes read-only from angular's ring table
     cache, keyed by (k_max, grid.thetas), so repeated calls on one grid build
-    it once; the grid holds its ring weights and, for q = -L..L, the FFT
-    columns, |q| and q < 0 signs, so a call with k_max <= L reads slices of
-    them (O(L) each, built on first use).  The bound reads |Pbar| in blocks
-    of at most _BOUND_BLOCK_BYTES.  Node values whose sums overflow are
+    it once, and the ring weights from the grid.  The bound reads |Pbar| in
+    blocks of at most _BOUND_BLOCK_BYTES.  Node values whose sums overflow are
     refused (DomainError).
     """
     k_max = require_int(k_max, "k_max", 0)
     vals = _node_values(grid, values, "values")
     table = _ring_table(k_max, grid.thetas)  # [k, p, ring]
     rings = vals.reshape(vals.shape[:-1] + (grid.n_theta, grid.n_phi))
-    band, ring_weights = grid.band_limit, grid._ring_weights
-    if k_max <= band:
-        columns, orders, signs = (t[band - k_max : band + k_max + 1] for t in grid._orders)
-    else:
-        columns, orders, signs = _order_tables(k_max, grid.n_phi)
-    signed_weights = ring_weights[:, None] * signs  # conj(Y_kq)'s q < 0 sign
+    q, ring_weights = np.arange(-k_max, k_max + 1), grid._ring_weights
+    columns = q % grid.n_phi
+    signed_weights = ring_weights[:, None] * _q_signs(q)  # conj(Y_kq)'s q < 0 sign
     step = max(1, _BOUND_BLOCK_BYTES // table[0].nbytes)
     with _overflow_refused(vals):
         spectra = np.fft.fft(rings, axis=-1)[..., columns] * signed_weights
@@ -273,5 +253,5 @@ def project(grid: SphereGrid, values, k_max: int) -> tuple[np.ndarray, np.ndarra
         bound = np.concatenate([
             np.einsum("kpr,...r->...kp", np.abs(table[k : k + step]), abs_rings)
             for k in range(0, k_max + 1, step)
-        ], axis=-2)[..., orders]
+        ], axis=-2)[..., np.abs(q)]
     return coefficients, grid.n_nodes * np.finfo(float).eps * bound

@@ -20,9 +20,7 @@ products and gathers A's entries back from the rows that lie on their
 diagonal (`kept`).  A batch runs in chunks along its first axis, as wide as
 the per-block route's block-0 work arrays allowed in _CHUNK_BYTES, so each
 product has that route's columns and values; a trace chunk whose rows pass
-the budget is gathered and multiplied in runs of blocks, and its scatter
-goes through one [labels, batch] buffer of at most two budgets, or matrix
-by matrix.
+the budget is gathered and multiplied in runs of blocks.
 """
 
 from __future__ import annotations
@@ -47,13 +45,6 @@ _BLOCK = 8  # |q| values per band block
 # a batch runs in chunks along its first axis, so a bipartite form holds a
 # few chunks' work arrays, not a copy of its operand
 _CHUNK_BYTES = 1 << 19
-# a trace chunk of fewer matrices scatters each one on its own into its
-# zeroed rows: through the [labels, batch] buffer, 2 and 3 matrices took
-# 1.07x and 1.03x as long at 2s = 24 and 1.18x and 1.10x at 2s = 64, one
-# matrix 0.99-1.02x and 1.03x, four 0.97x and 1.02x, while 1-3 took
-# 0.90-0.98x at 2s = 4 (operator_components per call, medians of 10 fresh
-# processes that each timed both paths in turn)
-_FEW_MATRICES = 4
 
 
 def _build_bands(ts: int) -> tuple[np.ndarray, ...]:
@@ -158,14 +149,10 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return matrix_first.reshape(x.shape[-2] * x.shape[-1], -1)
 
 
-def _runs(blocks, rows: int, columns: int):
-    """(rows, blocks) per run of consecutive blocks whose slot rows (`rows`
-    in all), gathered and multiplied over `columns` complex columns, fit
-    _CHUNK_BYTES, one block at least: rows is the run's slice of the index
-    tables' rows."""
-    if 32 * rows * columns <= _CHUNK_BYTES:  # one run: a warm call skips the loop
-        yield slice(0, rows), blocks
-        return
+def _runs(blocks, columns: int):
+    """(rows, blocks) per run of consecutive blocks whose slot rows, gathered
+    and multiplied over `columns` complex columns, fit _CHUNK_BYTES, one
+    block at least: rows is the run's slice of the index tables' rows."""
     lo = hi = 0
     run = []
     for block in blocks:
@@ -202,7 +189,10 @@ def operator_components(a: np.ndarray) -> np.ndarray:
     from n = 2s+1.  Together with operator_from_components this is an exact
     resolution of A.  An entry that is not a complex number, NaN or +-inf is
     refused by the argument rule; a 0 x 0 operator is refused too
-    (DomainError).
+    (DomainError).  The last bits hold only for the same batch shape: BLAS
+    product values depend on the column count, so 16 random matrices traced
+    together all differ from their lone calls at 2s = 18, 24 and 40, by up
+    to 4.7e-16 of max |component| (none at 2s = 4).
     """
     a = _require_array(a, "a", "entry", complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -215,33 +205,16 @@ def operator_components(a: np.ndarray) -> np.ndarray:
     *blocks, entry, label, _ = _bands(ts)
     size = n * (2 * ts + 1)
     out = np.empty(a.shape[:-2] + (n, 2 * ts + 1), dtype=complex)
-    comps = None
     # the per-block route's chunks, so its products' columns and values
     for part, part_out in _chunks(a, out, 512 * n):
         flat, matrices = _flat(part), part_out.reshape(-1, size)
-        # many matrices go through one zeroed [labels, batch] buffer and one
-        # transposed copy, faster than a scatter through the output's strided
-        # rows; a few scatter per matrix, and so do more if the buffer would
-        # pass two chunk budgets, where it is mostly the slower too (timed
-        # alone, 1.1-2.1x the 1-D scatters of 4-25 matrices at 2s = 48 to 100)
-        buffered = _FEW_MATRICES <= len(matrices) <= 2 * _CHUNK_BYTES // (16 * size)
-        if not buffered:
-            matrices.fill(0.0)
-        for rows, run in _runs(blocks, len(entry), len(matrices)):
+        matrices.fill(0.0)
+        for rows, run in _runs(blocks, len(matrices)):
             # Tr(A tau) pairs tau's offset-q diagonal with A's offset -q one
             res = _products(run, flat[entry[rows]], transpose=False)
             skip = n if rows.start == 0 else 0  # block 0's q = +0 slot
-            labels, res = label[rows][skip:], res[skip:]
-            if buffered:  # made once the gathered rows are freed; every chunk
-                # writes the same labels, so its zeros stay
-                comps = np.zeros((size, len(matrices)), dtype=complex) if comps is None else comps
-                comps[labels, : len(matrices)] = res
-            else:
-                for matrix, column in zip(matrices, res.T):
-                    matrix[labels] = column
+            matrices[:, label[rows][skip:]] = res[skip:].T
             del res  # freed before the next rows are gathered
-        if buffered:
-            matrices[...] = comps[:, : len(matrices)].T
     return out
 
 

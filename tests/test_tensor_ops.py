@@ -514,8 +514,7 @@ def test_trace_and_resolution_equal_block_route_bytes_on_bipartite_views(ts1, ts
 def test_trace_in_runs_of_blocks_equals_block_route_bytes(ts, batch, rng):
     # chunks whose rows of all blocks pass the chunk budget are gathered and
     # multiplied in runs of blocks, with the per-block route's columns: at
-    # 2s = 24 through the buffer, at 2s = 64 matrix by matrix, in chunks of
-    # 15 and then 10 matrices for the batch of 40
+    # 2s = 64 in chunks of 15 and then 10 matrices for the batch of 40
     n = ts + 1
     a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
     assert_same_bytes(operator_components(a), trace_by_blocks(a))
@@ -523,8 +522,8 @@ def test_trace_in_runs_of_blocks_equals_block_route_bytes(ts, batch, rng):
 
 @pytest.mark.parametrize("ts, batch", [(24, (40,)), (64, (8,))])
 def test_batched_trace_work_memory_is_bounded_by_the_chunk_budget(ts, batch, rng):
-    # its rows in runs of blocks within one budget, and the [labels, batch]
-    # buffer within two; gathering all blocks' rows at once took 1.6 MiB
+    # its rows in runs of blocks within one budget, scattered straight into
+    # the zeroed result; gathering all blocks' rows at once took 1.6 MiB
     # beyond the 1.0 MiB result at 2s = 64
     n = ts + 1
     a = rng.normal(size=batch + (n, n)) + 1j * rng.normal(size=batch + (n, n))
@@ -535,7 +534,7 @@ def test_batched_trace_work_memory_is_bounded_by_the_chunk_budget(ts, batch, rng
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - comps.nbytes <= 3 * tensor_ops._CHUNK_BYTES
+    assert peak - comps.nbytes <= 2 * tensor_ops._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("ts1, ts2", [(1, 2), (3, 3), (4, 1), (6, 6), (9, 17), (16, 16), (24, 24)])
