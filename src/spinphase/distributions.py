@@ -37,7 +37,8 @@ The singlet correlation never forms the joint distribution on the grid: it
 projects each side's classical component (magnitude and z sign from
 _spin_scale, shared with classical_spin_vector) onto ranks 0 and 1 as ring
 sums times azimuth sums, O(R + C) for R rings and C azimuths, and contracts
-them with the singlet's coefficients and c_0^2, c_1^2.  It needs band >= s
+them with the singlet's coefficients and c_0^2, c_1^2; the sums of the grid
+alone are kept on it, so a reused grid builds them once.  It needs band >= s
 (BandLimitError otherwise; coarser grids alias), and a result its first-order
 roundoff bound cannot certify to 1e-9 s(s+1)/3 raises ConsistencyError.
 The scalar results of expectation and correlation pass the imaginary-residue
@@ -469,8 +470,9 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
     sin p, 1), so the quadrature sum a_kq = sum_n w_n f_n conj(Y_kq(n)) is
     sum_i magnitude d_i times sum_r w_r Y_k|q|(t_r, 0) (ring factor i) times
     sum_c (azimuth factor i) (-1)^q (q < 0) exp(-i q p_c): O(R + C) for R
-    rings and C azimuths.  The [k, 1 + q] arrays are contracted with the
-    singlet's t^{kk}_{q,-q} and the kind's c_k^2 (no c_k beyond c_1, so
+    rings and C azimuths, its ring and azimuth Gram sums kept on the grid
+    from its first correlation.  The [k, 1 + q] arrays are contracted with
+    the singlet's t^{kk}_{q,-q} and the kind's c_k^2 (no c_k beyond c_1, so
     every kind answers at any spin).  The roundoff bound is first order, an
     eps a rounding (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., 2002, ch. 3): a term of a_kq meets at most R + 3 roundings in
@@ -488,14 +490,8 @@ def correlation(kind: DistributionKind, s, a, b, grid: SphereGrid) -> float:
         )
     magnitude, z_sign = _spin_scale(kind, ts)
     d = np.array([_direction(a, "a"), _direction(b, "b")]) * [1.0, 1.0, z_sign] * magnitude
-    # [signed, absolute] ring sums of w_r {sin, cos}(t_r) {1, cos, sin}(t_r) (|cos| for cos)
-    one, cos_t, sin_t = np.ones(grid.n_theta), np.cos(grid.thetas), np.sin(grid.thetas)
-    ring = np.array([[sin_t, cos_t], [sin_t, np.abs(cos_t)]]) * grid._ring_weights
-    ring = ring @ np.array([[one, cos_t, sin_t], [one, np.abs(cos_t), sin_t]]).swapaxes(1, 2)
-    # and azimuth sums of {cos, sin, 1}(p_c) {cos, sin, 1}(p_c) (|cos|, |sin| for cos, sin)
-    one, cos_p, sin_p = np.ones(grid.n_phi), np.cos(grid.phis), np.sin(grid.phis)
-    az = np.array([[cos_p, sin_p, one], [np.abs(cos_p), np.abs(sin_p), one]])
-    sums = _Y_RANK1 * ring[:, _RING_ROWS, _RING_COLUMNS] * (az @ az.swapaxes(1, 2) @ _PHASE)
+    ring, gram = grid._correlation_sums  # built on the grid's first correlation
+    sums = _Y_RANK1 * ring[:, _RING_ROWS, _RING_COLUMNS] * (gram @ _PHASE)
     # each side's a_kq, and its bound: (R + C + 16) eps its sums of absolute values
     sides = np.array([d, np.abs(d) * ((grid.n_theta + grid.n_phi + 16) * _EPS)]) @ sums
     (left, right), (left_err, right_err) = sides.reshape(2, 2, 2, 3).tolist()

@@ -28,8 +28,8 @@ tolerance.  The label tables the set checks read, each factor's |q| > k mask
 and signs (-1)^q, are built once per spin in a byte-bounded cache (_labels),
 which also gives the singlet's coefficients.  A coupled set is checked in
 blocks of k1 rows within a fixed 64 KiB budget (_BLOCK_BYTES): one block up
-to 2s1 = 2s2 = 4, one row a block from 2s1 = 2s2 = 8, with the same
-decisions and messages as a row-by-row check.
+to 2s1 = 2s2 = 4, one rank slab a block, read about once, from 2s1 = 2s2 =
+8, with the same decisions and messages as a row-by-row check.
 """
 
 from __future__ import annotations
@@ -187,6 +187,8 @@ _labels = _RankCache(_build_labels, max_bytes=10_000_000)
 
 # _validate_set's budget for a block of a coupled set's k1 rows, in bytes
 _BLOCK_BYTES = 65_536
+# max(|Re z|, |Im z|) <= _SCREEN implies |z| <= TENSOR_TOL
+_SCREEN = TENSOR_TOL / 2**0.5
 
 
 def _first_label(bad: np.ndarray, k1: int, spins: tuple[int, ...]) -> str:
@@ -205,15 +207,16 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     read-only (see _owned), in one pass over blocks of k1 rows: a single set
     is one block, viewed as [k, 2s + q, 1, 1]; a coupled set takes as many
     rows a block as fit _BLOCK_BYTES, at least one (all of a set up to
-    2s1 = 2s2 = 4, one row a block from 2s1 = 2s2 = 8).  Masks and (-1)^q
-    signs broadcast from each factor's cached label tables (_labels).
-    Out-of-range entries are refused first, at their first label in label
-    order.  Conjugation symmetry is then tested with q1 = 0..hi - 1 against
-    (-q1, -q2), each pair once, for a block of rows k1 < hi (entries past a
-    row's rank were checked to be zero); only a block that breaks it is
-    measured in full for its first label and largest defect.  Errors come
-    in the order out-of-range, normalization, hermiticity.  NaN fails every
-    comparison and keeps the largest defect NaN; inf raises no warning."""
+    2s1 = 2s2 = 4).  Out-of-range entries are refused first, at their first
+    label in label order; a one-row block tests the run of rows |q1| > k1
+    before its in-range rows by a plain any (-0.0 is zero, NaN nonzero) and
+    those rows by one any over rows against |q2| > k2, and masks from the
+    label tables (_labels) locate only a refusal.  Conjugation symmetry is
+    then tested with q1 = 0..hi - 1 against (-q1, -q2), each pair once, for
+    a block of rows k1 < hi, screened by max(|Re|, |Im|) <= _SCREEN and
+    measured in |.| only where not cleared, in full where it breaks.  Errors
+    come in the order out-of-range, normalization, hermiticity.  NaN fails
+    every comparison and keeps the largest defect NaN; inf raises no warning."""
     a = _owned(values, "values")
     expected = sum(((ts + 1, 2 * ts + 1) for ts in spins), ())
     if a.shape != expected:
@@ -224,23 +227,34 @@ def _validate_set(values, spins: tuple[int, ...], what: str) -> np.ndarray:
     a4 = a.reshape(ts1 + 1, 2 * ts1 + 1, ts2 + 1, 2 * ts2 + 1)
     (out1, sign1), (out2, sign2) = _labels(ts1), _labels(ts2)
     sign = sign1[:, None, None] * sign2  # (-1)^(q1 + q2)
-    rows = ts1 + 1 if len(spins) == 1 else max(1, _BLOCK_BYTES // a4[0].nbytes)
+    step = ts1 + 1 if len(spins) == 1 else max(1, _BLOCK_BYTES // a4[0].nbytes)
+    rows, done = a.reshape(a4.shape[0] * a4.shape[1], -1), 0  # [(k1, q1), (k2, q2)]
     broken = []  # (first label, largest defect) of each block that breaks symmetry
-    for lo in range(0, ts1 + 1, rows):
-        hi = min(lo + rows, ts1 + 1)
-        b = a4[lo:hi]
-        outside = out1[lo:hi, :, None, None] | out2
-        if b.any(where=outside):
-            raise ValidationError(
-                f"{what} has out-of-range labels: {_first_label(outside & (b != 0), lo, spins)} "
-                "is nonzero, expected exactly 0"
-            )
-        # q1 = 0..hi-1 against (-q1, -q2): each q1 pair once; q1 >= hi is out of range
-        pair = b[:, ts1 : ts1 + hi].conj() - sign[ts1 : ts1 + hi] * b[:, ts1::-1, :, ::-1][:, :hi]
-        if not np.all(abs(pair) <= TENSOR_TOL):
-            defect = np.abs(b.conj() - sign * b[:, ::-1, :, ::-1])
-            bad = ~(defect <= TENSOR_TOL)
-            broken.append((_first_label(bad, lo, spins), np.max(defect[bad])))
+
+    def pairs(b, hi):  # q1 = 0..hi-1 against (-q1, -q2): each pair once; q1 >= hi is out of range
+        return b[:, ts1 : ts1 + hi].conj() - sign[ts1 : ts1 + hi] * b[:, ts1::-1, :, ::-1][:, :hi]
+
+    for lo in range(0, ts1 + 1, step):
+        hi = min(lo + step, ts1 + 1)
+        b, k1, suspect = a4[lo:hi], lo, True
+        if step == 1:  # rank lo's in-range rows, and the run of rows |q1| > k1 before them
+            start = lo * (2 * ts1 + 1) + ts1 - lo  # rank lo's row q1 = -lo
+            run, done, k1 = rows[done:start], start + 2 * lo + 1, max(0, lo - 1)
+            suspect = run.any() or (rows[start:done].any(axis=0) & out2.ravel()).any()
+        if suspect:  # located from rank k1: a slab's run starts in rank lo - 1
+            c, outside = a4[k1:hi], out1[k1:hi, :, None, None] | out2
+            if c.any(where=outside):
+                label = _first_label(outside & (c != 0), k1, spins)
+                raise ValidationError(
+                    f"{what} has out-of-range labels: {label} is nonzero, expected exactly 0"
+                )
+        parts = pairs(b, hi).view(float)
+        # screened by max(|Re|, |Im|), taken in place; measured in |.| only if not cleared
+        if not np.abs(parts, out=parts).max() <= _SCREEN:
+            if not np.all(abs(pairs(b, hi)) <= TENSOR_TOL):
+                defect = np.abs(b.conj() - sign * b[:, ::-1, :, ::-1])
+                bad = ~(defect <= TENSOR_TOL)
+                broken.append((_first_label(bad, lo, spins), np.max(defect[bad])))
     t00 = a4[0, ts1, 0, ts2]
     norm_defect = abs(t00 - 1.0)
     if not norm_defect <= TENSOR_TOL:

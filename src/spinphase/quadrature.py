@@ -21,8 +21,8 @@ then one sum over the rings against angular's half table
 Pbar[k, q >= 0, ring] = Y_kq(theta_ring, 0), one real product per order
 (the Driscoll-Healy / SHTns structure), so the harmonic table over all nodes
 is never built.  What a projection needs of the grid alone, its ring weights,
-is kept on the grid, O(L) numbers; no table of N entries is cached beyond
-node_thetas, node_phis and weights.
+is kept on the grid, O(L) numbers, as are correlation's O(1) sums; no table
+of N entries is cached beyond node_thetas, node_phis and weights.
 """
 
 from __future__ import annotations
@@ -110,6 +110,21 @@ class SphereGrid:
         out = self.theta_weights * self.phi_weight
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _correlation_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """distributions.correlation's grid sums, read-only: [signed, absolute]
+        sum_r w_r {sin, cos}(t_r) {1, cos, sin}(t_r) (|cos| for cos) [2, 2, 3]
+        and sum_c {cos, sin, 1}(p_c) {cos, sin, 1}(p_c) (|.| for cos, sin) [2, 3, 3]."""
+        one, cos_t, sin_t = np.ones(self.n_theta), np.cos(self.thetas), np.sin(self.thetas)
+        ring = np.array([[sin_t, cos_t], [sin_t, np.abs(cos_t)]]) * self._ring_weights
+        ring = ring @ np.array([[one, cos_t, sin_t], [one, np.abs(cos_t), sin_t]]).swapaxes(1, 2)
+        one, cos_p, sin_p = np.ones(self.n_phi), np.cos(self.phis), np.sin(self.phis)
+        az = np.array([[cos_p, sin_p, one], [np.abs(cos_p), np.abs(sin_p), one]])
+        gram = az @ az.swapaxes(1, 2)
+        for out in (ring, gram):
+            out.setflags(write=False)
+        return ring, gram
 
 
 def build_grid(band_limit: int) -> SphereGrid:

@@ -934,6 +934,70 @@ def correlation_bound(monkeypatch, kind, ts, a, b, grid):
     return float(str(exc.value).split("roundoff bound ")[1].split()[0])
 
 
+def per_call_correlation(kind, ts, a, b, grid):
+    """(value, roundoff bound, tolerance) by correlation's arithmetic as it
+    ran when each call built its grid's ring and azimuth sums (transcribed)."""
+    magnitude, z_sign = distributions._spin_scale(kind, ts)
+    d = np.array([a, b], dtype=float) * [1.0, 1.0, z_sign] * magnitude
+    one, cos_t, sin_t = np.ones(grid.n_theta), np.cos(grid.thetas), np.sin(grid.thetas)
+    ring = np.array([[sin_t, cos_t], [sin_t, np.abs(cos_t)]]) * grid._ring_weights
+    ring = ring @ np.array([[one, cos_t, sin_t], [one, np.abs(cos_t), sin_t]]).swapaxes(1, 2)
+    one, cos_p, sin_p = np.ones(grid.n_phi), np.cos(grid.phis), np.sin(grid.phis)
+    az = np.array([[cos_p, sin_p, one], [np.abs(cos_p), np.abs(sin_p), one]])
+    sums = (
+        distributions._Y_RANK1
+        * ring[:, distributions._RING_ROWS, distributions._RING_COLUMNS]
+        * (az @ az.swapaxes(1, 2) @ distributions._PHASE)
+    )
+    eps = np.finfo(float).eps
+    sides = np.array([d, np.abs(d) * ((grid.n_theta + grid.n_phi + 16) * eps)]) @ sums
+    (left, right), (left_err, right_err) = sides.reshape(2, 2, 2, 3).tolist()
+    total, bound, abs_total = 0j, 0.0, 0.0
+    c = distributions._table(kind, ts, 1).tolist()
+    for k, signs in enumerate(distributions._SINGLET_RANK1):
+        for i, sign in enumerate(signs):
+            coupling = sign * (c[k] * c[k]) / (4.0 * math.pi)
+            l, r = left[k][i], right[k][2 - i]
+            dl, dr = left_err[k][i].real, right_err[k][2 - i].real
+            term = coupling * l * r
+            total, abs_total = total + term, abs_total + abs(term)
+            bound += abs(coupling) * (abs(l) * dr + dl * abs(r) + dl * dr)
+    bound += 15 * eps * abs_total
+    return total.real, bound, distributions._CORRELATION_RTOL * ts * (ts + 2.0) / 12.0
+
+
+@pytest.mark.parametrize("ts", [1, 2, 3, 8, 16, 64, 400])
+def test_correlation_bytes_equal_per_call_sums(ts, monkeypatch):
+    # the grid's sums are the per-call sums: the value to the bit, and the
+    # bound as its refusal shows it, on a fresh grid and on the reused one
+    rng = np.random.default_rng(3100 + ts)
+    for band in sorted({max(2, (ts + 1) // 2), max(2, ts)}):
+        grid = build_grid(band)
+        for kind in DistributionKind:
+            for _ in range(2):
+                a, b = random_direction(rng), random_direction(rng)
+                value, bound, tolerance = per_call_correlation(kind, ts, a, b, grid)
+                assert correlation_bound(monkeypatch, kind, ts, a, b, grid) == float(f"{bound:.3e}")
+                if bound <= tolerance:
+                    got = correlation(kind, ts / 2, a, b, grid)
+                    assert np.float64(got).tobytes() == np.float64(value).tobytes(), (band, kind)
+                else:
+                    with pytest.raises(ConsistencyError, match=f"roundoff bound {bound:.3e} "):
+                        correlation(kind, ts / 2, a, b, grid)
+
+
+def test_correlation_sums_are_built_on_first_use_and_kept():
+    grid = build_grid(4)
+    assert "_correlation_sums" not in vars(grid)
+    correlation(DistributionKind.Q, 2.0, [0, 0, 1.0], [0, 1.0, 0], grid)
+    sums = vars(grid)["_correlation_sums"]
+    assert [x.shape for x in sums] == [(2, 2, 3), (2, 3, 3)]
+    assert not any(x.flags.writeable for x in sums)
+    correlation(DistributionKind.F, 1.5, [1.0, 0, 0], [0, 1.0, 0], grid)
+    assert grid._correlation_sums is sums
+    assert "_correlation_sums" not in vars(build_grid(4))
+
+
 @pytest.mark.parametrize("ts", [1, 2, 3, 5, 8, 16, 24, 64, 400])
 def test_correlation_matches_projection_route(ts, monkeypatch):
     rng = np.random.default_rng(2900 + ts)

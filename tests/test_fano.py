@@ -345,7 +345,16 @@ def test_tensor_set_nan_defect_outlives_later_finite_defects(spins):
     assert_same_verdict(vals, spins)
 
 
-PERTURBATIONS = [0.0, -0.0, 1e-300, 4e-13, 2e-12, 1e-6j, 0.25 - 0.5j, np.nan, np.inf]
+# the symmetry screen's edges: |delta| = 0.99 tol with both parts under
+# tol / sqrt(2), |delta| = 1.02 tol with both parts over it, and 0.99 / 1.01
+# tol on the real axis, which the screen leaves to the exact |.|
+SCREEN_EDGES = [
+    (0.70 + 0.70j) * TENSOR_TOL,
+    (0.72 + 0.72j) * TENSOR_TOL,
+    0.99 * TENSOR_TOL,
+    1.01 * TENSOR_TOL,
+]
+PERTURBATIONS = [0.0, -0.0, 1e-300, 4e-13, 2e-12, 1e-6j, 0.25 - 0.5j, np.nan, np.inf] + SCREEN_EDGES
 
 
 @given(
@@ -475,6 +484,11 @@ def planted_defects(rng, spins):
         ]
     cases.append(("normalization", [((0, ts1, 0, ts2), 2 * TENSOR_TOL)]))
     first, last = edges[0], edges[-1]
+    cases += [
+        (f"screen edge {delta:.2e} k1={k1}", [(inside(k1), delta)])
+        for k1 in sorted({first, last})
+        for delta in SCREEN_EDGES
+    ]
     cases += [
         ("symmetry in two blocks", [(inside(first), 1e-9), (inside(last), 3e-9j)]),
         ("symmetry then out-of-range", [(inside(first), 1e-6), (outside(last), 1.0)]),
@@ -947,6 +961,55 @@ def test_singlet_tensors_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * t12.values.nbytes
+
+
+@pytest.mark.scale
+def test_coupled_slabs_match_per_row_check_at_scale():
+    # (32, 32), a 73.6 MB array: the closed form is accepted, adopted
+    # uncopied within 1.3x its array, and defects in the first, a middle and
+    # the last rank slab meet the per-row check's decisions and messages
+    ts, what = 32, "coupled tensor set"
+    tracemalloc.start()
+    try:
+        t12 = singlet_tensors(ts / 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t12.values.nbytes == 73_616_400
+    assert peak <= 1.3 * t12.values.nbytes
+    vals = np.array(t12.values)
+    assert np.array_equal(per_row_rule(vals, (ts, ts), what), vals)
+    outcomes = set()
+    for k1 in (0, 16, 32):
+        defects = [
+            ((k1, ts + k1, k1, ts - k1), 1e-6j),  # conjugation symmetry
+            ((k1, ts - k1, 3, ts + 1), np.nan),
+            ((k1, ts + k1 // 2, 0, ts + 1), 0.5),  # out of range in q2
+            ((k1, ts + k1 // 2, 1, ts), (0.72 + 0.72j) * TENSOR_TOL),
+            ((k1, ts + k1 // 2, 1, ts), (0.70 + 0.70j) * TENSOR_TOL),
+        ] + ([((k1, ts + k1 + 1, 2, ts), -1.0)] if k1 < ts else [])  # out of range in q1
+        for index, delta in defects:
+            vals[index] += delta
+            try:
+                expected = per_row_rule(vals, (ts, ts), what)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as info:
+                    build_set(vals, (ts, ts))
+                assert str(info.value) == str(exc), (index, delta)
+                outcomes.update(w for w in RULES if w in str(exc))
+            else:
+                assert np.array_equal(build_set(vals, (ts, ts)).values, expected), (index, delta)
+                outcomes.add("accepted")
+            vals[index] = t12.values[index]
+    assert outcomes == {"accepted", *RULES}  # t^{00}_{00} moved at k1 = 0: normalization
+
+
+def test_symmetry_screen_implies_tolerance():
+    # |z| grows with |Re z| and |Im z|: both parts at the screen give
+    # |z| <= TENSOR_TOL, so the screen clears no defect the exact |.| refuses
+    edge = fano._SCREEN
+    assert abs(complex(edge, edge)) <= TENSOR_TOL
+    assert np.abs(np.array([complex(edge, -edge)]))[0] <= TENSOR_TOL
 
 
 def test_refused_coupled_set_memory_peak():

@@ -123,6 +123,16 @@ def test_every_cache_is_bounded_and_stays_within_its_bound():
         "spinphase.fano._labels",
         "spinphase.tensor_ops._bands",
     ]
+    # no other module-level store: a dict, a set or a cache_info object
+    # (an lru_cache) outside the seven would hold what they bound
+    others = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(spinphase.__path__, "spinphase.")
+        for name, value in vars(importlib.import_module(info.name)).items()
+        if not name.startswith("__") and not isinstance(value, (type, angular._RankCache))
+        and (isinstance(value, (dict, set)) or hasattr(value, "cache_info"))
+    ]
+    assert others == []
     for name, cache in caches.items():
         assert 0 < cache.max_bytes <= 100_000_000, name
     # the warm_states benchmark's calls, at its spins
