@@ -29,11 +29,12 @@ harmonics and Legendre polynomials one recurrence's half table Pbar[k, q >= 0,
 point] = Y_kq(theta, 0) (_norm_legendre_table), the q < 0 sign written once
 (_q_signs).  The ring-wise synthesis and quadrature.project take one real
 product per order (_per_order); a synthesis's plan (the table, phases and each
-point's place) is cached by content for product grids, as is project's ring
-table.  The public functions are pure (_apply_d writes only the array it is
-handed); the factorial tables are immutable after import, and the rank blocks,
-Legendre recurrence coefficients, plans and ring tables live in lock-guarded,
-byte-bounded _RankCaches: safe to call concurrently.
+point's place) is cached by content for product grids, as are project's ring
+table and singlet_profile's q = 0 column (_ring_table).  The public functions
+are pure (_apply_d writes only the array it is handed); the factorial tables
+are immutable after import, and the rank blocks, Legendre recurrence
+coefficients, plans and ring tables live in lock-guarded, byte-bounded
+_RankCaches: safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -415,15 +416,18 @@ def _keep_plan(plan: tuple, nbytes: int) -> bool:
 
 
 def _build_ring_table(key: tuple) -> tuple[np.ndarray]:
-    """A _ring_tables entry from its key (k_max, theta bytes): the half table."""
-    k_max, theta = key
-    return (_norm_legendre_table(k_max, np.cos(np.frombuffer(theta))),)
+    """A _ring_tables entry from its key (k_max, q_max, theta bytes): the
+    half table's columns q <= q_max."""
+    k_max, q_max, theta = key
+    return (_norm_legendre_table(k_max, np.cos(np.frombuffer(theta)), q_max),)
 
 
-def _ring_table(k_max: int, theta: np.ndarray) -> np.ndarray:
-    """The read-only half table Pbar[k, q >= 0, ring] on cos(theta) of a 1-d
-    float array, cached by content (quadrature.project's ring sum)."""
-    return _ring_tables((k_max, theta.tobytes()))[0]
+def _ring_table(k_max: int, theta: np.ndarray, q_max: int | None = None) -> np.ndarray:
+    """The read-only half table Pbar[k, q <= q_max (default k_max), ring] on
+    cos(theta) of a 1-d float array, cached by content: quadrature.project's
+    full table, and distributions.singlet_profile's q = 0 column."""
+    q_max = k_max if q_max is None else q_max
+    return _ring_tables((k_max, q_max, theta.tobytes()))[0]
 
 
 def _synthesize(a: np.ndarray, theta, phi) -> np.ndarray:
@@ -602,10 +606,13 @@ _PLAN_BYTES = 32_000_000
 # are kept (_keep_plan), so nothing stays held after a large-spin call
 _plans = _RankCache(_build_plan, max_bytes=_PLAN_BYTES, keep=_keep_plan)
 
-# keyed by content, (k_max, theta bytes): project's ring tables; a band-2s
-# grid's table at k_max = 2s is kept up to 2s = 157, a larger one is dropped
+# keyed by content, (k_max, q_max, theta bytes): project's ring tables and
+# singlet_profile's columns; a band-2s grid's table at k_max = 2s is kept up
+# to 2s = 157.  A larger table and one on at most one point are dropped
 _ring_tables = _RankCache(
-    _build_ring_table, max_bytes=_PLAN_BYTES, keep=lambda entry, nbytes: nbytes <= _PLAN_BYTES
+    _build_ring_table,
+    max_bytes=_PLAN_BYTES,
+    keep=lambda entry, nbytes: entry[0].shape[2] > 1 and nbytes <= _PLAN_BYTES,
 )
 
 

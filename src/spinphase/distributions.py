@@ -59,8 +59,8 @@ from . import fano
 from .angular import (
     HalfInteger,
     _RankCache,
-    _norm_legendre_table,
     _require_array,
+    _ring_table,
     _scalar_angles,
     _synthesize,
     require_angle,
@@ -434,10 +434,13 @@ def singlet_profile(kind: DistributionKind, s, theta12):
 
     Accepts angles of any shape.  P_k = sqrt(4 pi / (2k+1)) Pbar[k, 0], the
     q = 0 column of angular's half table, its factor moved onto the c_k^2.
+    The column depends on the spin and the angles alone and is read from
+    angular's content-keyed ring-table cache, so the three kinds, and repeat
+    calls, on one array of more than one angle build it once.
     """
     ts = require_spin(s, lo=1)
     theta12 = require_angle(theta12, "theta12")
-    pbar = _norm_legendre_table(ts, np.cos(theta12).reshape(-1), 0)[:, 0]
+    pbar = _ring_table(ts, theta12.reshape(-1), 0)[:, 0]
     k = np.arange(ts + 1)
     odd = 2 * k + 1
     with np.errstate(over="ignore"):

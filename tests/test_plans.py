@@ -1,8 +1,9 @@
 """The synthesis plan and ring table caches: a grid's harmonic table, phases
-and ring maps are built once, and every result equals the uncached one bit
-for bit."""
+and ring maps, and a singlet profile's Legendre column, are built once, and
+every result equals the uncached one bit for bit."""
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -22,8 +23,9 @@ from spinphase import (
     evaluate_many,
     expectation,
     project,
+    singlet_profile,
 )
-from spinphase import angular
+from spinphase import angular, distributions
 from spinphase.angular import _RankCache, _norm_legendre_table, _ring_table, _synthesize
 
 KINDS = list(DistributionKind)
@@ -311,3 +313,119 @@ def test_plan_cache_reach_for_band_two_s_grids(ts, plan_kept, table_kept):
     project(grid, np.zeros(grid.n_nodes), ts)
     assert (angular._plans.cache_info()["keys"] != ()) == plan_kept
     assert (angular._ring_tables.cache_info()["keys"] != ()) == table_kept
+
+
+def singlet_profile_uncached(kind, ts, theta12):
+    """singlet_profile's expression with its Legendre column built per call
+    from the angles' cosines, as before the column was cached."""
+    theta12 = np.asarray(theta12, dtype=float)
+    pbar = _norm_legendre_table(ts, np.cos(theta12).reshape(-1), 0)[:, 0]
+    k = np.arange(ts + 1)
+    odd = 2 * k + 1
+    with np.errstate(over="ignore"):
+        c2 = distributions._table(kind, ts) ** 2
+        coeffs = distributions._finite(kind, ts, (-1.0) ** k * odd * c2)
+    vals = (coeffs * np.sqrt(4.0 * math.pi / odd) @ pbar) / (4.0 * math.pi) ** 2
+    return float(vals[0]) if theta12.ndim == 0 else vals.reshape(theta12.shape)
+
+
+PROFILE_ANGLES = {
+    "0-d": lambda rng: 0.7,
+    "one point": lambda rng: np.array([2.2]),
+    "empty": lambda rng: np.zeros(0),
+    "[7, 5]": lambda rng: rng.uniform(-7, 7, (7, 5)),
+    "721 points": lambda rng: np.deg2rad(np.arange(721) / 2),
+    "non-contiguous view": lambda rng: rng.uniform(0, 7, (9, 8))[1::2, ::3].T,
+}
+
+
+@pytest.mark.parametrize("angles", PROFILE_ANGLES)
+@pytest.mark.parametrize("ts", [1, 2, 3, 16, 64, 509])
+def test_singlet_profile_bytes_equal_uncached_on_miss_and_hit(ts, angles, rng):
+    theta12 = PROFILE_ANGLES[angles](rng)
+    angular._ring_tables.cache_clear()
+    for kind in KINDS:
+        expected = singlet_profile_uncached(kind, ts, theta12)
+        for _ in range(2):
+            got = singlet_profile(kind, ts / 2, theta12)
+            assert type(got) is type(expected) and same(got, expected)
+    kept = np.size(theta12) > 1
+    info = angular._ring_tables.cache_info()
+    assert (info["misses"], info["hits"]) == ((1, 5) if kept else (6, 0))
+
+
+def test_singlet_profile_refusal_unchanged_past_p_overflow():
+    theta12 = np.array([0.0, 1.0])
+    with pytest.raises(SpinPhaseError) as uncached:
+        singlet_profile_uncached(DistributionKind.P, 510, theta12)
+    with pytest.raises(type(uncached.value), match=f"^{re.escape(str(uncached.value))}$"):
+        singlet_profile(DistributionKind.P, 255, theta12)
+
+
+def test_singlet_profile_kinds_share_one_read_only_column():
+    ts, theta12 = 16, np.deg2rad(np.arange(721) / 2)
+    angular._ring_tables.cache_clear()
+    for kind in KINDS:
+        singlet_profile(kind, ts / 2, theta12)
+    info = angular._ring_tables.cache_info()
+    assert (info["misses"], info["hits"]) == (1, 2)
+    assert info["keys"] == ((ts, 0, theta12.tobytes()),)
+    column = _ring_table(ts, theta12, 0)
+    assert not column.flags.writeable and _ring_table(ts, theta12, 0) is column
+    assert same(column, _norm_legendre_table(ts, np.cos(theta12), 0))
+    # the full table on the same angles is its own entry, led by that column
+    full = _ring_table(ts, theta12)
+    assert full.shape == (ts + 1, ts + 1, 721) and same(full[:, :1], column)
+
+
+def test_single_point_profiles_keep_no_column(rng):
+    # a column per call on one point would fill the cache with entries whose
+    # Python overhead its byte count does not see
+    theta12 = np.deg2rad(np.arange(721) / 2)
+    angular._ring_tables.cache_clear()
+    singlet_profile(DistributionKind.Q, 4, theta12)
+    held = angular._ring_tables.cache_info()["keys"]
+    for angle in rng.uniform(0, 2 * math.pi, 1000):
+        singlet_profile(DistributionKind.F, 4, float(angle))
+        singlet_profile(DistributionKind.P, 4, [angle])
+    assert angular._ring_tables.cache_info()["keys"] == held
+
+
+def test_profile_column_over_the_bound_is_built_and_not_kept():
+    # 201 degrees on 20 000 angles: 32.16 MB of column, past the 32 MB bound
+    ts, theta12 = 200, np.linspace(0, 2 * math.pi, 20_000)
+    angular._ring_tables.cache_clear()
+    got = singlet_profile(DistributionKind.Q, ts / 2, theta12)
+    info = angular._ring_tables.cache_info()
+    assert info["misses"] == 1 and info["keys"] == () and info["bytes"] == 0
+    assert same(got, singlet_profile_uncached(DistributionKind.Q, ts, theta12))
+
+
+def test_threads_sharing_one_profile_column_get_identical_results():
+    ts, theta12 = 12, np.deg2rad(np.arange(721) / 2)
+    expected = {kind: singlet_profile_uncached(kind, ts, theta12) for kind in KINDS}
+    angular._ring_tables.cache_clear()
+    results, errors = [], []
+
+    def work():
+        try:
+            for i in range(60):
+                kind = KINDS[i % 3]
+                results.append((kind, singlet_profile(kind, ts / 2, theta12)))
+        except Exception as exc:  # a thread's exception would not fail the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert len(results) == 240 and all(same(v, expected[kind]) for kind, v in results)
+    info = angular._ring_tables.cache_info()
+    assert info["keys"] == ((ts, 0, theta12.tobytes()),) and info["hits"] + info["misses"] == 240

@@ -2,9 +2,13 @@
 
 import importlib
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 import spinphase
 from conftest import random_bipartite_density, random_density
 from spinphase import DistributionKind as K
-from spinphase import DomainError, angular, quadrature
+from spinphase import DomainError, angular, cli, quadrature
 from spinphase.angular import HalfInteger
 
 PUBLIC = [
@@ -112,7 +116,7 @@ def package_caches() -> dict:
     return caches
 
 
-def test_every_cache_is_bounded_and_stays_within_its_bound():
+def test_every_cache_is_bounded_and_stays_within_its_bound(tmp_path):
     caches = package_caches()
     assert sorted(caches) == [
         "spinphase.angular._legendre_coefficients",
@@ -151,10 +155,38 @@ def test_every_cache_is_bounded_and_stays_within_its_bound():
         spinphase.reduce(rho12, 1)
         spinphase.is_product(t12, 1e-9)
         spinphase.reconstruct_bipartite(t12)
+    # the singlet benchmark's calls, at its spins; P correlation is refused
+    # from 2s = 14 on
+    theta12 = np.deg2rad(np.arange(721) / 2)
+    for ts in (2, 4, 8, 12, 16):
+        spinphase.singlet_tensors(ts / 2)
+        grid = spinphase.build_grid(max(2, ts))
+        for kind in K:
+            spinphase.singlet_profile(kind, ts / 2, theta12)
+            if kind is not K.P or ts < 14:
+                spinphase.correlation(kind, ts / 2, [0, 0, 1], [0.6, 0, 0.8], grid)
+    cli.main(["singlet", "--kind", "all", "--twice-spin", "16", "--out", str(tmp_path / "p.csv")])
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info["bytes"] <= info["max_bytes"], name
     assert {4, 8, 16, 24} <= set(caches["spinphase.fano._labels"].cache_info()["keys"])
+
+
+def test_import_loads_no_test_only_dependency():
+    # numpy is the one runtime dependency (pyproject.toml); scipy, sympy and
+    # mpmath are test oracles, and an import of scipy.linalg alone would cost
+    # more than the package's own import
+    src = str(Path(spinphase.__file__).resolve().parents[1])
+    code = (
+        "import sys, spinphase, spinphase.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sympy', 'mpmath'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------- the argument rule
